@@ -8,8 +8,8 @@
 //!    mismatch).
 //! 2. **Exact-table validation**: the sharded multi-device engine must be
 //!    *pair-for-pair* identical to single-device GPU-SJ, the parallel
-//!    host join and the R-tree — and its deduplicating merge must remove
-//!    zero duplicates (the halo-ownership invariant). The per-thread
+//!    host join and the R-tree — and its merged table must hold zero
+//!    duplicate pairs (the halo-ownership invariant). The per-thread
 //!    kernel path (with and without UNICOMP) must likewise be
 //!    pair-for-pair identical to the default cell-major hot path.
 //!
@@ -55,7 +55,7 @@ fn main() {
         );
         assert_eq!(
             sharded.report.duplicates_merged, 0,
-            "{}: sharded merge removed duplicates — ownership violated",
+            "{}: sharded merge found duplicates — ownership violated",
             spec.name
         );
         // Hot-path cross-check: `single` ran the default cell-major path;

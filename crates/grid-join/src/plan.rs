@@ -1,12 +1,11 @@
 //! The join-plan IR and its executor — one description of the paper's
 //! pipeline for every join path.
 //!
-//! Every entry point in this workspace runs the same five conceptual
+//! Every entry point in this workspace runs the same four conceptual
 //! stages: obtain an ε-grid index, materialize a device snapshot, estimate
-//! the result size, execute the batched kernels, and post-process the pair
-//! stream. Before this module existed each entry point hardwired its own
-//! copy of that pipeline; now they all *build* a [`JoinPlan`] and hand it
-//! to [`execute`]:
+//! the result size, and execute the batched kernels. Before this module
+//! existed each entry point hardwired its own copy of that pipeline; now
+//! they all *build* a [`JoinPlan`] and hand it to [`execute`]:
 //!
 //! * [`crate::GpuSelfJoin`] — `Build`/`Prebuilt` index, device backend.
 //! * [`crate::host_self_join`] / [`crate::host_self_join_parallel`] —
@@ -14,11 +13,10 @@
 //! * `sj-shard`'s `ShardedSelfJoin` — a plan *rewrite*: the partition pass
 //!   turns one logical join into per-shard subplans (`Prebuilt` index,
 //!   `Precomputed` estimate, an [`ExecOptions::ownership`] window so the
-//!   kernels drop ghost-keyed pairs at emit time, remapped post stage),
-//!   executed on the scheduled device and merged by concatenation — the
-//!   ownership windows are disjoint, so no dedup pass is needed. The
-//!   `PerThread` ablation path keeps the classic scoped post stage
-//!   instead.
+//!   kernels of either hot path drop ghost-keyed pairs at emit time),
+//!   executed on the scheduled device; the engine lifts the pairs to
+//!   global ids and merges by concatenation — the ownership windows are
+//!   disjoint, so no dedup pass is needed.
 //! * [`crate::SelfJoinSession`] — `Resident` index: the session pins the
 //!   dataset, caches the built [`GridIndex`] plus per-device
 //!   [`DeviceGrid`] snapshots (and the hoisted [`CellMajorPlan`]), and
@@ -40,10 +38,6 @@
 //! **Execution** ([`Backend`]): a specific device, the host (sequential or
 //! rayon-parallel — no device stages at all), or a [`DevicePool`], which
 //! leases the least-loaded device for the duration of the run.
-//!
-//! **Post** ([`PostStage`]): optional ownership filter (shard-scoped joins
-//! keep only owned-keyed pairs) and optional id remap (shard-local →
-//! global ids) — in that order, matching the shard halo contract.
 
 use crate::batching::{run_batched_on, BatchReport, BatchingConfig, ExecOptions};
 use crate::cell_major::CellMajorPlan;
@@ -52,7 +46,7 @@ use crate::error::SelfJoinError;
 use crate::grid::GridIndex;
 use crate::host_join;
 use crate::kernels::kernel_registers;
-use crate::result::{remap_pairs, retain_owned_pairs, Ownership, Pair};
+use crate::result::{Ownership, Pair};
 use sim_gpu::occupancy::KernelResources;
 use sim_gpu::{occupancy, Device, DevicePool, LaunchConfig, OccupancyResult};
 use sj_datasets::Dataset;
@@ -99,19 +93,9 @@ pub enum EstimateStage {
     Precomputed(u64),
 }
 
-/// Post-processing of the raw pair stream, applied in field order.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PostStage<'a> {
-    /// Keep only pairs whose key is an owned point (`key < owned`),
-    /// counting the dropped ghost-keyed pairs — the shard halo contract.
-    pub scope_owned: Option<usize>,
-    /// Rewrite both pair ids through this map (shard-local → global).
-    pub remap: Option<&'a [u32]>,
-}
-
 /// One self-join described as data: which index, which estimate, which
-/// kernels, which post-processing. Built by every public entry point and
-/// run by [`execute`] — the single owner of the pipeline's control flow.
+/// kernels. Built by every public entry point and run by [`execute`] —
+/// the single owner of the pipeline's control flow.
 #[derive(Clone, Copy, Debug)]
 pub struct JoinPlan<'a> {
     /// The dataset being joined (the index must describe exactly it).
@@ -128,8 +112,6 @@ pub struct JoinPlan<'a> {
     pub launch: LaunchConfig,
     /// Batching-scheme tunables (§V-A).
     pub batching: BatchingConfig,
-    /// Pair-stream post-processing.
-    pub post: PostStage<'a>,
 }
 
 impl<'a> JoinPlan<'a> {
@@ -142,7 +124,6 @@ impl<'a> JoinPlan<'a> {
             exec: ExecOptions::default(),
             launch: LaunchConfig::default(),
             batching: BatchingConfig::default(),
-            post: PostStage::default(),
         }
     }
 
@@ -154,26 +135,13 @@ impl<'a> JoinPlan<'a> {
         }
     }
 
-    /// Restricts the post stage to owned-keyed pairs (shard scoping).
-    pub fn scoped(mut self, owned: usize) -> Self {
-        self.post.scope_owned = Some(owned);
-        self
-    }
-
     /// Fuses an ownership window over the owned *prefix* `[0, owned)`
     /// into execution: the kernels drop non-owned-keyed pairs at emit
     /// time (one comparison before the `AppendBuffer` reservation), so
-    /// the ghost pairs are never materialized and no post-pass filter is
-    /// needed. The emit-filtered pair stream equals `scoped(owned)`'s
-    /// pair-for-pair.
+    /// the ghost pairs are never materialized. The emitted pairs are
+    /// exactly the owned-keyed pairs of the full join.
     pub fn owned_prefix(mut self, owned: usize) -> Self {
         self.exec.ownership = Some(Ownership::prefix(owned));
-        self
-    }
-
-    /// Remaps result ids through `map` in the post stage.
-    pub fn remapped(mut self, map: &'a [u32]) -> Self {
-        self.post.remap = Some(map);
         self
     }
 
@@ -214,7 +182,7 @@ pub struct JoinReport {
     /// Wall time of the execution stage: the device pipeline (estimate +
     /// kernels + drains) or the host scan.
     pub device_pipeline: Duration,
-    /// End-to-end wall time of the plan (index + execution + post).
+    /// End-to-end wall time of the plan (index + execution).
     pub total: Duration,
     /// Modeled response time on the simulated device: host grid build +
     /// modeled estimation kernel + the pipelined (3-stream) timeline of
@@ -234,28 +202,26 @@ pub struct JoinReport {
     pub batching: BatchReport,
 }
 
-/// Output of one executed plan: the raw (post-processed) pair stream plus
-/// the report. Callers build whatever result shape they need from it —
+/// Output of one executed plan: the raw pair stream plus the report.
+/// Callers build whatever result shape they need from it —
 /// [`crate::NeighborTable`] for the public joins, a merge stream for the
 /// shard engine.
 #[derive(Clone, Debug)]
 pub struct PlanOutput {
-    /// Directed result pairs after the post stage.
+    /// Directed result pairs (owned-keyed only under an ownership
+    /// window).
     pub pairs: Vec<Pair>,
-    /// Ghost-keyed pairs dropped by the ownership filter (zero unless
-    /// [`PostStage::scope_owned`] was set).
-    pub dropped_ghost_pairs: u64,
     /// Timings and counters.
     pub report: JoinReport,
 }
 
 /// Runs a [`JoinPlan`] on a backend. The single owner of the pipeline's
 /// control flow: index acquisition → (device) snapshot → estimate →
-/// batched kernels → post stage.
+/// batched kernels.
 ///
 /// # Panics
 ///
-/// Panics if [`PostStage::scope_owned`] exceeds the dataset size (the
+/// Panics if [`ExecOptions::ownership`] exceeds the dataset size (the
 /// shard contract passes an owned *prefix*).
 pub fn execute(plan: &JoinPlan<'_>, backend: Backend<'_>) -> Result<PlanOutput, SelfJoinError> {
     let t0 = Instant::now();
@@ -319,7 +285,7 @@ pub fn execute(plan: &JoinPlan<'_>, backend: Backend<'_>) -> Result<PlanOutput, 
     }
 
     // Execution stage.
-    let (mut pairs, mut report) = match backend {
+    let (pairs, mut report) = match backend {
         Backend::Host { parallel } => run_host(plan, grid, grid_build, parallel),
         Backend::Device(device) => run_device(plan, device, grid, grid_build)?,
         Backend::Pool(pool) => {
@@ -328,32 +294,10 @@ pub fn execute(plan: &JoinPlan<'_>, backend: Backend<'_>) -> Result<PlanOutput, 
         }
     };
 
-    // Post stage: ownership filter, then remap (shard halo contract).
-    let mut dropped_ghost_pairs = 0;
-    let mut pspan = sj_obs::Span::enter("plan.post");
-    if let Some(owned) = plan.post.scope_owned {
-        assert!(
-            owned <= plan.data.len(),
-            "owned prefix {owned} exceeds dataset size {}",
-            plan.data.len()
-        );
-        dropped_ghost_pairs = retain_owned_pairs(&mut pairs, owned as u32);
-        pspan.label("dropped_ghosts", dropped_ghost_pairs);
-    }
-    if let Some(map) = plan.post.remap {
-        remap_pairs(&mut pairs, map);
-        pspan.label("remapped", 1u64);
-    }
-    drop(pspan);
-
     report.total = t0.elapsed();
     span.label("pairs", pairs.len());
     span.set_modeled(modeled_start, report.modeled_total.as_secs_f64());
-    Ok(PlanOutput {
-        pairs,
-        dropped_ghost_pairs,
-        report,
-    })
+    Ok(PlanOutput { pairs, report })
 }
 
 /// Device pipeline: snapshot (upload or resident) → batched kernels →
@@ -545,63 +489,40 @@ mod tests {
     }
 
     #[test]
-    fn scope_and_remap_post_stages_apply_in_order() {
-        let data = uniform(2, 400, 96);
-        let eps = 4.0;
-        let owned = 250usize;
-        // Identity-with-offset remap: local id i → 1000 + i.
-        let map: Vec<u32> = (0..data.len() as u32).map(|i| 1000 + i).collect();
-        let device = Device::new(DeviceSpec::titan_x_pascal());
-        let plan = JoinPlan::build_index(&data, eps)
-            .scoped(owned)
-            .remapped(&map);
-        let out = execute(&plan, Backend::Device(&device)).unwrap();
-        assert!(out
-            .pairs
-            .iter()
-            .all(|p| (1000..1000 + owned as u32).contains(&p.key)));
-        let full = execute(&JoinPlan::build_index(&data, eps), Backend::Device(&device)).unwrap();
-        let expected_kept = full
-            .pairs
-            .iter()
-            .filter(|p| (p.key as usize) < owned)
-            .count();
-        assert_eq!(out.pairs.len(), expected_kept);
-        assert_eq!(
-            out.dropped_ghost_pairs as usize,
-            full.pairs.len() - expected_kept
-        );
-    }
-
-    #[test]
-    fn ownership_fused_equals_scoped_post_pass() {
-        // The emit-time ownership filter must produce exactly the pairs
-        // the post-pass `scoped` filter keeps — for both hot paths, with
-        // and without UNICOMP, so the shard engine can swap one for the
-        // other freely.
+    fn owned_prefix_keeps_exactly_the_owned_keys_of_a_full_join() {
+        // The emit-time ownership window must produce exactly the
+        // owned-keyed pairs of the unrestricted join — for both hot paths,
+        // with and without UNICOMP (whose duplicate-search removal may
+        // leave a ghost query as the only producer of an owned-keyed
+        // pair), so the shard engine can run either kernel.
         use crate::cell_major::HotPath;
         let data = clustered(3, 500, 3, 1.0, 0.15, 98);
         let eps = 1.5;
         let owned = 320usize;
         let device = Device::new(DeviceSpec::titan_x_pascal());
+        let sorted = |mut pairs: Vec<Pair>| {
+            pairs.sort_unstable();
+            pairs
+        };
         for hot_path in [HotPath::PerThread, HotPath::CellMajor] {
             for unicomp in [false, true] {
-                let mut scoped = JoinPlan::build_index(&data, eps).scoped(owned);
-                scoped.exec.hot_path = hot_path;
-                scoped.exec.unicomp = unicomp;
-                let mut fused = JoinPlan::build_index(&data, eps).owned_prefix(owned);
-                fused.exec.hot_path = hot_path;
-                fused.exec.unicomp = unicomp;
-                let a = execute(&scoped, Backend::Device(&device)).unwrap();
-                let b = execute(&fused, Backend::Device(&device)).unwrap();
+                let mut full = JoinPlan::build_index(&data, eps);
+                full.exec.hot_path = hot_path;
+                full.exec.unicomp = unicomp;
+                let windowed = full.owned_prefix(owned);
+                let full = execute(&full, Backend::Device(&device)).unwrap();
+                let windowed = execute(&windowed, Backend::Device(&device)).unwrap();
+                let expected: Vec<Pair> = full
+                    .pairs
+                    .into_iter()
+                    .filter(|p| (p.key as usize) < owned)
+                    .collect();
+                assert!(!expected.is_empty());
                 assert_eq!(
-                    table(&data, &a),
-                    table(&data, &b),
+                    sorted(windowed.pairs),
+                    sorted(expected),
                     "hot_path={hot_path:?} unicomp={unicomp}"
                 );
-                // Fused plans never materialize a ghost-keyed pair.
-                assert_eq!(b.dropped_ghost_pairs, 0);
-                assert!(b.pairs.iter().all(|p| (p.key as usize) < owned));
             }
         }
     }

@@ -71,61 +71,6 @@ impl NeighborTable {
         Self { offsets, neighbors }
     }
 
-    /// Builds the table like [`Self::from_pairs`] while also removing
-    /// duplicate pairs, returning the duplicate count. Keys are dense
-    /// `u32` ids in `0..num_points`, so the grouping is a counting sort —
-    /// `O(n + num_points)` plus the per-neighbor-list `sort_unstable`
-    /// kept for determinism — instead of the `O(n log n)` full
-    /// `sort_unstable` + `dedup` a caller would otherwise run first (the
-    /// sharded engine's merge of multi-million-pair results).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any pair references a point id `>= num_points`.
-    pub fn from_pairs_dedup(num_points: usize, pairs: &[Pair]) -> (Self, u64) {
-        let mut counts = vec![0usize; num_points + 1];
-        for p in pairs {
-            assert!(
-                (p.key as usize) < num_points && (p.value as usize) < num_points,
-                "pair ({}, {}) out of range {num_points}",
-                p.key,
-                p.value
-            );
-            counts[p.key as usize + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let mut cursor = counts.clone();
-        let mut neighbors = vec![0u32; pairs.len()];
-        for p in pairs {
-            let k = p.key as usize;
-            neighbors[cursor[k]] = p.value;
-            cursor[k] += 1;
-        }
-        // Sort + dedup each list in place, compacting the value array and
-        // rebuilding the offsets as we go.
-        let mut offsets = vec![0usize; num_points + 1];
-        let mut write = 0usize;
-        for k in 0..num_points {
-            let (lo, hi) = (counts[k], counts[k + 1]);
-            neighbors[lo..hi].sort_unstable();
-            let mut prev: Option<u32> = None;
-            for i in lo..hi {
-                let v = neighbors[i];
-                if prev != Some(v) {
-                    neighbors[write] = v;
-                    write += 1;
-                    prev = Some(v);
-                }
-            }
-            offsets[k + 1] = write;
-        }
-        let duplicates = (pairs.len() - write) as u64;
-        neighbors.truncate(write);
-        (Self { offsets, neighbors }, duplicates)
-    }
-
     /// Number of points the table covers.
     pub fn num_points(&self) -> usize {
         self.offsets.len() - 1
@@ -139,6 +84,21 @@ impl NeighborTable {
     /// Total number of directed pairs.
     pub fn total_pairs(&self) -> usize {
         self.neighbors.len()
+    }
+
+    /// Number of duplicate directed pairs: every list is sorted, so a
+    /// repeat is an adjacent equal entry, counted in one linear pass. A
+    /// join that emits each pair exactly once yields 0.
+    pub fn duplicate_pairs(&self) -> u64 {
+        self.offsets
+            .windows(2)
+            .map(|w| {
+                self.neighbors[w[0]..w[1]]
+                    .windows(2)
+                    .filter(|v| v[0] == v[1])
+                    .count() as u64
+            })
+            .sum()
     }
 
     /// Average neighbors per point (the paper's selectivity measure).
@@ -176,8 +136,7 @@ impl NeighborTable {
 /// local-id range `[lo, hi)` of points this execution *owns*. Kernels
 /// carrying an ownership window test each candidate pair's key with one
 /// comparison **before** reserving result-buffer space, so ghost-keyed
-/// pairs are never materialized — the fused alternative to the post-pass
-/// [`retain_owned_pairs`] filter.
+/// pairs are never materialized.
 ///
 /// Shard-local datasets are laid out owned-points-first, so shard plans
 /// use the prefix window `[0, owned)`.
@@ -222,21 +181,6 @@ pub fn sort_pairs(pairs: &mut [Pair]) {
     pairs.sort_unstable();
 }
 
-/// Halo-aware ownership filter for shard-scoped joins: keeps only pairs
-/// whose *key* is an owned point (local id `< owned`) and drops the rest
-/// (ghost-keyed pairs, which the shard that owns the ghost will produce).
-/// Returns the number of dropped pairs.
-///
-/// Shard-local datasets are laid out owned-points-first, so ownership of a
-/// pair is a single comparison on the key. Values may reference ghosts —
-/// that is the point of the halo: an owned query must see its neighbours
-/// across the shard boundary.
-pub fn retain_owned_pairs(pairs: &mut Vec<Pair>, owned: u32) -> u64 {
-    let before = pairs.len();
-    pairs.retain(|p| p.key < owned);
-    (before - pairs.len()) as u64
-}
-
 /// Rewrites shard-local point ids to global ids through `global_ids`
 /// (index = local id, value = global id).
 ///
@@ -274,31 +218,24 @@ mod tests {
     }
 
     #[test]
-    fn dedup_table_removes_duplicates_and_matches_sorted_merge() {
+    fn duplicate_pairs_counts_repeats_the_table_keeps() {
         let mut pairs = sample_pairs();
         pairs.push(Pair::new(0, 2)); // duplicate
         pairs.push(Pair::new(2, 0)); // duplicate
         pairs.push(Pair::new(0, 2)); // triplicate
-        let (t, dups) = NeighborTable::from_pairs_dedup(3, &pairs);
-        assert_eq!(dups, 3);
-        assert_eq!(t, NeighborTable::from_pairs(3, &sample_pairs()));
-        // Reference construction: full sort + dedup, then from_pairs.
+        let t = NeighborTable::from_pairs(3, &pairs);
+        assert_eq!(t.duplicate_pairs(), 3);
+        assert_eq!(t.total_pairs(), pairs.len());
+        assert_eq!(t.neighbors(0), &[1, 2, 2, 2]);
+        // Reference count: full sort, then adjacent repeats.
         let mut sorted = pairs.clone();
         sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(t, NeighborTable::from_pairs(3, &sorted));
-        // No duplicates → zero removed, identical to from_pairs.
-        let (clean, zero) = NeighborTable::from_pairs_dedup(3, &sample_pairs());
-        assert_eq!(zero, 0);
-        assert_eq!(clean, NeighborTable::from_pairs(3, &sample_pairs()));
-        let (empty, d) = NeighborTable::from_pairs_dedup(4, &[]);
-        assert_eq!((empty.num_points(), d), (4, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn dedup_table_rejects_out_of_range() {
-        let _ = NeighborTable::from_pairs_dedup(2, &[Pair::new(0, 5)]);
+        let repeats = sorted.windows(2).filter(|w| w[0] == w[1]).count();
+        assert_eq!(t.duplicate_pairs(), repeats as u64);
+        // Equal values under different keys are not duplicates.
+        let clean = NeighborTable::from_pairs(3, &sample_pairs());
+        assert_eq!(clean.duplicate_pairs(), 0);
+        assert_eq!(NeighborTable::from_pairs(4, &[]).duplicate_pairs(), 0);
     }
 
     #[test]
@@ -334,21 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn ownership_filter_keeps_owned_keys_only() {
-        let mut pairs = vec![
-            Pair::new(0, 3), // owned key, ghost value: kept
-            Pair::new(1, 0), // owned-owned: kept
-            Pair::new(3, 0), // ghost key: dropped
-            Pair::new(4, 3), // ghost-ghost: dropped
-        ];
-        let dropped = retain_owned_pairs(&mut pairs, 2);
-        assert_eq!(dropped, 2);
-        assert_eq!(pairs, vec![Pair::new(0, 3), Pair::new(1, 0)]);
-        let mut none: Vec<Pair> = Vec::new();
-        assert_eq!(retain_owned_pairs(&mut none, 5), 0);
-    }
-
-    #[test]
     fn ownership_window_semantics() {
         let own = Ownership::prefix(3);
         assert!(own.keeps(0) && own.keeps(2));
@@ -357,17 +279,6 @@ mod tests {
         let mid = Ownership { lo: 2, hi: 5 };
         assert!(!mid.keeps(1) && mid.keeps(2) && mid.keeps(4) && !mid.keeps(5));
         assert!(Ownership::prefix(0).is_empty());
-        // The emit-time window keeps exactly what the post-pass filter
-        // keeps for a prefix window.
-        let mut pairs = vec![Pair::new(0, 3), Pair::new(3, 0), Pair::new(2, 4)];
-        let keep = Ownership::prefix(3);
-        let by_window: Vec<Pair> = pairs
-            .iter()
-            .copied()
-            .filter(|p| keep.keeps(p.key))
-            .collect();
-        retain_owned_pairs(&mut pairs, 3);
-        assert_eq!(pairs, by_window);
     }
 
     #[test]

@@ -26,8 +26,8 @@ use crate::batching::{BatchingConfig, ExecOptions};
 use crate::cell_major::HotPath;
 use crate::error::SelfJoinError;
 use crate::grid::GridIndex;
-use crate::plan::{execute, Backend, EstimateStage, IndexStage, JoinPlan, PostStage};
-use crate::result::{NeighborTable, Pair};
+use crate::plan::{execute, Backend, EstimateStage, IndexStage, JoinPlan};
+use crate::result::NeighborTable;
 use sim_gpu::{Device, DeviceSpec, LaunchConfig};
 use sj_datasets::Dataset;
 
@@ -88,24 +88,6 @@ pub struct SelfJoinOutput {
     /// Directed, self-excluded neighbour lists.
     pub table: NeighborTable,
     /// Timings and counters.
-    pub report: JoinReport,
-}
-
-/// Output of a shard-scoped self-join (see [`GpuSelfJoin::run_scoped`]).
-///
-/// Pairs carry *shard-local* point ids; every key is an owned point
-/// (`key < owned`). The caller remaps local ids to global ones (see
-/// [`crate::result::remap_pairs`]) before merging shards.
-#[derive(Clone, Debug)]
-pub struct ScopedJoinOutput {
-    /// Owned-keyed result pairs in shard-local ids.
-    pub pairs: Vec<Pair>,
-    /// Number of owned points (the scope passed in).
-    pub owned: usize,
-    /// Ghost-keyed pairs discarded by the ownership filter — the shards
-    /// owning those ghosts produce them instead.
-    pub dropped_ghost_pairs: u64,
-    /// Timings and counters of the underlying device pipeline.
     pub report: JoinReport,
 }
 
@@ -170,7 +152,6 @@ impl GpuSelfJoin {
             exec: self.config.exec_options(),
             launch: self.config.launch,
             batching: self.config.batching,
-            post: PostStage::default(),
         }
     }
 
@@ -187,10 +168,9 @@ impl GpuSelfJoin {
 
     /// Runs the self-join against a prebuilt index (ε comes from the grid).
     ///
-    /// The caller guarantees `grid` was built from `data`; the sharded
-    /// engine uses this to reuse the index constructed during cost
-    /// estimation. `report.grid_build` is zero — the build happened
-    /// outside this call.
+    /// The caller guarantees `grid` was built from `data`.
+    /// `report.grid_build` is zero — the build happened outside this
+    /// call.
     pub fn run_on_grid(
         &self,
         data: &Dataset,
@@ -200,53 +180,6 @@ impl GpuSelfJoin {
         let out = execute(&plan, Backend::Device(&self.device))?;
         Ok(SelfJoinOutput {
             table: NeighborTable::from_pairs(data.len(), &out.pairs),
-            report: out.report,
-        })
-    }
-
-    /// Runs a shard-scoped self-join: `data` holds the shard's `owned`
-    /// points first, followed by its ε-halo ghosts. The full point set is
-    /// joined (ghost queries must run — UNICOMP may assign a cross-boundary
-    /// cell interaction to the ghost side), then ghost-keyed pairs are
-    /// dropped so every directed pair is reported by exactly the shard
-    /// that owns its key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `owned > data.len()`.
-    pub fn run_scoped(
-        &self,
-        data: &Dataset,
-        epsilon: f64,
-        owned: usize,
-    ) -> Result<ScopedJoinOutput, SelfJoinError> {
-        let grid = GridIndex::build(data, epsilon)?;
-        self.run_scoped_on_grid(data, &grid, owned)
-    }
-
-    /// [`Self::run_scoped`] against a prebuilt index (see
-    /// [`Self::run_on_grid`] for the grid precondition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `owned > data.len()`.
-    pub fn run_scoped_on_grid(
-        &self,
-        data: &Dataset,
-        grid: &GridIndex,
-        owned: usize,
-    ) -> Result<ScopedJoinOutput, SelfJoinError> {
-        assert!(
-            owned <= data.len(),
-            "owned prefix {owned} exceeds dataset size {}",
-            data.len()
-        );
-        let plan = self.plan(data, IndexStage::Prebuilt(grid)).scoped(owned);
-        let out = execute(&plan, Backend::Device(&self.device))?;
-        Ok(ScopedJoinOutput {
-            pairs: out.pairs,
-            owned,
-            dropped_ghost_pairs: out.dropped_ghost_pairs,
             report: out.report,
         })
     }
@@ -348,43 +281,6 @@ mod tests {
         let fresh = join.run(&data, eps).unwrap();
         assert_eq!(prepared.table, fresh.table);
         assert_eq!(prepared.report.grid_build, Duration::ZERO);
-    }
-
-    #[test]
-    fn scoped_run_filters_ghost_keys() {
-        // Owned prefix of 600 points plus 600 "ghosts" (the same point
-        // population): every surviving key must be owned, and the owned
-        // neighbour lists must match an unscoped join over the full set.
-        let data = uniform(2, 1200, 57);
-        let eps = 3.0;
-        let join = GpuSelfJoin::default_device();
-        let owned = 600;
-        let scoped = join.run_scoped(&data, eps, owned).unwrap();
-        assert!(scoped.pairs.iter().all(|p| (p.key as usize) < owned));
-        let full = join.run(&data, eps).unwrap();
-        let expected_kept: usize = (0..owned).map(|i| full.table.neighbors(i).len()).sum();
-        assert_eq!(scoped.pairs.len(), expected_kept);
-        assert_eq!(
-            scoped.dropped_ghost_pairs as usize,
-            full.table.total_pairs() - expected_kept
-        );
-    }
-
-    #[test]
-    fn scoped_run_with_full_ownership_drops_nothing() {
-        let data = uniform(3, 800, 58);
-        let join = GpuSelfJoin::default_device();
-        let scoped = join.run_scoped(&data, 6.0, data.len()).unwrap();
-        assert_eq!(scoped.dropped_ghost_pairs, 0);
-        let full = join.run(&data, 6.0).unwrap();
-        assert_eq!(scoped.pairs.len(), full.table.total_pairs());
-    }
-
-    #[test]
-    #[should_panic(expected = "owned prefix")]
-    fn scoped_run_rejects_bad_owned_count() {
-        let data = uniform(2, 100, 59);
-        let _ = GpuSelfJoin::default_device().run_scoped(&data, 1.0, 101);
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::device_grid::DeviceGrid;
 use crate::error::SelfJoinError;
 use crate::grid::GridIndex;
 use crate::knn::{gpu_knn_on, KnnHit};
-use crate::plan::{execute, Backend, EstimateStage, IndexStage, JoinPlan, JoinReport, PostStage};
+use crate::plan::{execute, Backend, EstimateStage, IndexStage, JoinPlan, JoinReport};
 use crate::result::NeighborTable;
 use crate::selfjoin::SelfJoinConfig;
 use parking_lot::Mutex;
@@ -414,7 +414,6 @@ impl SelfJoinSession {
             },
             launch: self.config.join.launch,
             batching: self.config.join.batching,
-            post: PostStage::default(),
         };
         let mut out = match execute(&plan, Backend::Device(lease.device())) {
             Ok(out) => out,

@@ -1,9 +1,9 @@
 //! Ghost-aware per-shard work projection for the scheduler and the
 //! shard-count chooser.
 //!
-//! One cheap host-side **calibration** pass over the full dataset — an
-//! O(n) counting-grid binning plus an exact neighbor scan of a small
-//! stride sample — yields a [`CostModel`]: measured per-candidate
+//! One cheap host-side **calibration** over the partition prelude's
+//! stride sample — a counting-grid binning plus an exact neighbor scan of
+//! a smaller sub-sample — yields a [`CostModel`]: measured per-candidate
 //! evaluation cost, per-point grid-build cost, and per-sample neighbor /
 //! candidate densities. From the model, [`project_partition`] prices any
 //! candidate partition *without touching a device*: each shard's modeled
@@ -17,7 +17,7 @@
 //! winning projection both schedules the shards and seeds each subplan's
 //! result-size estimate — no per-shard estimation kernels run at all.
 
-use crate::partition::{Partition, SamplePass};
+use crate::partition::{sample_pass, Partition, SamplePass};
 use grid_join::error::GridBuildError;
 use sim_gpu::{DeviceSpec, TransferModel};
 use sj_datasets::{euclidean_sq, Dataset};
@@ -218,8 +218,8 @@ pub struct CostModel {
     pub sample_neighbors: Vec<u32>,
     /// Candidate (shell) count per sample.
     pub sample_candidates: Vec<u32>,
-    /// The sample's coordinates — a dataset small enough to re-partition
-    /// per candidate shard count in microseconds.
+    /// The sample's coordinates — a dataset small enough to materialize
+    /// every candidate shard count's cut tree over in microseconds.
     pub sample_data: Dataset,
     /// Modeled device time per candidate evaluation.
     pub eval_cost: Duration,
@@ -232,46 +232,25 @@ pub struct CostModel {
 }
 
 /// Calibrates a cost model for `data` at `epsilon` on a device described
-/// by `spec`: O(n) counting-grid binning (timed → grid-build cost), then
-/// an exact 3^d-shell neighbor scan of a ≤512-point stride sample
-/// (timed → per-candidate evaluation cost). Standalone entry point; the
-/// engine's fused prelude uses [`calibrate_from_sample`] instead so the
+/// by `spec`: [`calibrate_from_sample`] over a one-lane [`sample_pass`].
+/// The engine's prelude calls [`calibrate_from_sample`] directly so the
 /// dataset is streamed once for partitioning and calibration together.
 pub fn calibrate(
     data: &Dataset,
     epsilon: f64,
     spec: &DeviceSpec,
 ) -> Result<CostModel, GridBuildError> {
-    let t0 = Instant::now();
-    if !(epsilon.is_finite() && epsilon > 0.0) {
-        return Err(GridBuildError::InvalidEpsilon(epsilon));
-    }
-    if data.len() > u32::MAX as usize {
-        return Err(GridBuildError::TooManyPoints(data.len()));
-    }
-    let n = data.len();
-    let dim = data.dim();
-    if n == 0 {
-        return Ok(empty_model(epsilon, dim, t0));
-    }
-    // Compact the binned stride sample into a row-major buffer up front:
-    // the timed passes below then measure the same access pattern the
-    // per-shard grid builds see (contiguous shard-local rows), not
-    // strided whole-dataset reads.
-    let bstride = n.div_ceil(BIN_SAMPLE_CAP);
-    let gids: Vec<u32> = (0..n as u32).step_by(bstride).collect();
-    let mut rows = Vec::with_capacity(gids.len() * dim);
-    for &g in &gids {
-        rows.extend_from_slice(data.point(g as usize));
-    }
-    Ok(calibrate_core(epsilon, spec, n, dim, &gids, &rows, t0))
+    calibrate_from_sample(&sample_pass(data, 1)?, epsilon, spec)
 }
 
 /// Calibrates from the partition prelude's [`SamplePass`] instead of
 /// re-reading the dataset: the binned sample is a stride of the sample
-/// pass's slots, so calibration costs O(sample) after the one shared
-/// streaming read. [`CostModel::build_time`] covers only the work done
-/// here — the caller accounts the shared sample pass once.
+/// pass's slots (timed binning → grid-build cost), then an exact
+/// 3^d-shell neighbor scan of a ≤512-point stride of the binned sample
+/// (timed → per-candidate evaluation cost). Calibration costs O(sample)
+/// after the one shared streaming read; [`CostModel::build_time`] covers
+/// only the work done here — the caller accounts the shared sample pass
+/// once.
 pub fn calibrate_from_sample(
     sp: &SamplePass,
     epsilon: f64,
@@ -294,38 +273,7 @@ pub fn calibrate_from_sample(
             rows.push(col[s]);
         }
     }
-    Ok(calibrate_core(epsilon, spec, sp.len, dim, &gids, &rows, t0))
-}
-
-fn empty_model(epsilon: f64, dim: usize, t0: Instant) -> CostModel {
-    CostModel {
-        epsilon,
-        len: 0,
-        avg_neighbors: 0.0,
-        avg_candidates: 0.0,
-        sample_ids: Vec::new(),
-        sample_neighbors: Vec::new(),
-        sample_candidates: Vec::new(),
-        sample_data: Dataset::new(dim),
-        eval_cost: Duration::ZERO,
-        grid_build_per_point: Duration::ZERO,
-        non_empty_cells: 0,
-        build_time: t0.elapsed(),
-    }
-}
-
-/// The shared calibration body: `rows` is the binned sample (row-major,
-/// one row per entry of `gids`), `n` the full dataset size it stands in
-/// for.
-fn calibrate_core(
-    epsilon: f64,
-    spec: &DeviceSpec,
-    n: usize,
-    dim: usize,
-    gids: &[u32],
-    rows: &[f64],
-    t0: Instant,
-) -> CostModel {
+    let n = sp.len;
     // Counting-grid anchor from the *binned sample's* minima, not a full
     // O(n) min pass: the origin only anchors integer cell coordinates,
     // and points below a sampled min simply land in negative cells —
@@ -431,7 +379,7 @@ fn calibrate_core(
         TRACED_EVAL_OVERHEAD * eval_correction().factor(dim) / spec.throughput_vs_host_core,
     );
 
-    CostModel {
+    Ok(CostModel {
         epsilon,
         len: n,
         avg_neighbors: total_neighbors as f64 / sample_count as f64,
@@ -443,6 +391,23 @@ fn calibrate_core(
         eval_cost,
         grid_build_per_point,
         non_empty_cells,
+        build_time: t0.elapsed(),
+    })
+}
+
+fn empty_model(epsilon: f64, dim: usize, t0: Instant) -> CostModel {
+    CostModel {
+        epsilon,
+        len: 0,
+        avg_neighbors: 0.0,
+        avg_candidates: 0.0,
+        sample_ids: Vec::new(),
+        sample_neighbors: Vec::new(),
+        sample_candidates: Vec::new(),
+        sample_data: Dataset::new(dim),
+        eval_cost: Duration::ZERO,
+        grid_build_per_point: Duration::ZERO,
+        non_empty_cells: 0,
         build_time: t0.elapsed(),
     }
 }
@@ -639,7 +604,7 @@ fn project_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::partition;
+    use crate::partition::{build_cuts, materialize, partition_par};
     use grid_join::GridIndex;
     use sj_datasets::synthetic::{clustered, uniform};
 
@@ -649,7 +614,7 @@ mod tests {
         let eps = 3.0;
         let spec = DeviceSpec::titan_x_pascal();
         let model = calibrate(&data, eps, &spec).unwrap();
-        let part = partition(&data, eps, 2).unwrap();
+        let part = partition_par(&data, eps, 2, 1).unwrap();
         let costs = project_partition(&model, &part, &spec, true);
         for (c, s) in costs.iter().zip(&part.shards) {
             let grid = GridIndex::build(&s.data, eps).unwrap();
@@ -677,7 +642,7 @@ mod tests {
         let eps = 0.4;
         let spec = DeviceSpec::titan_x_pascal();
         let model = calibrate(&data, eps, &spec).unwrap();
-        let part = partition(&data, eps, 3).unwrap();
+        let part = partition_par(&data, eps, 3, 1).unwrap();
         let costs = project_partition(&model, &part, &spec, true);
         assert_eq!(costs.len(), part.shards.len());
         // Density shows up in the device stage (the join scan); the host
@@ -698,7 +663,7 @@ mod tests {
         let eps = 2.0;
         let spec = DeviceSpec::titan_x_pascal();
         let model = calibrate(&data, eps, &spec).unwrap();
-        let part = partition(&data, eps, 4).unwrap();
+        let part = partition_par(&data, eps, 4, 1).unwrap();
         let costs = project_partition(&model, &part, &spec, true);
         assert!(part.ghost_points() > 0, "4 shards must replicate");
         for (c, s) in costs.iter().zip(&part.shards) {
@@ -709,18 +674,21 @@ mod tests {
 
     #[test]
     fn scaled_projection_tracks_full_projection() {
-        // Pricing the sample partition at scale must land in the same
-        // ballpark as pricing the real partition — it drives the shard-
+        // Pricing one cut tree materialized over the calibration sample
+        // at scale must land in the same ballpark as pricing the same
+        // tree materialized over the real data — it drives the shard-
         // count chooser, so a gross disagreement would mis-size the run.
         let data = uniform(2, 8000, 24);
         let eps = 1.5;
         let spec = DeviceSpec::titan_x_pascal();
-        let model = calibrate(&data, eps, &spec).unwrap();
+        let sp = sample_pass(&data, 1).unwrap();
+        let model = calibrate_from_sample(&sp, eps, &spec).unwrap();
         let scale = data.len() as f64 / model.sample_data.len() as f64;
-        let k = 4;
-        let sample_part = partition(&model.sample_data, eps, k).unwrap();
+        let tree = build_cuts(&sp, eps, 4, 1).unwrap();
+        let sample_part = materialize(&model.sample_data, &tree, 1).unwrap();
+        assert_eq!(sample_part.shards.len(), 4);
         let scaled = project_scaled(&model, &sample_part, scale, &spec, true);
-        let full = project_partition(&model, &partition(&data, eps, k).unwrap(), &spec, true);
+        let full = project_partition(&model, &materialize(&data, &tree, 1).unwrap(), &spec, true);
         let sum = |cs: &[ShardCost]| cs.iter().map(|c| c.modeled).sum::<Duration>();
         let (a, b) = (sum(&scaled).as_secs_f64(), sum(&full).as_secs_f64());
         assert!(
@@ -746,7 +714,7 @@ mod tests {
             calibrate(&data, -1.0, &spec),
             Err(GridBuildError::InvalidEpsilon(_))
         ));
-        let sp = crate::partition::sample_pass(&data, 1).unwrap();
+        let sp = sample_pass(&data, 1).unwrap();
         assert!(matches!(
             calibrate_from_sample(&sp, f64::NAN, &spec),
             Err(GridBuildError::InvalidEpsilon(_))
@@ -754,46 +722,29 @@ mod tests {
     }
 
     #[test]
-    fn fused_calibration_matches_two_pass() {
-        // Below both sample caps the fused path and the standalone pass
-        // see the identical point set, so every derived statistic must
-        // agree exactly; only the timed costs may differ.
-        let data = clustered(3, 3000, 4, 2.0, 0.1, 26);
-        let eps = 0.5;
-        let spec = DeviceSpec::titan_x_pascal();
-        let two_pass = calibrate(&data, eps, &spec).unwrap();
-        let sp = crate::partition::sample_pass(&data, 4).unwrap();
-        let fused = calibrate_from_sample(&sp, eps, &spec).unwrap();
-        assert_eq!(fused.len, two_pass.len);
-        assert_eq!(fused.sample_ids, two_pass.sample_ids);
-        assert_eq!(fused.sample_neighbors, two_pass.sample_neighbors);
-        assert_eq!(fused.sample_candidates, two_pass.sample_candidates);
-        assert_eq!(fused.avg_neighbors, two_pass.avg_neighbors);
-        assert_eq!(fused.avg_candidates, two_pass.avg_candidates);
-        assert_eq!(fused.non_empty_cells, two_pass.non_empty_cells);
-        assert_eq!(fused.sample_data.coords(), two_pass.sample_data.coords());
-    }
-
-    #[test]
     fn fused_calibration_is_lane_invariant() {
-        let data = uniform(2, 5000, 27);
+        // The sample pass strides by global id, so every lane count hands
+        // calibration the identical point set: every derived statistic
+        // must equal the one-lane `calibrate`'s exactly; only the timed
+        // costs may differ.
         let spec = DeviceSpec::titan_x_pascal();
-        let base = calibrate_from_sample(
-            &crate::partition::sample_pass(&data, 1).unwrap(),
-            1.5,
-            &spec,
-        )
-        .unwrap();
-        for lanes in [2, 5, 16] {
-            let m = calibrate_from_sample(
-                &crate::partition::sample_pass(&data, lanes).unwrap(),
-                1.5,
-                &spec,
-            )
-            .unwrap();
-            assert_eq!(m.sample_ids, base.sample_ids, "lanes = {lanes}");
-            assert_eq!(m.sample_neighbors, base.sample_neighbors);
-            assert_eq!(m.avg_candidates, base.avg_candidates);
+        for (data, eps) in [
+            (uniform(2, 5000, 27), 1.5),
+            (clustered(3, 3000, 4, 2.0, 0.1, 26), 0.5),
+        ] {
+            let base = calibrate(&data, eps, &spec).unwrap();
+            for lanes in [2, 4, 5, 16] {
+                let m =
+                    calibrate_from_sample(&sample_pass(&data, lanes).unwrap(), eps, &spec).unwrap();
+                assert_eq!(m.len, base.len, "lanes = {lanes}");
+                assert_eq!(m.sample_ids, base.sample_ids, "lanes = {lanes}");
+                assert_eq!(m.sample_neighbors, base.sample_neighbors);
+                assert_eq!(m.sample_candidates, base.sample_candidates);
+                assert_eq!(m.avg_neighbors, base.avg_neighbors);
+                assert_eq!(m.avg_candidates, base.avg_candidates);
+                assert_eq!(m.non_empty_cells, base.non_empty_cells);
+                assert_eq!(m.sample_data.coords(), base.sample_data.coords());
+            }
         }
     }
 

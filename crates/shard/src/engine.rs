@@ -3,15 +3,15 @@
 //! The engine is a **plan rewrite** over the shared join-plan IR
 //! ([`grid_join::JoinPlan`]): the partition pass turns one logical join
 //! into per-shard *subplans* — prebuilt shard index, precomputed cost
-//! estimate, an emit-time ownership window, remapped post stage — and the
-//! rest of the pipeline is scheduling and merging:
+//! estimate, an emit-time ownership window — and the rest of the pipeline
+//! is scheduling and merging:
 //!
 //! fused sample pass → calibration ∥ speculative cut-tree builds →
 //! choose shard count (modeled-response argmin) → materialize the chosen
 //! partition → LPT scheduling → one executor task per device (rayon)
 //! running its queue of subplans (shard grid build + join) through
-//! [`grid_join::plan::execute`] → concatenating merge into the global
-//! [`NeighborTable`].
+//! [`grid_join::plan::execute`] and lifting the pairs to global ids →
+//! concatenating merge into the global [`NeighborTable`].
 //!
 //! ## The parallel prelude
 //!
@@ -32,13 +32,14 @@
 //! More shards mean more devices busy but also more ε-halo replication
 //! (every ghost point is uploaded, indexed and scanned twice) *and* a
 //! more expensive partition to build. The engine prices the whole
-//! trade-off instead of guessing: the calibration sample is partitioned
-//! at every candidate count (1, the powers of two up to `devices ×
-//! shards_per_device`, and the device count itself), each candidate's
-//! shards are cost-projected ghost-inclusive
-//! ([`crate::cost::project_scaled`]) and LPT-scheduled, and the modeled
-//! device makespan is summed with the candidate's measured cut-tree
-//! build, its modeled materialize cost
+//! trade-off instead of guessing: every candidate count (1, the powers of
+//! two up to `devices × shards_per_device`, and the device count itself)
+//! has its speculative cut tree, and that same tree is materialized over
+//! the calibration sample, so the chooser prices exactly the boxes a win
+//! would execute. Each candidate's sample shards are cost-projected
+//! ghost-inclusive ([`crate::cost::project_scaled`]) and LPT-scheduled,
+//! and the modeled device makespan is summed with the candidate's
+//! measured cut-tree build, its modeled materialize cost
 //! ([`crate::cost::modeled_partition_cost`]) and the calibration cost.
 //! The candidate with the smallest modeled *response* wins, exact ties
 //! breaking toward fewer shards
@@ -58,13 +59,13 @@
 //! filter is the window `[0, owned)` — fused into the kernels via
 //! [`grid_join::plan::JoinPlan::owned_prefix`], which drops ghost-keyed
 //! pairs at emit time (one comparison before the result reservation).
-//! Ghost pairs are never materialized, downloaded or post-filtered, and
-//! since the ownership windows of different shards cover disjoint global
-//! id sets, the merge degenerates to concatenation (debug builds still
-//! run the counting-sort dedup and assert it found nothing). The
-//! [`HotPath::PerThread`] ablation path keeps the classic post-pass
-//! filter + dedup merge so the fused/post-pass configurations stay
-//! comparable.
+//! Both hot paths honour the window, so [`HotPath`] selects only the
+//! kernel. Ghost pairs are never materialized or downloaded, and since
+//! the ownership windows of different shards cover disjoint global id
+//! sets, the merge degenerates to concatenation. Every build counts the
+//! merged table's duplicate pairs ([`NeighborTable::duplicate_pairs`])
+//! into [`ShardedReport::duplicates_merged`], which disjoint windows
+//! keep at 0.
 //!
 //! ## Timing model
 //!
@@ -85,12 +86,12 @@ use crate::cost::{
     calibrate_from_sample, eval_correction, grid_correction, modeled_partition_cost,
     project_partition, project_scaled, CostModel, ShardCost,
 };
-use crate::partition::{
-    build_cuts, materialize, partition, partition_par, CutTree, Partition, SamplePass,
-};
+use crate::partition::{build_cuts, materialize, partition_par, CutTree, Partition, SamplePass};
 use crate::schedule::{argmin_shard_count, lpt_schedule, modeled_makespan, Assignment};
 use grid_join::plan::{execute, Backend, JoinPlan};
-use grid_join::{GridIndex, HotPath, NeighborTable, Pair, SelfJoinConfig, SelfJoinError};
+use grid_join::{
+    remap_pairs, GridIndex, HotPath, NeighborTable, Pair, SelfJoinConfig, SelfJoinError,
+};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use sim_gpu::{DevicePool, DeviceTally, PoolProfiler};
@@ -153,9 +154,6 @@ pub struct ShardRunReport {
     pub predicted_cost: u64,
     /// Directed pairs this shard contributed (ownership applied).
     pub actual_pairs: u64,
-    /// Ghost-keyed pairs dropped by the *post-pass* ownership filter —
-    /// zero on the fused path, where they are never materialized.
-    pub dropped_ghost_pairs: u64,
     /// Result batches the shard's join executed.
     pub batches: usize,
     /// H2D bytes attributable to uploading this shard's ghost points.
@@ -226,8 +224,8 @@ pub struct ShardedReport {
     pub index_build_time: Duration,
     /// Wall time of the parallel execution phase.
     pub execute_time: Duration,
-    /// Wall time of the merge (pure concatenation-order table build on
-    /// the fused path; sort + dedup on the ablation path).
+    /// Wall time of the merge: the global table build over the
+    /// concatenated shard pairs plus the duplicate count.
     pub merge_time: Duration,
     /// End-to-end host wall time.
     pub total: Duration,
@@ -238,9 +236,8 @@ pub struct ShardedReport {
     /// single-device `JoinReport::modeled_total` convention, which
     /// likewise excludes host-side table/merge construction.
     pub modeled_total: Duration,
-    /// Duplicate pairs removed by the merge. Exclusive pair ownership
-    /// makes this 0; on the fused path duplicates are structurally
-    /// impossible and release builds skip the check entirely.
+    /// Duplicate pairs the merge found in the global table (counted, not
+    /// removed, in every build). Exclusive pair ownership makes this 0.
     pub duplicates_merged: u64,
     /// Device-fault events that interrupted a shard during this run
     /// (injected crashes and transient upload/launch failures).
@@ -320,8 +317,9 @@ impl ShardedSelfJoin {
         self
     }
 
-    /// Selects the join hot path every shard runs (default
-    /// [`HotPath::CellMajor`]).
+    /// Selects the join kernel every shard runs (default
+    /// [`HotPath::CellMajor`]). Ownership and merge are the same on both
+    /// paths.
     pub fn with_hot_path(mut self, path: HotPath) -> Self {
         self.config.join.hot_path = path;
         self
@@ -350,8 +348,9 @@ impl ShardedSelfJoin {
         c
     }
 
-    /// Prices every candidate shard count on the calibration sample —
-    /// modeled device makespan *plus* the cost of making the partition
+    /// Prices every candidate shard count by materializing its own
+    /// speculative cut tree over the calibration sample — modeled device
+    /// makespan *plus* the cost of making the partition
     /// (the candidate's measured speculative cut-tree build, its modeled
     /// materialize passes, and the calibration) — and returns the
     /// modeled-response argmin (exact ties break toward fewer shards via
@@ -372,7 +371,7 @@ impl ShardedSelfJoin {
         let mut build_costs = Vec::new();
         for (k, tree) in trees {
             let k = *k;
-            let sample_part = partition(&model.sample_data, model.epsilon, k)?;
+            let sample_part = materialize(&model.sample_data, tree, 1)?;
             let costs = project_scaled(model, &sample_part, scale, spec, unicomp);
             let assign = lpt_schedule(&costs.iter().map(ShardCost::cost).collect::<Vec<_>>(), ndev);
             let stages: Vec<(Duration, Duration)> =
@@ -506,11 +505,6 @@ impl ShardedSelfJoin {
             modeled_makespan(&assignment, &stages)
         };
 
-        // Fused path: ownership is an emit-time kernel window and the
-        // merge is pure concatenation. The PerThread ablation keeps the
-        // post-pass filter + dedup merge for comparison.
-        let fused = self.config.join.hot_path == HotPath::CellMajor;
-
         // Parallel execution: one rayon task per device drains its queue
         // — building each shard's grid, then running the subplan — and
         // streams globally-remapped pairs into the shared merge
@@ -562,21 +556,17 @@ impl ShardedSelfJoin {
 
             // The shard's subplan: the rewrite of the logical
             // join restricted to this shard. Owned points are the
-            // local prefix, so the ownership window is [0, owned)
-            // — fused into the kernels on the hot path, a post
-            // pass on the ablation path. Ids lift back to global.
-            let base = self.subplan(&shard.data, &grid, costs[s].predicted_pairs);
-            let subplan = if fused {
-                base.owned_prefix(shard.owned)
-            } else {
-                base.scoped(shard.owned)
-            }
-            .remapped(&shard.global_ids);
+            // local prefix, so the ownership window is [0, owned),
+            // fused into the kernels. Ids lift back to global.
+            let subplan = self
+                .subplan(&shard.data, &grid, costs[s].predicted_pairs)
+                .owned_prefix(shard.owned);
             let out = {
                 let _kernels = substrate.lock();
                 execute(&subplan, Backend::Device(self.pool.device(d)))?
             };
             let mut pairs = out.pairs;
+            remap_pairs(&mut pairs, &shard.global_ids);
             let h2d = out.report.index_bytes + shard.data.len() * shard.data.dim() * 8;
             // Ghost share of the upload, attributed by point
             // count (ghosts and owned points cost the same bytes
@@ -606,7 +596,6 @@ impl ShardedSelfJoin {
                 ghosts: shard.ghosts(),
                 predicted_cost: costs[s].cost(),
                 actual_pairs: pairs.len() as u64,
-                dropped_ghost_pairs: out.dropped_ghost_pairs,
                 batches: out.report.batching.batches,
                 ghost_h2d_bytes: ghost_h2d,
                 modeled: grid_build + out.report.modeled_total,
@@ -733,24 +722,12 @@ impl ShardedSelfJoin {
         }
         let execute_time = t2.elapsed();
 
-        // Merge. Fused path: the per-shard ownership windows cover
-        // disjoint global id sets, so concatenation is already the union
-        // — debug builds re-run the counting-sort dedup purely to assert
-        // the disjointness invariant. Ablation path: dedup merge as a
-        // cheap runtime check of the post-pass filter.
+        // Merge: the per-shard ownership windows cover disjoint global id
+        // sets, so concatenation is already the union. The duplicate
+        // count checks that invariant in every build.
         let t3 = Instant::now();
-        let pairs = merged.into_inner();
-        let (table, duplicates_merged) = if fused {
-            if cfg!(debug_assertions) {
-                let (table, dups) = NeighborTable::from_pairs_dedup(data.len(), &pairs);
-                debug_assert_eq!(dups, 0, "fused ownership windows overlapped");
-                (table, dups)
-            } else {
-                (NeighborTable::from_pairs(data.len(), &pairs), 0)
-            }
-        } else {
-            NeighborTable::from_pairs_dedup(data.len(), &pairs)
-        };
+        let table = NeighborTable::from_pairs(data.len(), &merged.into_inner());
+        let duplicates_merged = table.duplicate_pairs();
         let merge_time = t3.elapsed();
 
         let devices = profiler.snapshot();
@@ -807,15 +784,9 @@ impl ShardedSelfJoin {
                     .gauge("sj_shard_stream_balance", &[])
                     .set(if mean > 0.0 { max / mean } else { 1.0 });
             }
-            let owned: usize = shards.iter().map(|s| s.owned).sum();
-            let ghosts = part.ghost_points();
             sj_obs::registry()
                 .gauge("sj_shard_ghost_fraction", &[])
-                .set(if owned == 0 {
-                    0.0
-                } else {
-                    ghosts as f64 / owned as f64
-                });
+                .set(part.ghost_fraction());
         }
         span.label("shards", shards.len());
         span.set_modeled(modeled_start, modeled_total.as_secs_f64());
@@ -850,8 +821,8 @@ impl ShardedSelfJoin {
 
     /// The per-shard subplan of the rewrite: the configured join over the
     /// shard's prebuilt index with its model-projected result estimate.
-    /// `run` further applies the ownership window (fused or post-pass)
-    /// and remaps ids to the global space.
+    /// `run` further applies the ownership window and remaps the output
+    /// ids to the global space.
     fn subplan<'a>(
         &self,
         shard_data: &'a Dataset,
@@ -954,14 +925,8 @@ mod tests {
         assert_eq!(cm.table, pt.table);
         assert_eq!(cm.report.duplicates_merged, 0);
         assert_eq!(pt.report.duplicates_merged, 0);
-        // Fused path never materializes ghost pairs; the ablation path
-        // visibly filters them (ghosts exist whenever shards > 1).
-        for s in &cm.report.shards {
-            assert_eq!(s.dropped_ghost_pairs, 0);
-        }
-        if pt.report.shards.len() > 1 {
-            assert!(pt.report.shards.iter().any(|s| s.dropped_ghost_pairs > 0));
-        }
+        let grid = GridIndex::build(&data, eps).unwrap();
+        assert_eq!(pt.table, host_self_join(&data, &grid));
     }
 
     #[test]
@@ -1023,7 +988,6 @@ mod tests {
         assert_eq!(out.table, single.table);
         assert_eq!(out.report.ghost_points, 0);
         assert_eq!(out.report.shards.len(), 1);
-        assert_eq!(out.report.shards[0].dropped_ghost_pairs, 0);
         assert_eq!(out.report.ghost_h2d_bytes(), 0);
     }
 

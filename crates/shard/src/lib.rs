@@ -13,21 +13,21 @@
 //!   ε-wide ghost/halo band per face (the halo-ownership invariant
 //!   below); compact boxes have far less ε-surface per owned point than
 //!   slabs, so the ghost tax stays flat as shard counts grow.
-//! * [`cost`] — a ghost-aware cost model calibrated by one cheap host
-//!   pass ([`calibrate`]): per-shard work is projected from sampled
-//!   neighbourhood densities *including* the ghost-band join work and the
-//!   ghost upload bytes, so the scheduler — and the shard-count chooser —
-//!   see *cost*, not point count.
+//! * [`cost`] — a ghost-aware cost model calibrated from the partition
+//!   prelude's shared sample ([`calibrate_from_sample`]): per-shard work
+//!   is projected from sampled neighbourhood densities *including* the
+//!   ghost-band join work and the ghost upload bytes, so the scheduler —
+//!   and the shard-count chooser — see *cost*, not point count.
 //! * [`schedule`] — longest-processing-time assignment of shards to
 //!   devices by projected cost, and [`modeled_makespan`], the busiest-
 //!   device bound the engine minimizes when choosing how many shards to
 //!   cut at all.
-//! * [`engine`] — [`ShardedSelfJoin`]: prices candidate shard counts on
-//!   the calibration sample, partitions at the modeled-makespan argmin,
-//!   then runs one executor task per device. Ownership is **fused into
-//!   the kernels** as an emit-time window over each shard's owned-prefix
-//!   ids, so ghost-keyed pairs are never materialized and the merge is
-//!   pure concatenation.
+//! * [`engine`] — [`ShardedSelfJoin`]: prices each candidate shard
+//!   count's own cut tree over the calibration sample, materializes the
+//!   modeled-response argmin, then runs one executor task per device.
+//!   Ownership is **fused into the kernels** of both hot paths as an
+//!   emit-time window over each shard's owned-prefix ids, so ghost-keyed
+//!   pairs are never materialized and the merge is pure concatenation.
 //!
 //! ```
 //! use sj_shard::ShardedSelfJoin;
@@ -61,8 +61,8 @@
 //!    pairs at emit time — one comparison before the result-buffer
 //!    reservation, no ghost pair ever materialized. Hence each directed
 //!    pair `(p, q)` is reported by exactly one shard — the owner of `p` —
-//!    and the merge is plain concatenation (debug builds still run the
-//!    dedup pass and assert it found nothing).
+//!    and the merge is plain concatenation (every run counts the merged
+//!    table's duplicates and reports the count, which stays 0).
 //!
 //! Together: the union of per-shard results equals the single-device
 //! result pair-for-pair, which the workspace's property tests assert for
@@ -78,7 +78,5 @@ pub use cost::{
     project_scaled, CostModel, EvalCorrection, ShardCost,
 };
 pub use engine::{ShardRunReport, ShardedConfig, ShardedOutput, ShardedReport, ShardedSelfJoin};
-pub use partition::{
-    build_cuts, materialize, partition, sample_pass, CutTree, Partition, SamplePass, Shard,
-};
+pub use partition::{build_cuts, materialize, sample_pass, CutTree, Partition, SamplePass, Shard};
 pub use schedule::{argmin_shard_count, lpt_schedule, modeled_makespan, Assignment};

@@ -26,7 +26,7 @@
 //!    yielding per-dimension bounds *and* the stride sample. The sample
 //!    feeds both the kd recursion and the cost-model calibration
 //!    ([`crate::cost::calibrate_from_sample`]), so the data is read once
-//!    for both — the two-pass prelude of the original design fused.
+//!    for both.
 //! 2. [`build_cuts`] — the recursion over the sample. Left/right
 //!    subtrees are independent, so the build is charged at the critical
 //!    path of a `lanes`-way fan-out (a subtree's children split the
@@ -111,7 +111,9 @@ pub struct Partition {
     /// The search radius the halos were sized for.
     pub epsilon: f64,
     /// The shards, sorted by box lower bounds. Never empty; every shard
-    /// owns at least one point (the requested count is an upper bound).
+    /// owns at least one point (the requested count is an upper bound)
+    /// when the cut tree was sampled from the partitioned data — see
+    /// [`materialize`] for a tree applied to other points.
     pub shards: Vec<Shard>,
     /// Modeled build time. From [`partition_par`]: the sample pass's
     /// slowest lane + the recursion's lane-budgeted critical path + the
@@ -437,17 +439,6 @@ pub fn build_cuts(
 }
 
 /// Splits `data` into at most `num_shards` grid-aligned kd boxes with
-/// ε-wide halos, on a single host lane. Equivalent to [`partition_par`]
-/// with one lane, where `build_time` is plain measured wall time.
-pub fn partition(
-    data: &Dataset,
-    epsilon: f64,
-    num_shards: usize,
-) -> Result<Partition, GridBuildError> {
-    partition_par(data, epsilon, num_shards, 1)
-}
-
-/// Splits `data` into at most `num_shards` grid-aligned kd boxes with
 /// ε-wide halos, modeling the build across `lanes` host threads:
 /// [`sample_pass`] → [`build_cuts`] → [`materialize`], with
 /// [`Partition::build_time`] charging all three stages. The partition
@@ -476,7 +467,10 @@ pub fn partition_par(
 /// The returned [`Partition::build_time`] charges the slowest lane of
 /// each pass *only* — the caller composes the sample and recursion
 /// stages' accounting (see [`partition_par`]). A single-leaf tree
-/// degenerates to one ghost-free whole-dataset shard.
+/// degenerates to one ghost-free whole-dataset shard. The tree may come
+/// from another point set's sample — the shard-count chooser applies each
+/// candidate's tree to the calibration sample — in which case a leaf may
+/// own no points.
 pub fn materialize(
     data: &Dataset,
     cuts: &CutTree,
@@ -921,7 +915,7 @@ mod tests {
     #[test]
     fn ownership_partitions_the_dataset() {
         let data = uniform(3, 3000, 11);
-        let part = partition(&data, 5.0, 4).unwrap();
+        let part = partition_par(&data, 5.0, 4, 1).unwrap();
         assert!(part.shards.len() >= 2, "uniform 3-D data should cut");
         let mut owned: Vec<u32> = part
             .shards
@@ -936,7 +930,7 @@ mod tests {
     #[test]
     fn owns_matches_the_assignment() {
         let data = uniform(2, 2000, 12);
-        let part = partition(&data, 2.0, 6).unwrap();
+        let part = partition_par(&data, 2.0, 6, 1).unwrap();
         for (g, p) in data.iter().enumerate() {
             let owners: Vec<usize> = part
                 .shards
@@ -953,7 +947,7 @@ mod tests {
     #[test]
     fn shard_data_matches_global_coordinates() {
         let data = uniform(2, 800, 12);
-        let part = partition(&data, 4.0, 3).unwrap();
+        let part = partition_par(&data, 4.0, 3, 1).unwrap();
         for s in &part.shards {
             assert_eq!(s.data.len(), s.global_ids.len());
             for (local, &g) in s.global_ids.iter().enumerate() {
@@ -968,7 +962,7 @@ mod tests {
         // must appear as a ghost.
         let data = uniform(2, 2000, 13);
         let eps = 3.0;
-        let part = partition(&data, eps, 4).unwrap();
+        let part = partition_par(&data, eps, 4, 1).unwrap();
         for s in &part.shards {
             let present: std::collections::HashSet<u32> = s.global_ids.iter().copied().collect();
             for (g, p) in data.iter().enumerate() {
@@ -986,7 +980,7 @@ mod tests {
     #[test]
     fn owned_points_lie_inside_their_box() {
         let data = uniform(2, 1500, 14);
-        let part = partition(&data, 2.0, 5).unwrap();
+        let part = partition_par(&data, 2.0, 5, 1).unwrap();
         for s in &part.shards {
             for local in 0..s.owned {
                 assert!(s.owns(s.data.point(local)), "shard {} box violated", s.id);
@@ -998,7 +992,7 @@ mod tests {
     fn cuts_are_grid_aligned_in_every_dimension() {
         let data = uniform(2, 2000, 15);
         let eps = 2.5;
-        let part = partition(&data, eps, 4).unwrap();
+        let part = partition_par(&data, eps, 4, 1).unwrap();
         let mins = data.min_per_dim().unwrap();
         for s in &part.shards {
             for (j, &m) in mins.iter().enumerate() {
@@ -1020,7 +1014,7 @@ mod tests {
         // A square uniform cloud split 4 ways should cut both dimensions
         // (2×2 boxes), not stack 4 slabs along one axis.
         let data = uniform(2, 4000, 20);
-        let part = partition(&data, 1.0, 4).unwrap();
+        let part = partition_par(&data, 1.0, 4, 1).unwrap();
         assert_eq!(part.shards.len(), 4);
         let mut dims = part.cut_dims.clone();
         dims.sort_unstable();
@@ -1036,7 +1030,7 @@ mod tests {
         // assert the kd partition stays under the slab bound.
         let data = uniform(2, 20_000, 21);
         let eps = 1.0;
-        let part = partition(&data, eps, 8).unwrap();
+        let part = partition_par(&data, eps, 8, 1).unwrap();
         assert_eq!(part.shards.len(), 8);
         // 8 slabs over a 100-unit extent: width 12.5, interior slabs see
         // two ε bands ≈ 2·1/12.5 = 16% each ⇒ ~14% overall. The 4×2 kd
@@ -1051,7 +1045,7 @@ mod tests {
     #[test]
     fn single_shard_has_no_ghosts() {
         let data = uniform(2, 500, 16);
-        let part = partition(&data, 1.0, 1).unwrap();
+        let part = partition_par(&data, 1.0, 1, 1).unwrap();
         assert_eq!(part.shards.len(), 1);
         assert_eq!(part.shards[0].ghosts(), 0);
         assert_eq!(part.shards[0].owned, 500);
@@ -1060,7 +1054,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_yields_one_empty_shard() {
-        let part = partition(&Dataset::new(3), 1.0, 4).unwrap();
+        let part = partition_par(&Dataset::new(3), 1.0, 4, 1).unwrap();
         assert_eq!(part.shards.len(), 1);
         assert_eq!(part.shards[0].data.len(), 0);
         assert_eq!(part.ghost_points(), 0);
@@ -1074,14 +1068,14 @@ mod tests {
         for i in 0..100 {
             d.push(&[5.0 + (i as f64) * 1e-4, 5.0 + (i as f64) * 1e-4]);
         }
-        let part = partition(&d, 10.0, 8).unwrap();
+        let part = partition_par(&d, 10.0, 8, 1).unwrap();
         assert_eq!(part.shards.len(), 1);
     }
 
     #[test]
     fn equal_count_cuts_balance_owned_points() {
         let data = uniform(2, 4000, 17);
-        let part = partition(&data, 1.0, 4).unwrap();
+        let part = partition_par(&data, 1.0, 4, 1).unwrap();
         assert_eq!(part.shards.len(), 4);
         for s in &part.shards {
             assert!(
@@ -1095,7 +1089,7 @@ mod tests {
     #[test]
     fn skewed_data_still_partitions_exhaustively() {
         let data = clustered(2, 3000, 3, 1.0, 0.05, 18);
-        let part = partition(&data, 0.5, 4).unwrap();
+        let part = partition_par(&data, 0.5, 4, 1).unwrap();
         assert_eq!(part.owned_points(), 3000);
         assert!(!part.shards.is_empty());
     }
@@ -1104,11 +1098,11 @@ mod tests {
     fn invalid_epsilon_rejected() {
         let data = uniform(2, 10, 19);
         assert!(matches!(
-            partition(&data, 0.0, 2),
+            partition_par(&data, 0.0, 2, 1),
             Err(GridBuildError::InvalidEpsilon(_))
         ));
         assert!(matches!(
-            partition(&data, f64::NAN, 2),
+            partition_par(&data, f64::NAN, 2, 1),
             Err(GridBuildError::InvalidEpsilon(_))
         ));
     }

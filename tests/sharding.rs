@@ -79,7 +79,7 @@ proptest! {
             1 => clustered(dim, n, 3, 5.0, 0.2, seed),
             _ => clustered(dim, n, 2, 1.0, 0.05, seed),
         };
-        let part = partition::partition(&data, eps, shards).unwrap();
+        let part = partition::partition_par(&data, eps, shards, 1).unwrap();
 
         // (1) Exclusive, exhaustive box ownership.
         let mut owner = vec![usize::MAX; data.len()];
@@ -159,7 +159,7 @@ proptest! {
             1 => clustered(dim, n, 3, 5.0, 0.2, seed),
             _ => clustered(dim, n, 2, 1.0, 0.05, seed),
         };
-        let serial = partition::partition(&data, eps, shards).unwrap();
+        let serial = partition::partition_par(&data, eps, shards, 1).unwrap();
         let par = partition::partition_par(&data, eps, shards, lanes).unwrap();
         prop_assert_eq!(&par.cut_dims, &serial.cut_dims);
         prop_assert_eq!(par.shards.len(), serial.shards.len());
@@ -175,33 +175,32 @@ proptest! {
         }
     }
 
-    /// The fused-prelude property: building the cost model from the
-    /// partitioner's shared sample pass must agree with the standalone
-    /// two-pass calibration whenever both see every point (n below the
-    /// sampling caps) — same sample, same neighbor/candidate counts,
-    /// same grid-cell census — for any lane count. Timing-derived rates
-    /// are excluded: they measure different walls by design.
+    /// The lane-invariance property of the fused prelude: calibrating
+    /// from the partitioner's shared sample pass gives the same model for
+    /// any lane count as the one-lane `calibrate` — same sample, same
+    /// neighbor/candidate counts, same grid-cell census. Timing-derived
+    /// rates are excluded: they measure different walls by design.
     #[test]
-    fn fused_calibration_matches_two_pass_calibration(
+    fn calibration_is_lane_invariant(
         dim in 1usize..=4,
         n in 30usize..250,
         seed in 1u64..10_000,
         eps in 2.0f64..20.0,
-        lanes in 1usize..=8,
+        lanes in 2usize..=8,
     ) {
         use gpu_self_join::shard::cost::{calibrate, calibrate_from_sample};
         let data = uniform(dim, n, seed);
         let spec = DeviceSpec::titan_x_pascal();
-        let two_pass = calibrate(&data, eps, &spec).unwrap();
+        let one_lane = calibrate(&data, eps, &spec).unwrap();
         let sp = partition::sample_pass(&data, lanes).unwrap();
-        let fused = calibrate_from_sample(&sp, eps, &spec).unwrap();
-        prop_assert_eq!(fused.len, two_pass.len);
-        prop_assert_eq!(&fused.sample_ids, &two_pass.sample_ids);
-        prop_assert_eq!(&fused.sample_neighbors, &two_pass.sample_neighbors);
-        prop_assert_eq!(&fused.sample_candidates, &two_pass.sample_candidates);
-        prop_assert_eq!(fused.non_empty_cells, two_pass.non_empty_cells);
-        prop_assert_eq!(fused.avg_neighbors, two_pass.avg_neighbors);
-        prop_assert_eq!(fused.avg_candidates, two_pass.avg_candidates);
+        let laned = calibrate_from_sample(&sp, eps, &spec).unwrap();
+        prop_assert_eq!(laned.len, one_lane.len);
+        prop_assert_eq!(&laned.sample_ids, &one_lane.sample_ids);
+        prop_assert_eq!(&laned.sample_neighbors, &one_lane.sample_neighbors);
+        prop_assert_eq!(&laned.sample_candidates, &one_lane.sample_candidates);
+        prop_assert_eq!(laned.non_empty_cells, one_lane.non_empty_cells);
+        prop_assert_eq!(laned.avg_neighbors, one_lane.avg_neighbors);
+        prop_assert_eq!(laned.avg_candidates, one_lane.avg_candidates);
     }
 
     /// The staged API composes to the one-shot entry point: sample pass →
@@ -237,27 +236,27 @@ proptest! {
     }
 }
 
-/// Satellite pin: the fused (CellMajor) path concatenates shard results —
-/// the dedup pass must find nothing to merge even at aggressive shard
-/// counts, on uniform and skewed data alike.
+/// Satellite pin: both hot paths run the fused ownership window and the
+/// engine concatenates shard results — the merged table must hold no
+/// duplicate even at aggressive shard counts, on uniform and skewed data
+/// alike.
 #[test]
 fn fused_path_merges_without_duplicates() {
     for (data, eps) in [
         (uniform(2, 4000, 11), 2.0),
         (clustered(3, 3000, 4, 2.0, 0.1, 12), 6.0),
     ] {
-        let out = ShardedSelfJoin::titan_x(4)
-            .with_shards(8)
-            .with_hot_path(HotPath::CellMajor)
-            .run(&data, eps)
-            .unwrap();
-        assert!(out.report.shards.len() > 1, "want a multi-shard run");
-        assert_eq!(out.report.duplicates_merged, 0);
-        for s in &out.report.shards {
-            assert_eq!(s.dropped_ghost_pairs, 0, "fused path filtered post-hoc");
-        }
         let single = GpuSelfJoin::default_device().run(&data, eps).unwrap();
-        assert_eq!(out.table, single.table);
+        for hot_path in [HotPath::CellMajor, HotPath::PerThread] {
+            let out = ShardedSelfJoin::titan_x(4)
+                .with_shards(8)
+                .with_hot_path(hot_path)
+                .run(&data, eps)
+                .unwrap();
+            assert!(out.report.shards.len() > 1, "want a multi-shard run");
+            assert_eq!(out.report.duplicates_merged, 0, "{hot_path:?}");
+            assert_eq!(out.table, single.table, "{hot_path:?}");
+        }
     }
 }
 
