@@ -18,14 +18,17 @@
 //! device stream — see `sj_shard::engine`): with simulated devices
 //! time-sharing one host, modeled device time is the quantity that
 //! reflects multi-device wall-clock, exactly as the paper's evaluation
-//! reports modeled device response times for GPU-SJ.
+//! reports modeled device response times for GPU-SJ. Modeled time is
+//! priced from counted bytes, so every figure (the merge column, a host
+//! wall time, aside) is a pure function of the workload: one run per
+//! device count is the measurement, and a re-run reproduces it exactly.
 //!
 //! The run *asserts* the subsystem's acceptance bars:
 //!
 //! * modeled speedup monotonically non-decreasing in device count
-//!   through 16 devices (small measurement-noise tolerance) on **every**
-//!   dataset — 32 devices are reported but exempt: at 400k points the
-//!   per-device work is thin enough there that taper is expected;
+//!   through 16 devices (small tolerance) on **every** dataset — 32
+//!   devices are reported but exempt: at 400k points the per-device work
+//!   is thin enough there that taper is expected;
 //! * ≥ 6× at 16 devices on the syn-2M surrogate (full runs; `--quick`
 //!   smoke runs only check monotonicity and correctness);
 //! * the parallel prelude (fused sample pass + calibration overlapped
@@ -37,21 +40,12 @@
 //!   thin slabs paid ~59% there (quick runs, which skip the 8-device
 //!   point, check ≤ 45% at 16 instead);
 //! * the shard-chooser cost audit's geometric-mean projection drift over
-//!   the whole run stays within ±50% — the recalibrated eval-cost bar
-//!   (the pre-recalibration model pegged the audit's +800% clamp).
+//!   the whole run stays within ±50%.
 //!
-//! Note on measurement: `--trials` is floored at 5 here (unlike the
-//! other figure binaries) and each trial is a *round* running every
-//! device count back to back. Reported modeled times are the best per
-//! device count, but the speedup column — the asserted quantity — is
-//! the **median of per-round ratios**: this host's throughput drifts by
-//! large factors over minutes, and a ratio of two times from the same
-//! round cancels the drift where a ratio of two independent bests does
-//! not. The prelude comparison uses the same per-round-median trick.
-//! `--quick` drops the floor to 2 rounds, runs the reduced device set
-//! [1, 4, 16] on two workloads and widens the monotonicity tolerance:
-//! correctness, a coarse scaling shape, the ghost bar and the audit bar
-//! only (the CI smoke configuration).
+//! `--quick` runs the reduced device set [1, 4, 16] on two workloads and
+//! widens the monotonicity tolerance: correctness, a coarse scaling
+//! shape, the ghost bar and the audit bar only (the CI smoke
+//! configuration).
 
 use grid_join::GpuSelfJoin;
 use sj_bench::cli::Args;
@@ -70,16 +64,15 @@ const QUICK_COUNTS: [usize; 3] = [1, 4, 16];
 const MONOTONIC_THROUGH: usize = 16;
 /// Relative tolerance on the monotonic-speedup assertion: adjacent device
 /// counts may regress by at most this much before the run fails. Quick
-/// smoke runs (fewer trials on a possibly loaded CI box) get the wider
+/// smoke runs (smaller workloads, coarser device steps) get the wider
 /// allowance; both still catch the order-of-magnitude inversions a real
 /// partitioner or scheduler regression produces.
 const MONOTONIC_TOLERANCE: f64 = 0.05;
 const MONOTONIC_TOLERANCE_QUICK: f64 = 0.30;
 /// The chooser audit's acceptance band: the geometric mean of
 /// projected/measured stream makespans over the whole run must land in
-/// [1/(1+this), 1+this]. ±50% is the recalibration target from the
-/// eval-cost re-pin; the unclamped log-ratio track makes it checkable
-/// even though individual early-round samples may clamp.
+/// [1/(1+this), 1+this]; the audit's unclamped log-ratio track makes it
+/// checkable even if individual samples clamp.
 const AUDIT_REL_BOUND: f64 = 0.5;
 
 fn main() {
@@ -88,9 +81,9 @@ fn main() {
     // so a plain run regenerates the checked-in file.
     args.json = true;
     // Surrogates of the paper's 2M-point tier. The scaling experiment
-    // needs enough work per shard that the modeled response times sit
-    // well above this box's wall-clock noise floor (and enough grid
-    // columns per shard for thin halos), so its floor — 400k points, a
+    // needs enough work per shard that it outweighs the fixed per-shard
+    // transfer latencies (and enough grid columns per shard for thin
+    // halos), so its floor — 400k points, a
     // fifth of the paper's tier — is much higher than the other
     // figures'. The 4-D/6-D tiers run at half/quarter count: per-point
     // join work grows steeply with dimension, so the reduced counts keep
@@ -116,30 +109,10 @@ fn main() {
         &DEVICE_COUNTS
     };
 
-    // Warmup: the engine's eval-cost correction is a closed loop — each
-    // run compares its projected LPT makespan against the measured
-    // busiest stream and nudges a global EWMA factor. Give it two runs
-    // per workload to converge, then reset the metrics registry so the
-    // asserted audit reflects steady-state calibration, not the loop's
-    // approach path. (The ±50% bar is about where the recalibrated
-    // model *settles*; the pre-recalibration model pegged the clamp
-    // even at steady state.)
-    for (_, data) in &workloads {
-        let eps = eps_for_selectivity(data, 24.0);
-        for _ in 0..2 {
-            ShardedSelfJoin::titan_x(4)
-                .run(data, eps)
-                .expect("warmup join failed");
-        }
-    }
-    sj_obs::metrics::registry().reset();
-
     let mut speedup16_syn = 0.0;
     let mut ghost_frac_syn = f64::NAN;
     let (ghost_at, ghost_bar) = if args.quick { (16, 0.45) } else { (8, 0.25) };
     let mut prelude_ratio_syn = f64::NAN;
-    // See module docs: a 5-trial floor keeps the asserted ratios stable.
-    let trials = if args.quick { 2 } else { args.trials.max(5) };
     let tolerance = if args.quick {
         MONOTONIC_TOLERANCE_QUICK
     } else {
@@ -161,53 +134,34 @@ fn main() {
             format!("{}", single.table.total_pairs()),
         ]];
 
-        // Trial rounds: every device count once per round, so each
-        // round's ratios share one throughput regime (see module docs).
-        let mut best: Vec<Option<sj_shard::ShardedOutput>> =
-            (0..counts.len()).map(|_| None).collect();
-        let mut rounds: Vec<Vec<f64>> = Vec::with_capacity(trials);
-        let mut prelude_rounds: Vec<Vec<f64>> = Vec::with_capacity(trials);
-        for _ in 0..trials {
-            let mut round = Vec::with_capacity(counts.len());
-            let mut preludes = Vec::with_capacity(counts.len());
-            for (i, &devices) in counts.iter().enumerate() {
-                let engine = ShardedSelfJoin::titan_x(devices);
-                let out = engine.run(data, eps).expect("sharded join failed");
+        let runs: Vec<sj_shard::ShardedOutput> = counts
+            .iter()
+            .map(|&devices| {
+                let out = ShardedSelfJoin::titan_x(devices)
+                    .run(data, eps)
+                    .expect("sharded join failed");
                 assert_eq!(
                     out.table, single.table,
                     "{name}: sharded x{devices} result differs from single-device"
                 );
                 assert_eq!(out.report.duplicates_merged, 0);
-                round.push(out.report.modeled_total.as_secs_f64());
-                preludes.push(out.report.prelude_time.as_secs_f64());
-                if best[i]
-                    .as_ref()
-                    .is_none_or(|b| out.report.modeled_total < b.report.modeled_total)
-                {
-                    best[i] = Some(out);
-                }
-            }
-            rounds.push(round);
-            prelude_rounds.push(preludes);
-        }
-        let median_ratio = |table: &[Vec<f64>], i: usize| -> f64 {
-            let mut ratios: Vec<f64> = table.iter().map(|r| r[0] / r[i]).collect();
-            ratios.sort_by(f64::total_cmp);
-            ratios[ratios.len() / 2]
-        };
+                out
+            })
+            .collect();
+        let base = &runs[0].report;
 
         let mut speedups: Vec<(usize, f64)> = Vec::new();
         let mut phase_rows: Vec<Vec<String>> = Vec::new();
-        for (i, &devices) in counts.iter().enumerate() {
-            let out = best[i].take().expect("at least one round");
+        for (&devices, out) in counts.iter().zip(&runs) {
             let modeled = out.report.modeled_total.as_secs_f64();
-            let speedup = median_ratio(&rounds, i);
+            let speedup = base.modeled_total.as_secs_f64() / modeled;
             speedups.push((devices, speedup));
             let ghost_frac = out.report.ghost_fraction();
             if *name == "syn-2M" {
                 if devices == 16 {
                     speedup16_syn = speedup;
-                    prelude_ratio_syn = median_ratio(&prelude_rounds, i);
+                    prelude_ratio_syn =
+                        base.prelude_time.as_secs_f64() / out.report.prelude_time.as_secs_f64();
                 }
                 if devices == ghost_at {
                     ghost_frac_syn = ghost_frac;
@@ -227,15 +181,14 @@ fn main() {
             ]);
             phase_rows.push(phase_row(devices, &out.report));
             if devices == *counts.last().unwrap() {
-                emit_shard_breakdown(&args, name, devices, &out);
+                emit_shard_breakdown(&args, name, devices, out);
             }
         }
         emit_table(
             &args,
             "scaling_devices",
             &format!(
-                "Device scaling: {name} (|D| = {}, {}-D, eps = {eps:.3}; times best of {trials} \
-                 rounds, speedups median of per-round ratios)",
+                "Device scaling: {name} (|D| = {}, {}-D, eps = {eps:.3}; modeled times)",
                 data.len(),
                 data.dim(),
             ),
@@ -260,7 +213,7 @@ fn main() {
         emit_table(
             &args,
             "scaling_devices",
-            &format!("Prelude/stream phase breakdown: {name} (seconds, best round per count)"),
+            &format!("Prelude/stream phase breakdown: {name} (seconds; merge is host wall)"),
             &[
                 "devices",
                 "sample",
@@ -279,7 +232,7 @@ fn main() {
         );
 
         // Acceptance bar: more devices never make the modeled response
-        // time worse (beyond measurement noise) through 16 devices, on
+        // time worse (beyond a small tolerance) through 16 devices, on
         // every dataset.
         for w in speedups.windows(2) {
             let ((d0, s0), (d1, s1)) = (w[0], w[1]);
@@ -330,8 +283,8 @@ fn main() {
     // makespan against the measured busiest-stream makespan, plus the
     // chooser's projected partition-build cost against the measured
     // build. The geometric-mean drift (unclamped log-ratio track) is the
-    // asserted quantity: the recalibrated eval-cost model must hold the
-    // chooser's projections within ±50% across the whole run.
+    // asserted quantity: the chooser's predicted counts must hold its
+    // projections within ±50% across the whole run.
     for model in ["shard_chooser", "shard_partition"] {
         match sj_obs::audit::report(model) {
             Some(report) => println!("\n{}", report.summary()),
@@ -344,7 +297,7 @@ fn main() {
     assert!(
         (1.0 / (1.0 + AUDIT_REL_BOUND)..=1.0 + AUDIT_REL_BOUND).contains(&geo),
         "shard-chooser projections drifted: geometric mean projected/measured = {geo:.3} \
-         (need within ±{:.0}%; the pre-recalibration eval-cost model sat at the +800% clamp)",
+         (need within ±{:.0}%)",
         100.0 * AUDIT_REL_BOUND
     );
 

@@ -174,6 +174,7 @@ impl Kernel for CellNeighborCountKernel<'_> {
         }
     }
 
+    #[inline(always)] // keeps the launch's per-block byte counter in a register
     fn thread<T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>) {
         let h = ctx.global_id;
         if h >= self.grid.b.len() {
@@ -204,6 +205,7 @@ impl Kernel for CellNeighborFillKernel<'_> {
         }
     }
 
+    #[inline(always)] // keeps the launch's per-block byte counter in a register
     fn thread<T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>) {
         let h = ctx.global_id;
         if h >= self.grid.b.len() {
@@ -408,6 +410,7 @@ impl Kernel for CellMajorSelfJoinKernel<'_> {
         }
     }
 
+    #[inline(always)] // keeps the launch's per-block byte counter in a register
     fn thread<T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>) {
         if ctx.global_id >= self.slot_count {
             return;

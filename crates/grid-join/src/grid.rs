@@ -254,6 +254,20 @@ impl GridIndex {
         self.b.len()
     }
 
+    /// Bytes a [`Self::build`] over `n` points in `dim` dimensions
+    /// streams — the count its modeled host time is priced from
+    /// ([`sim_gpu::host_core_time`]). Per point: five reads of the
+    /// coordinates (finiteness check, min, max, cell keying, cell-major
+    /// gather) plus the snapshot write, and the 16-byte `(cell, id)` key
+    /// written by the keying pass, read and written once by the grouping
+    /// sort, and read by the gather and grouping passes, plus its 4-byte
+    /// `A` entry. The per-cell arrays are bounded by `n` and left out, so
+    /// the count depends on `n` and `dim` alone and a cost projection
+    /// predicts it exactly from a predicted point count.
+    pub fn build_bytes(n: usize, dim: usize) -> u64 {
+        n as u64 * (48 * dim as u64 + 84)
+    }
+
     /// Index size in bytes (B + G + A + M plus the cell-major coordinate
     /// snapshot), the quantity the paper argues stays `O(|D|)` — the
     /// snapshot adds `8 · dim` bytes per point but no dependence on the

@@ -241,6 +241,7 @@ impl Kernel for SelfJoinKernel<'_> {
         }
     }
 
+    #[inline(always)] // keeps the launch's per-block byte counter in a register
     fn thread<T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>) {
         if ctx.global_id >= self.query_count {
             return;
@@ -382,6 +383,7 @@ impl Kernel for CountKernel<'_> {
         }
     }
 
+    #[inline(always)] // keeps the launch's per-block byte counter in a register
     fn thread<T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>) {
         if ctx.global_id >= self.sample_ids.len() {
             return;

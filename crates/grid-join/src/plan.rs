@@ -48,7 +48,7 @@ use crate::host_join;
 use crate::kernels::kernel_registers;
 use crate::result::{Ownership, Pair};
 use sim_gpu::occupancy::KernelResources;
-use sim_gpu::{occupancy, Device, DevicePool, LaunchConfig, OccupancyResult};
+use sim_gpu::{host_core_time, occupancy, Device, DevicePool, LaunchConfig, OccupancyResult};
 use sj_datasets::Dataset;
 use std::time::{Duration, Instant};
 
@@ -184,12 +184,16 @@ pub struct JoinReport {
     pub device_pipeline: Duration,
     /// End-to-end wall time of the plan (index + execution).
     pub total: Duration,
-    /// Modeled response time on the simulated device: host grid build +
-    /// modeled estimation kernel + the pipelined (3-stream) timeline of
-    /// uploads, modeled kernels and result downloads. This is the number
-    /// the evaluation harness reports for GPU-SJ (see `DeviceSpec::
-    /// throughput_vs_host_core` for the model constant). Host-backend
-    /// plans report their real wall time here — the host *is* the device.
+    /// Modeled response time on the simulated device: the host grid
+    /// build priced from the bytes it streams
+    /// ([`GridIndex::build_bytes`] at the host-core rate, zero for
+    /// prebuilt/resident indexes) + the estimation kernel + the pipelined
+    /// (3-stream) timeline of uploads, kernels and result downloads, every
+    /// kernel priced from its counted bytes (`DeviceSpec::kernel_time`).
+    /// A pure function of the data, ε, the plan and the device spec; this
+    /// is the number the evaluation harness reports for GPU-SJ.
+    /// Host-backend plans are CPU baselines and report their real wall
+    /// time here instead — the host *is* the device.
     pub modeled_total: Duration,
     /// Non-empty cell count `|B|`.
     pub non_empty_cells: usize,
@@ -242,19 +246,22 @@ pub fn execute(plan: &JoinPlan<'_>, backend: Backend<'_>) -> Result<PlanOutput, 
     };
     span.label("n", plan.data.len());
 
-    // Index stage.
+    // Index stage: the build's wall time for the report, its streamed
+    // bytes for the modeled clock.
     let built;
-    let (grid, grid_build): (&GridIndex, Duration) = match &plan.index {
+    let (grid, grid_build, grid_modeled): (&GridIndex, Duration, Duration) = match &plan.index {
         IndexStage::Build { epsilon } => {
             let tb = Instant::now();
             let mut ispan = sj_obs::Span::enter("plan.index");
             built = GridIndex::build(plan.data, *epsilon)?;
             ispan.label("cells", built.non_empty_cells());
+            let modeled = host_core_time(GridIndex::build_bytes(plan.data.len(), plan.data.dim()));
+            ispan.set_modeled_dur(modeled.as_secs_f64());
             drop(ispan);
-            (&built, tb.elapsed())
+            (&built, tb.elapsed(), modeled)
         }
-        IndexStage::Prebuilt(grid) => (*grid, Duration::ZERO),
-        IndexStage::Resident { grid, .. } => (*grid, Duration::ZERO),
+        IndexStage::Prebuilt(grid) => (*grid, Duration::ZERO, Duration::ZERO),
+        IndexStage::Resident { grid, .. } => (*grid, Duration::ZERO, Duration::ZERO),
     };
     debug_assert_eq!(grid.a().len(), plan.data.len(), "grid/data mismatch");
 
@@ -287,10 +294,10 @@ pub fn execute(plan: &JoinPlan<'_>, backend: Backend<'_>) -> Result<PlanOutput, 
     // Execution stage.
     let (pairs, mut report) = match backend {
         Backend::Host { parallel } => run_host(plan, grid, grid_build, parallel),
-        Backend::Device(device) => run_device(plan, device, grid, grid_build)?,
+        Backend::Device(device) => run_device(plan, device, grid, grid_build, grid_modeled)?,
         Backend::Pool(pool) => {
             let lease = pool.lease();
-            run_device(plan, lease.device(), grid, grid_build)?
+            run_device(plan, lease.device(), grid, grid_build, grid_modeled)?
         }
     };
 
@@ -307,6 +314,7 @@ fn run_device(
     device: &Device,
     grid: &GridIndex,
     grid_build: Duration,
+    grid_modeled: Duration,
 ) -> Result<(Vec<Pair>, JoinReport), SelfJoinError> {
     let uploaded;
     let (dg, hoist, resident): (&DeviceGrid, Option<&CellMajorPlan>, bool) = match &plan.index {
@@ -350,7 +358,7 @@ fn run_device(
     // unaffected.
     let slowdown = device.slowdown();
     let device_modeled = breport.modeled_estimate_time + breport.timeline.total;
-    let modeled_total = grid_build + device_modeled.mul_f64(slowdown);
+    let modeled_total = grid_modeled + device_modeled.mul_f64(slowdown);
     let report = JoinReport {
         grid_build,
         device_pipeline,
@@ -365,6 +373,7 @@ fn run_device(
 }
 
 /// Host pipeline: the shared adjacent-cell scan, sequential or parallel.
+/// A CPU baseline, so its modeled total is its wall time.
 fn run_host(
     plan: &JoinPlan<'_>,
     grid: &GridIndex,

@@ -50,7 +50,7 @@ use crate::plan::{execute, Backend, EstimateStage, IndexStage, JoinPlan, JoinRep
 use crate::result::NeighborTable;
 use crate::selfjoin::SelfJoinConfig;
 use parking_lot::Mutex;
-use sim_gpu::{Device, DeviceLease, DevicePool, Evictor, LedgerEntry};
+use sim_gpu::{host_core_time, Device, DeviceLease, DevicePool, Evictor, LedgerEntry};
 use sj_datasets::Dataset;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -384,6 +384,11 @@ impl SelfJoinSession {
         span.label("epsilon", epsilon);
         span.label("device", lease.index());
         let (resident, reused, build_wall) = self.resident_for(epsilon)?;
+        let build_modeled = if reused {
+            Duration::ZERO
+        } else {
+            host_core_time(GridIndex::build_bytes(self.data.len(), self.data.dim()))
+        };
         span.label("decision", if reused { "reuse" } else { "rebuild" });
         let t_touch = Instant::now();
         let (snap, first_touch) = self.snapshot_on(&resident, lease.device(), lease.index())?;
@@ -441,11 +446,11 @@ impl SelfJoinSession {
                 out.report.modeled_total.as_secs_f64() / units.max(1.0),
             );
             if !reused {
-                let mut build_modeled = build_wall;
+                let mut one_time = build_modeled;
                 if first_touch {
-                    build_modeled += snap.upload_modeled;
+                    one_time += snap.upload_modeled;
                 }
-                ewma(&mut model.build_secs, build_modeled.as_secs_f64());
+                ewma(&mut model.build_secs, one_time.as_secs_f64());
             }
         }
 
@@ -455,7 +460,7 @@ impl SelfJoinSession {
         // triggered belongs to it.
         out.report.grid_build = build_wall;
         out.report.total += build_wall;
-        out.report.modeled_total += build_wall;
+        out.report.modeled_total += build_modeled;
         if first_touch {
             out.report.total += touch_wall;
             out.report.modeled_total += snap.upload_modeled;

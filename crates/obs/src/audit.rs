@@ -2,9 +2,10 @@
 //! measured outcome.
 //!
 //! The repo runs on *models* — admission control trusts
-//! `SelfJoinSession::projected_cost`, the shard-count chooser trusts
-//! `modeled_makespan` — and both are EWMA-calibrated, which means they
-//! can drift silently. This module makes the drift a metric: each
+//! `SelfJoinSession::projected_cost` (EWMA-calibrated), the shard-count
+//! chooser trusts `modeled_makespan` over predicted work counts — and
+//! either can drift silently from what execution then costs. This module
+//! makes the drift a metric: each
 //! instrumented site calls [`record`] with its projection and the
 //! measured outcome, and the signed relative error lands in a
 //! [`rel_error_buckets`]-shaped histogram per model, alongside magnitude
@@ -24,10 +25,10 @@ pub const ABS_REL_ERROR: &str = "sj_cost_audit_abs_rel_error";
 /// measurement.
 pub const INVALID: &str = "sj_cost_audit_invalid_total";
 /// Gauge accumulating **unclamped** `ln(projected / measured)` per model.
-/// The ±8 histogram clamp saturates on grossly miscalibrated models
-/// (the shard chooser's pre-recalibration eval-cost sat 20–80× over);
-/// the log-ratio sum keeps the true magnitude, and its mean is exactly
-/// the geometric-mean drift a closed-loop fit needs to invert.
+/// The ±8 histogram clamp saturates on grossly miscalibrated models (an
+/// early shard-chooser eval-cost model sat 20–80× over); the log-ratio
+/// sum keeps the true magnitude, and its mean is the geometric-mean
+/// drift.
 pub const LOG_RATIO_SUM: &str = "sj_cost_audit_log_ratio_sum";
 /// Counter of samples folded into [`LOG_RATIO_SUM`] (both sides must be
 /// positive for the log to exist).
@@ -88,17 +89,6 @@ pub struct AuditReport {
 }
 
 impl AuditReport {
-    /// The multiplicative correction a closed-loop fit should apply to
-    /// the model's projections to zero the geometric-mean drift:
-    /// `exp(−mean_log_ratio)`. A model that over-projects 20× returns
-    /// ≈ 0.05; a calibrated model returns ≈ 1. This is exactly the fixed
-    /// point `sj_shard`'s eval-correction EWMA converges to, so the
-    /// audit can both *derive* a re-pin (as done for the traced-eval
-    /// overhead) and *verify* the runtime loop landed where it should.
-    pub fn correction(&self) -> f64 {
-        (-self.mean_log_ratio).exp()
-    }
-
     /// Geometric mean of `projected / measured`: `exp(mean_log_ratio)`.
     /// The unclamped counterpart of `mean_rel_error + 1`.
     pub fn geo_mean_ratio(&self) -> f64 {
@@ -107,8 +97,7 @@ impl AuditReport {
     /// One-line human rendering for bench output. A mean sitting at the
     /// ±800% clamp is rendered with a `>=`/`<=` prefix: every sample
     /// saturated the histogram range, so the true error is at least that
-    /// large (the shard chooser's analytical eval-cost model is a known
-    /// example — see the README's observability section).
+    /// large.
     pub fn summary(&self) -> String {
         let mean = self.mean_rel_error * 100.0;
         let mean = if self.mean_rel_error >= CLAMP {
@@ -247,8 +236,7 @@ mod tests {
     #[test]
     fn log_ratio_survives_the_clamp() {
         // A 20x over-projection saturates the rel-error histograms, but
-        // the unclamped log track keeps the true magnitude: the derived
-        // correction is the multiplier that would zero the drift.
+        // the unclamped log track keeps the true magnitude.
         for _ in 0..4 {
             record("audit_test_log", 20.0, 1.0);
         }
@@ -256,7 +244,6 @@ mod tests {
         assert!((r.mean_rel_error - CLAMP).abs() < 1e-9); // clamped
         assert!((r.mean_log_ratio - 20.0f64.ln()).abs() < 1e-9);
         assert!((r.geo_mean_ratio() - 20.0).abs() < 1e-6);
-        assert!((r.correction() - 0.05).abs() < 1e-6);
         assert!(r.summary().contains("geo=x20.000"), "{}", r.summary());
 
         // Mixed over/under projections cancel geometrically: 4x over then
@@ -265,7 +252,7 @@ mod tests {
         record("audit_test_log_mixed", 1.0, 4.0);
         let r = report("audit_test_log_mixed").unwrap();
         assert!(r.mean_log_ratio.abs() < 1e-9);
-        assert!((r.correction() - 1.0).abs() < 1e-9);
+        assert!((r.geo_mean_ratio() - 1.0).abs() < 1e-9);
 
         // Non-positive projections contribute to the histograms (rel =
         // -1) but are excluded from the log track rather than poisoning

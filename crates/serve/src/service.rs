@@ -234,13 +234,6 @@ struct Inner {
     sched: Scheduler,
     metrics: Mutex<MetricsState>,
     epoch: Mutex<Instant>,
-    /// Serializes actual kernel execution across workers: simulated
-    /// device time is modeled from measured host wall time, so two joins
-    /// running concurrently on the host would inflate each other's
-    /// modeled cost (the same substrate lock the shard engine holds).
-    /// Device *concurrency* lives in the virtual placement math, not in
-    /// the host threads.
-    substrate: Mutex<()>,
 }
 
 impl Inner {
@@ -286,7 +279,6 @@ impl SelfJoinService {
                 reuploads_base: 0,
             }),
             epoch: Mutex::new(Instant::now()),
-            substrate: Mutex::new(()),
             pool,
             config,
         });
@@ -754,12 +746,9 @@ fn run_job(inner: &Arc<Inner>, mut job: Job) {
         // code (kernels, allocators); everything after it is our own
         // bookkeeping. A panic here must cost one query, not the worker
         // thread (and with it a device's entire executor).
-        let caught = {
-            let _kernels = lock_clean(&inner.substrate);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                session.query_on(job.epsilon, device)
-            }))
-        };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session.query_on(job.epsilon, device)
+        }));
         let result = match caught {
             Ok(result) => result,
             Err(payload) => {

@@ -3,13 +3,18 @@
 //!
 //! One cheap host-side **calibration** over the partition prelude's
 //! stride sample — a counting-grid binning plus an exact neighbor scan of
-//! a smaller sub-sample — yields a [`CostModel`]: measured per-candidate
-//! evaluation cost, per-point grid-build cost, and per-sample neighbor /
-//! candidate densities. From the model, [`project_partition`] prices any
-//! candidate partition *without touching a device*: each shard's modeled
-//! time covers its upload (owned + ghost bytes through the PCIe model),
-//! its grid build, and its join scan over owned **and ghost** points —
-//! the ghost-band join cost slabs hid from the old count-based estimate.
+//! a smaller sub-sample — yields a [`CostModel`]: per-sample neighbor,
+//! candidate and adjacent-cell counts. From the model, [`project_partition`]
+//! prices any candidate partition *without touching a device*: it predicts
+//! each shard's work **counts** — the bytes of its grid build, of its
+//! upload, of its hoisting and join kernels and of its result download —
+//! over owned **and ghost** points, and prices them with the same two
+//! functions that price executed work: [`sim_gpu::host_core_time`] for the
+//! host grid build and [`DeviceSpec::kernel_time`] for the kernels, with
+//! the transfers scheduled on the same three-stream [`StreamTimeline`] the
+//! batching executor uses (priced by bytes, without the fixed
+//! per-transfer latency). A projection's error is therefore the error of
+//! its predicted counts — nothing in it reads a clock.
 //!
 //! The engine minimizes the LPT makespan of these projections over a
 //! candidate set of shard counts ([`project_scaled`] prices candidates on
@@ -17,159 +22,13 @@
 //! winning projection both schedules the shards and seeds each subplan's
 //! result-size estimate — no per-shard estimation kernels run at all.
 
-use crate::partition::{sample_pass, Partition, SamplePass};
+use crate::partition::{materialize_bytes, sample_pass, Partition, SamplePass};
 use grid_join::error::GridBuildError;
-use sim_gpu::{DeviceSpec, TransferModel};
+use grid_join::{GridIndex, SelfJoinConfig};
+use sim_gpu::{host_core_time, BatchCost, DeviceSpec, StreamTimeline, TransferModel};
 use sj_datasets::{euclidean_sq, Dataset};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-/// Measured host cost of one candidate evaluation is multiplied by this
-/// factor to approximate the executed kernel's per-candidate cost (the
-/// batched cell-major kernel amortizes far better than the calibration
-/// scan's pointer-chasing shell walk), before division by
-/// `DeviceSpec::throughput_vs_host_core` yields modeled device time.
-///
-/// Re-pinned against the cost-model audit: the original value of `10.0`
-/// assumed the per-access tracing overhead of the pre-batching kernels,
-/// and the audit's `shard_chooser` histogram measured projections 20–80×
-/// over the modeled kernel stream. The closed-loop fit (see
-/// [`eval_correction`] and the audit's unclamped log-ratio track) puts
-/// the batched kernel's effective per-candidate cost at a fraction of
-/// one calibration-scan evaluation on this class of host.
-pub const TRACED_EVAL_OVERHEAD: f64 = 0.25;
-
-/// Per-observation gain of the [`EvalCorrection`] geometric EWMA: each
-/// measured run moves the correction this fraction of the remaining
-/// (log-space) gap. One observation halves the error; a handful converge.
-const EVAL_CORRECTION_GAIN: f64 = 0.5;
-
-/// The correction factor and each observed ratio are clamped to
-/// [1/this, this] — a single pathological measurement (timer glitch,
-/// de-scheduled lane) cannot poison the model.
-const EVAL_CORRECTION_CLAMP: f64 = 32.0;
-
-/// A closed-loop multiplier on one cost-model component: after every
-/// run the engine feeds a (projected, measured) pair for the component
-/// into this geometric EWMA, and subsequent calibrations scale that
-/// component by the accumulated factor. Two instances exist — one on
-/// the eval cost ([`eval_correction`], the multiplier on
-/// [`TRACED_EVAL_OVERHEAD`], observed against the executed batches'
-/// modeled upload+kernel busy time) and one on the host grid-build rate
-/// ([`grid_correction`], the multiplier on [`GRID_BUILD_FACTOR`],
-/// observed against the measured per-shard index-build walls). The
-/// static constants pin the model to this host class; the corrections
-/// track the residual drift the audit observes (dataset shape, cache
-/// behavior, load) so projections stay within the audited error band
-/// instead of re-diverging. Steering each component with its own
-/// measurement matters: a makespan-level loop on the eval knob alone
-/// cannot fix a drifting host stage, it just drives the eval factor to
-/// its clamp while the aggregate error persists.
-///
-/// Process-global, like the audit registry it mirrors: corrections
-/// learned by one engine benefit the next, and `cargo test`'s concurrent
-/// observers all push toward the same host-true ratio.
-/// The correction is tracked **per dimensionality** (dimensions above
-/// [`EVAL_CORRECTION_DIMS`] share the last slot): the audit shows the
-/// drift is strongly dimension-dependent — the 2-D workloads' candidate
-/// scans over-project while 6-D under-projects, because the
-/// calibration's raw candidate inflation and the kernels' short-circuit
-/// distance culling both scale with dimension. A single scalar would
-/// converge to the geometric mean of the two and satisfy neither.
-pub struct EvalCorrection {
-    /// `f64` bits of the current factor, one slot per dimensionality.
-    bits: [AtomicU64; EVAL_CORRECTION_DIMS],
-}
-
-/// Dimensionalities tracked separately; higher dims share the last slot.
-const EVAL_CORRECTION_DIMS: usize = 8;
-
-/// Bits of `1.0f64` — the identity correction.
-const ONE_BITS: u64 = 0x3FF0_0000_0000_0000;
-
-/// `const` item so the atomic can seed an array repeat expression.
-#[allow(clippy::declare_interior_mutable_const)]
-const IDENTITY: AtomicU64 = AtomicU64::new(ONE_BITS);
-
-static EVAL_CORRECTION: EvalCorrection = EvalCorrection {
-    bits: [IDENTITY; EVAL_CORRECTION_DIMS],
-};
-
-static GRID_CORRECTION: EvalCorrection = EvalCorrection {
-    bits: [IDENTITY; EVAL_CORRECTION_DIMS],
-};
-
-/// The process-wide correction on the modeled device-stage eval cost.
-pub fn eval_correction() -> &'static EvalCorrection {
-    &EVAL_CORRECTION
-}
-
-/// The process-wide correction on the projected host grid-build rate.
-pub fn grid_correction() -> &'static EvalCorrection {
-    &GRID_CORRECTION
-}
-
-impl Default for EvalCorrection {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EvalCorrection {
-    /// A fresh identity correction (the global one is what calibration
-    /// reads; locals exist for tests and offline fits).
-    pub fn new() -> Self {
-        EvalCorrection {
-            bits: [IDENTITY; EVAL_CORRECTION_DIMS],
-        }
-    }
-
-    fn slot(dim: usize) -> usize {
-        dim.clamp(1, EVAL_CORRECTION_DIMS) - 1
-    }
-
-    /// Current multiplier applied to freshly calibrated `eval_cost`s for
-    /// `dim`-dimensional data.
-    pub fn factor(&self, dim: usize) -> f64 {
-        f64::from_bits(self.bits[Self::slot(dim)].load(Ordering::Relaxed))
-    }
-
-    /// Folds one (projected, measured) pair into the correction:
-    /// `factor ← factor · (measured/projected)^gain`, everything clamped.
-    /// Non-positive or non-finite inputs are ignored.
-    pub fn observe(&self, dim: usize, projected: Duration, measured: Duration) {
-        let (p, m) = (projected.as_secs_f64(), measured.as_secs_f64());
-        if !(p > 0.0 && m > 0.0 && p.is_finite() && m.is_finite()) {
-            return;
-        }
-        let ratio = (m / p).clamp(1.0 / EVAL_CORRECTION_CLAMP, EVAL_CORRECTION_CLAMP);
-        let step = ratio.powf(EVAL_CORRECTION_GAIN);
-        let bits = &self.bits[Self::slot(dim)];
-        let mut cur = bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) * step)
-                .clamp(1.0 / EVAL_CORRECTION_CLAMP, EVAL_CORRECTION_CLAMP)
-                .to_bits();
-            match bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Resets every dimension's correction to the identity (tests;
-    /// fresh hosts).
-    pub fn reset(&self) {
-        for b in &self.bits {
-            b.store(ONE_BITS, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The per-shard `GridIndex::build` costs roughly this multiple of the
-/// calibration pass's raw binning (sorting, masks, reordered snapshot).
-pub const GRID_BUILD_FACTOR: f64 = 3.0;
+use std::time::Duration;
 
 /// Safety factor applied to projected pair counts before they seed the
 /// batching scheme's buffer sizing (mirrors its own 1.25 estimator
@@ -198,75 +57,57 @@ pub fn bytes_per_point(dim: usize) -> usize {
     16 * dim + 28
 }
 
-/// Calibration of one (dataset, ε) pair: measured costs plus a stride
-/// sample with exact per-point neighbor statistics. All projections for
-/// every candidate shard count derive from this one pass.
+/// Calibration of one (dataset, ε) pair: per-point neighbor statistics of
+/// a stride sample. All projections for every candidate shard count
+/// derive from this one pass.
 #[derive(Clone, Debug)]
 pub struct CostModel {
     /// The search radius the model was calibrated for.
     pub epsilon: f64,
     /// Points in the calibrated dataset.
     pub len: usize,
-    /// Mean exact ε-neighbors per sampled point.
-    pub avg_neighbors: f64,
-    /// Mean candidate evaluations (3^d shell population) per sampled
-    /// point.
-    pub avg_candidates: f64,
-    /// Global ids of the stride sample, in sample order.
-    pub sample_ids: Vec<u32>,
     /// Exact ε-neighbor count per sample.
     pub sample_neighbors: Vec<u32>,
-    /// Candidate (shell) count per sample.
+    /// Candidate (3^d shell population) count per sample.
     pub sample_candidates: Vec<u32>,
+    /// Adjacent-cell coordinates per sample that lie inside the dataset's
+    /// bounding box (the 3^d shell after the grid's mask clip at the
+    /// data's edges).
+    pub sample_shells: Vec<u32>,
     /// The sample's coordinates — a dataset small enough to materialize
     /// every candidate shard count's cut tree over in microseconds.
     pub sample_data: Dataset,
-    /// Modeled device time per candidate evaluation.
-    pub eval_cost: Duration,
-    /// Modeled per-point cost of the shard's host grid build.
-    pub grid_build_per_point: Duration,
-    /// Non-empty counting-grid cells observed during binning.
-    pub non_empty_cells: usize,
-    /// Wall time of the calibration pass itself.
+    /// Modeled time of the calibration pass itself: the bytes its binning
+    /// and neighbor scan stream, priced at the host-core rate.
     pub build_time: Duration,
 }
 
-/// Calibrates a cost model for `data` at `epsilon` on a device described
-/// by `spec`: [`calibrate_from_sample`] over a one-lane [`sample_pass`].
-/// The engine's prelude calls [`calibrate_from_sample`] directly so the
-/// dataset is streamed once for partitioning and calibration together.
-pub fn calibrate(
-    data: &Dataset,
-    epsilon: f64,
-    spec: &DeviceSpec,
-) -> Result<CostModel, GridBuildError> {
-    calibrate_from_sample(&sample_pass(data, 1)?, epsilon, spec)
+/// Calibrates a cost model for `data` at `epsilon`: [`calibrate_from_sample`]
+/// over a one-lane [`sample_pass`]. The engine's prelude calls
+/// [`calibrate_from_sample`] directly so the dataset is streamed once for
+/// partitioning and calibration together.
+pub fn calibrate(data: &Dataset, epsilon: f64) -> Result<CostModel, GridBuildError> {
+    calibrate_from_sample(&sample_pass(data, 1)?, epsilon)
 }
 
 /// Calibrates from the partition prelude's [`SamplePass`] instead of
 /// re-reading the dataset: the binned sample is a stride of the sample
-/// pass's slots (timed binning → grid-build cost), then an exact
-/// 3^d-shell neighbor scan of a ≤512-point stride of the binned sample
-/// (timed → per-candidate evaluation cost). Calibration costs O(sample)
-/// after the one shared streaming read; [`CostModel::build_time`] covers
-/// only the work done here — the caller accounts the shared sample pass
-/// once.
-pub fn calibrate_from_sample(
-    sp: &SamplePass,
-    epsilon: f64,
-    spec: &DeviceSpec,
-) -> Result<CostModel, GridBuildError> {
-    let t0 = Instant::now();
+/// pass's slots, then an exact 3^d-shell neighbor scan of a ≤512-point
+/// stride of the binned sample counts each sample's neighbors, candidates
+/// and in-bounds shell cells. Calibration costs O(sample) after the one
+/// shared streaming read; [`CostModel::build_time`] prices only the work
+/// done here — the caller accounts the shared sample pass once.
+pub fn calibrate_from_sample(sp: &SamplePass, epsilon: f64) -> Result<CostModel, GridBuildError> {
     if !(epsilon.is_finite() && epsilon > 0.0) {
         return Err(GridBuildError::InvalidEpsilon(epsilon));
     }
     if sp.len == 0 {
-        return Ok(empty_model(epsilon, sp.dim, t0));
+        return Ok(empty_model(epsilon, sp.dim));
     }
     let dim = sp.dim;
+    let row = 8 * dim as u64;
     let slot_stride = sp.ids.len().div_ceil(BIN_SAMPLE_CAP).max(1);
     let slots: Vec<usize> = (0..sp.ids.len()).step_by(slot_stride).collect();
-    let gids: Vec<u32> = slots.iter().map(|&s| sp.ids[s]).collect();
     let mut rows = Vec::with_capacity(slots.len() * dim);
     for &s in &slots {
         for col in &sp.cols {
@@ -289,6 +130,13 @@ pub fn calibrate_from_sample(
             out[j] = ((p[j] - mins[j]) / epsilon).floor() as i64;
         }
     };
+    // The dataset's cell extent per dimension (the sample pass saw the
+    // full bounds): adjacent coordinates outside it are clipped by the
+    // grid's masks, so the hoisting pass never searches them.
+    let mut extent_lo = vec![0i64; dim];
+    let mut extent_hi = vec![0i64; dim];
+    cell_of(&sp.dmin, &mut extent_lo);
+    cell_of(&sp.dmax, &mut extent_hi);
     // FNV-style combination of the integer cell coordinates. A hash
     // collision merges two cells' candidate lists — harmless for the
     // neighbor counts (exact distance check) and a rounding error on the
@@ -301,40 +149,37 @@ pub fn calibrate_from_sample(
         k
     };
 
-    // Timed binning pass — the raw ingredient of the grid-build cost.
-    // Large datasets bin a stride sample (see [`BIN_SAMPLE_CAP`]); the
-    // sampled cell populations estimate true populations after inflation
-    // by the sampling ratio. Bins hold sample *slots* (row indices).
-    let binned = gids.len();
+    // Binning pass. Large datasets bin a stride sample (see
+    // [`BIN_SAMPLE_CAP`]); the sampled cell populations estimate true
+    // populations after inflation by the sampling ratio. Bins hold sample
+    // *slots* (row indices).
+    let binned = slots.len();
     let inflate = n as f64 / binned as f64;
-    let tb = Instant::now();
     let mut bins: HashMap<u64, Vec<u32>> = HashMap::with_capacity(binned / 2 + 16);
     let mut cbuf = vec![0i64; dim];
     for (slot, row) in rows.chunks_exact(dim).enumerate() {
         cell_of(row, &mut cbuf);
         bins.entry(key_of(&cbuf)).or_default().push(slot as u32);
     }
-    let bin_wall = tb.elapsed();
-    let non_empty_cells = bins.len();
-    let grid_build_per_point =
-        bin_wall.mul_f64(GRID_BUILD_FACTOR * grid_correction().factor(dim) / binned as f64);
+    // Gathering the rows (id + coordinates in, coordinates out), the
+    // minima pass, and the binning pass (coordinates in, a slot and a
+    // hashed key out).
+    let mut bytes =
+        binned as u64 * (4 + 2 * row) + binned as u64 * row + binned as u64 * (row + 12);
 
-    // Timed exact-neighbor scan of a stride sample: for each sample, the
-    // 3^d adjacent shell through the counting grid, exact distance tests
-    // for the neighbor count, shell population for the candidate count.
+    // Exact-neighbor scan of a stride sample: for each sample, the 3^d
+    // adjacent shell through the counting grid, exact distance tests for
+    // the neighbor count, shell population for the candidate count.
     // Counts observed on the sampled grid are inflated back to full-
     // density estimates.
     let sample_count = binned.min(512);
     let stride = (binned / sample_count).max(1);
     let eps_sq = epsilon * epsilon;
     let shells = 3usize.pow(dim as u32);
-    let mut sample_ids = Vec::with_capacity(sample_count);
     let mut sample_neighbors = Vec::with_capacity(sample_count);
     let mut sample_candidates = Vec::with_capacity(sample_count);
+    let mut sample_shells = Vec::with_capacity(sample_count);
     let mut sample_data = Dataset::new(dim);
-    let mut total_candidates = 0u64;
-    let mut total_neighbors = 0u64;
-    let te = Instant::now();
     let mut nbuf = vec![0i64; dim];
     let mut raw_candidates = 0u64;
     for s in 0..sample_count {
@@ -359,56 +204,45 @@ pub fn calibrate_from_sample(
                 }
             }
         }
+        let shell: u64 = (0..dim)
+            .map(|j| {
+                (cbuf[j] - 1..=cbuf[j] + 1)
+                    .filter(|c| (extent_lo[j]..=extent_hi[j]).contains(c))
+                    .count() as u64
+            })
+            .product();
         raw_candidates += cand;
         let cand = (cand as f64 * inflate).round() as u64;
         let nb = (nb as f64 * inflate).round() as u64;
-        total_candidates += cand;
-        total_neighbors += nb;
-        sample_ids.push(gids[slot]);
         sample_neighbors.push(nb.min(u32::MAX as u64) as u32);
         sample_candidates.push(cand.min(u32::MAX as u64) as u32);
+        sample_shells.push(shell as u32);
         sample_data.push(p);
     }
-    let eval_wall = te.elapsed();
-    // Per-evaluation cost from the *raw* (scanned) candidate count — the
-    // inflated counts estimate full-density work, not work done here.
-    // The audit-fed closed-loop correction rides on top of the static
-    // overhead constant (see [`eval_correction`]).
-    let host_per_eval = eval_wall.div_f64(raw_candidates.max(1) as f64);
-    let eval_cost = host_per_eval.mul_f64(
-        TRACED_EVAL_OVERHEAD * eval_correction().factor(dim) / spec.throughput_vs_host_core,
-    );
+    // The scan: each sample's row, one hashed probe per shell cell, and a
+    // slot plus a row per scanned candidate.
+    bytes += sample_count as u64 * (row + 16 * shells as u64) + raw_candidates * (4 + row);
 
     Ok(CostModel {
         epsilon,
         len: n,
-        avg_neighbors: total_neighbors as f64 / sample_count as f64,
-        avg_candidates: total_candidates as f64 / sample_count as f64,
-        sample_ids,
         sample_neighbors,
         sample_candidates,
+        sample_shells,
         sample_data,
-        eval_cost,
-        grid_build_per_point,
-        non_empty_cells,
-        build_time: t0.elapsed(),
+        build_time: host_core_time(bytes),
     })
 }
 
-fn empty_model(epsilon: f64, dim: usize, t0: Instant) -> CostModel {
+fn empty_model(epsilon: f64, dim: usize) -> CostModel {
     CostModel {
         epsilon,
         len: 0,
-        avg_neighbors: 0.0,
-        avg_candidates: 0.0,
-        sample_ids: Vec::new(),
         sample_neighbors: Vec::new(),
         sample_candidates: Vec::new(),
+        sample_shells: Vec::new(),
         sample_data: Dataset::new(dim),
-        eval_cost: Duration::ZERO,
-        grid_build_per_point: Duration::ZERO,
-        non_empty_cells: 0,
-        build_time: t0.elapsed(),
+        build_time: Duration::ZERO,
     }
 }
 
@@ -424,18 +258,19 @@ pub struct ShardCost {
     /// Projected directed result pairs over the full local dataset
     /// (safety factor included) — seeds the batching buffer sizing.
     pub predicted_pairs: u64,
-    /// Projected candidate evaluations of the shard's join scan (owned
-    /// and ghost queries both scan).
-    pub scan_work: f64,
     /// Projected H2D bytes of the shard upload (owned + ghosts).
     pub upload_bytes: usize,
     /// The ghost share of [`Self::upload_bytes`] — the replication tax.
     pub ghost_upload_bytes: usize,
-    /// Projected **host-stage** time: the shard's grid build, done on the
+    /// Projected **host-stage** time: the shard's grid build
+    /// ([`GridIndex::build_bytes`] at the host-core rate), done on the
     /// host by the device's executor task. In a queue, a shard's host
     /// stage overlaps the *previous* shard's device stage.
     pub grid_time: Duration,
-    /// Projected **device-stage** time: upload + join scan, modeled.
+    /// Projected **device-stage** time: upload, hoisting and join kernels
+    /// and result download, scheduled on the executor's stream timeline
+    /// (transfers priced by bytes, without the fixed per-transfer
+    /// latency).
     pub device_time: Duration,
     /// Total isolated time (`grid_time + device_time`) — the LPT
     /// scheduling weight.
@@ -443,15 +278,47 @@ pub struct ShardCost {
 }
 
 impl ShardCost {
-    /// Points in the shard-local dataset (owned + ghosts).
-    pub fn points(&self) -> usize {
-        self.owned + self.ghosts
-    }
-
     /// Scalar scheduling cost: modeled nanoseconds (≥ 1 so empty shards
     /// still round-robin instead of all piling onto device 0).
     pub fn cost(&self) -> u64 {
         (self.modeled.as_nanos() as u64).max(1)
+    }
+}
+
+/// Per-point calibration statistics averaged over the samples a shard
+/// owns: neighbors, candidates and in-bounds shell cells.
+#[derive(Clone, Copy, Debug)]
+struct Density {
+    neighbors: f64,
+    candidates: f64,
+    shell: f64,
+}
+
+impl Density {
+    /// Means over the given samples, or over every sample when fewer than
+    /// [`MIN_SAMPLES_PER_SHARD`] land in the shard.
+    fn of(model: &CostModel, samples: impl Iterator<Item = usize>) -> Self {
+        match Self::mean(model, samples) {
+            (cnt, density) if cnt >= MIN_SAMPLES_PER_SHARD => density,
+            _ => Self::mean(model, 0..model.sample_neighbors.len()).1,
+        }
+    }
+
+    fn mean(model: &CostModel, samples: impl Iterator<Item = usize>) -> (usize, Self) {
+        let (mut cnt, mut nb, mut cand, mut shell) = (0usize, 0.0, 0.0, 0.0);
+        for i in samples {
+            cnt += 1;
+            nb += model.sample_neighbors[i] as f64;
+            cand += model.sample_candidates[i] as f64;
+            shell += model.sample_shells[i] as f64;
+        }
+        let c = cnt.max(1) as f64;
+        let density = Self {
+            neighbors: nb / c,
+            candidates: cand / c,
+            shell: shell / c,
+        };
+        (cnt, density)
     }
 }
 
@@ -462,37 +329,19 @@ pub fn project_partition(
     model: &CostModel,
     part: &Partition,
     spec: &DeviceSpec,
-    unicomp: bool,
+    join: &SelfJoinConfig,
 ) -> Vec<ShardCost> {
-    let transfer = spec.transfer_model();
     part.shards
         .iter()
         .map(|s| {
-            let mut cnt = 0usize;
-            let mut nb = 0.0;
-            let mut cand = 0.0;
-            for (i, p) in model.sample_data.iter().enumerate() {
-                if s.owns(p) {
-                    cnt += 1;
-                    nb += model.sample_neighbors[i] as f64;
-                    cand += model.sample_candidates[i] as f64;
-                }
-            }
-            let (mu_n, mu_c) = if cnt >= MIN_SAMPLES_PER_SHARD {
-                (nb / cnt as f64, cand / cnt as f64)
-            } else {
-                (model.avg_neighbors, model.avg_candidates)
-            };
-            project_shard(
-                model,
-                s.id,
-                s.owned,
-                s.ghosts(),
-                mu_n,
-                mu_c,
-                unicomp,
-                &transfer,
-            )
+            let inside = model
+                .sample_data
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| s.owns(p))
+                .map(|(i, _)| i);
+            let density = Density::of(model, inside);
+            project_shard(model, s.id, s.owned, s.ghosts(), density, spec, join)
         })
         .collect()
 }
@@ -508,49 +357,36 @@ pub fn project_scaled(
     sample_part: &Partition,
     scale: f64,
     spec: &DeviceSpec,
-    unicomp: bool,
+    join: &SelfJoinConfig,
 ) -> Vec<ShardCost> {
-    let transfer = spec.transfer_model();
     sample_part
         .shards
         .iter()
         .map(|s| {
-            let mut nb = 0.0;
-            let mut cand = 0.0;
-            for &i in &s.global_ids[..s.owned] {
-                nb += model.sample_neighbors[i as usize] as f64;
-                cand += model.sample_candidates[i as usize] as f64;
-            }
-            let (mu_n, mu_c) = if s.owned >= MIN_SAMPLES_PER_SHARD {
-                (nb / s.owned as f64, cand / s.owned as f64)
-            } else {
-                (model.avg_neighbors, model.avg_candidates)
-            };
+            let owned_samples = s.global_ids[..s.owned].iter().map(|&i| i as usize);
+            let density = Density::of(model, owned_samples);
             let owned = (s.owned as f64 * scale).round() as usize;
             let ghosts = (s.ghosts() as f64 * scale).round() as usize;
-            project_shard(model, s.id, owned, ghosts, mu_n, mu_c, unicomp, &transfer)
+            project_shard(model, s.id, owned, ghosts, density, spec, join)
         })
         .collect()
 }
 
-/// Per-point cost of the materialize passes relative to the sample
-/// pass's streaming read: the classify pass walks the cut tree and
-/// band-tests every point, the gather re-streams and scatters rows —
-/// both heavier than a min/max scan. Pinned against measured
-/// materialize walls; the `shard_partition` audit tracks residual drift.
-pub const MATERIALIZE_PASS_FACTOR: f64 = 2.0;
-
-/// A single-shard "partition" is a whole-dataset clone: one sequential
-/// memcpy, cheaper per point than the streaming scan.
-pub const WHOLE_COPY_FACTOR: f64 = 0.5;
+/// Bytes [`project_scaled`] streams per sample point and candidate: each
+/// owned sample's id and its three calibration counts. The chooser
+/// charges this alongside each candidate's sample materialize.
+pub(crate) fn projection_bytes(model: &CostModel) -> u64 {
+    16 * model.sample_data.len() as u64
+}
 
 /// Models the cost of *making* a candidate partition, the term the
 /// shard-count chooser folds into its objective so the argmin stops
-/// pretending shards are free: the measured speculative cut-tree build
-/// plus the two chunked materialize passes (and the projected ghost
-/// tail) priced at the sample pass's measured per-point streaming rate,
-/// per lane. `ghosts_scaled` is the candidate's projected ghost-point
-/// total (from the scaled sample projection).
+/// pretending shards are free: the speculative cut-tree build plus the
+/// bytes the materialize passes would stream on their slowest lanes (the
+/// count [`crate::partition::materialize`] charges, with the ghosts spread
+/// evenly over the lanes), priced at the host-core rate. `ghosts_scaled` is the
+/// candidate's projected ghost-point total (from the scaled sample
+/// projection).
 pub fn modeled_partition_cost(
     sp: &SamplePass,
     cut_build: Duration,
@@ -558,41 +394,105 @@ pub fn modeled_partition_cost(
     lanes: usize,
     ghosts_scaled: f64,
 ) -> Duration {
-    if num_shards <= 1 {
-        return sp.per_point.mul_f64(sp.len as f64 * WHOLE_COPY_FACTOR);
-    }
-    let lanes = lanes.max(1) as f64;
-    let per_lane = (sp.len as f64 / lanes).ceil();
-    let pass_points = 2.0 * per_lane + ghosts_scaled.max(0.0) / lanes;
-    cut_build + sp.per_point.mul_f64(pass_points * MATERIALIZE_PASS_FACTOR)
+    let ghosts = ghosts_scaled.max(0.0).round() as usize;
+    let bytes = materialize_bytes(sp.len, sp.dim, num_shards, lanes, ghosts);
+    let cuts = if num_shards <= 1 {
+        Duration::ZERO
+    } else {
+        cut_build
+    };
+    cuts + host_core_time(bytes)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Predicted work counts of one shard, priced like executed work.
+///
+/// The counts follow the cell-major kernels' traced accesses (the default
+/// hot path; the per-thread ablation is priced the same way): a grid of
+/// `cells ≈ points / occupancy` non-empty cells, where the occupancy of a
+/// non-empty cell is the Poisson mean `λ / (1 − e^{−λ})` of the sampled
+/// shell population `λ = candidates / shell`. The hoisting pass searches
+/// `B` for every in-bounds shell coordinate of every cell (twice: count,
+/// then fill) and records the non-empty ones; the join kernel reads each
+/// query's slot, coordinates and neighbor-cell list, one coordinate row per
+/// scanned candidate, and an id plus stored pairs per hit.
 fn project_shard(
     model: &CostModel,
     shard: usize,
     owned: usize,
     ghosts: usize,
-    mu_neighbors: f64,
-    mu_candidates: f64,
-    unicomp: bool,
-    transfer: &TransferModel,
+    density: Density,
+    spec: &DeviceSpec,
+    join: &SelfJoinConfig,
 ) -> ShardCost {
     let dim = model.sample_data.dim();
+    let row = 8.0 * dim as f64;
     let local = owned + ghosts;
-    let predicted_pairs = (mu_neighbors * local as f64 * PAIR_SAFETY).ceil() as u64;
+    let n = local as f64;
+    let predicted_pairs = (density.neighbors * n * PAIR_SAFETY).ceil() as u64;
+    let unicomp = join.unicomp;
     let work_factor = if unicomp { UNICOMP_WORK_FACTOR } else { 1.0 };
-    let scan_work = local as f64 * mu_candidates * work_factor;
+    let scan_work = n * density.candidates * work_factor;
     let upload_bytes = local * bytes_per_point(dim);
     let ghost_upload_bytes = ghosts * bytes_per_point(dim);
-    let grid_time = model.grid_build_per_point.mul_f64(local as f64);
-    let device_time = transfer.time(upload_bytes) + model.eval_cost.mul_f64(scan_work);
+    let grid_time = host_core_time(GridIndex::build_bytes(local, dim));
+
+    // Grid shape: non-empty cells and how many of each cell's in-bounds
+    // shell coordinates hold points.
+    let shell = density.shell.max(1.0);
+    let lambda = (density.candidates / shell).max(1e-9);
+    let filled = 1.0 - (-lambda).exp();
+    let cells = (n * filled / lambda).clamp(n.min(1.0), n);
+    // UNICOMP visits the parity half of the shell (home cell excluded).
+    let visited = if unicomp { (shell - 1.0) / 2.0 } else { shell };
+    let listed = visited * filled;
+    let search = 8.0 * (cells.max(1.0).log2().ceil() + 2.0);
+    let hoist_bytes =
+        cells * (2.0 * (8.0 + dim as f64 * 40.0 + visited * search) + 16.0 + 16.0 * listed);
+    // Stored pairs are owned-keyed only (the ownership window).
+    let stored = density.neighbors * owned as f64;
+    let hits = if unicomp {
+        density.neighbors * n / 2.0
+    } else {
+        stored
+    };
+    let join_bytes =
+        n * (row + 24.0 + 12.0 * listed + 8.0) + scan_work * row + hits * 4.0 + stored * 8.5;
+
+    // The device stage on the executor's stream timeline: the snapshot
+    // upload, the hoisting pass (CSR upload, count/fill records back) and
+    // the join batches with their result downloads. Transfers are priced
+    // by their bytes alone: the fixed per-transfer PCIe latency (a few
+    // transfers per shard, the same for every shard) carries no
+    // information about the shard's work and is left out.
+    let batches = join.batching.min_batches.clamp(1, local.max(1));
+    let cell_records = 8.0 * (cells + cells * listed);
+    let mut stages = vec![
+        BatchCost {
+            h2d_bytes: upload_bytes,
+            kernel: Duration::ZERO,
+            d2h_bytes: 0,
+        },
+        BatchCost {
+            h2d_bytes: (4.0 * (n + cells + cells * listed)) as usize,
+            kernel: spec.kernel_time(hoist_bytes as u64),
+            d2h_bytes: cell_records as usize,
+        },
+    ];
+    let per_batch = BatchCost {
+        h2d_bytes: 0,
+        kernel: spec.kernel_time((join_bytes / batches as f64) as u64),
+        d2h_bytes: (stored * 8.0 / batches as f64) as usize,
+    };
+    stages.extend(std::iter::repeat_n(per_batch, batches));
+    let bandwidth = TransferModel::new(spec.pcie_gib_per_s, 0.0);
+    let device_time = StreamTimeline::new(bandwidth, join.batching.streams.max(1))
+        .schedule(&stages)
+        .total;
     ShardCost {
         shard,
         owned,
         ghosts,
         predicted_pairs,
-        scan_work,
         upload_bytes,
         ghost_upload_bytes,
         grid_time,
@@ -605,17 +505,20 @@ fn project_shard(
 mod tests {
     use super::*;
     use crate::partition::{build_cuts, materialize, partition_par};
-    use grid_join::GridIndex;
     use sj_datasets::synthetic::{clustered, uniform};
+
+    fn join() -> SelfJoinConfig {
+        SelfJoinConfig::default()
+    }
 
     #[test]
     fn projection_close_to_truth_on_uniform_data() {
         let data = uniform(2, 4000, 22);
         let eps = 3.0;
         let spec = DeviceSpec::titan_x_pascal();
-        let model = calibrate(&data, eps, &spec).unwrap();
+        let model = calibrate(&data, eps).unwrap();
         let part = partition_par(&data, eps, 2, 1).unwrap();
-        let costs = project_partition(&model, &part, &spec, true);
+        let costs = project_partition(&model, &part, &spec, &join());
         for (c, s) in costs.iter().zip(&part.shards) {
             let grid = GridIndex::build(&s.data, eps).unwrap();
             let truth = grid_join::host_self_join(&s.data, &grid).total_pairs() as f64;
@@ -641,9 +544,9 @@ mod tests {
         let data = clustered(2, 3000, 3, 1.0, 0.04, 21);
         let eps = 0.4;
         let spec = DeviceSpec::titan_x_pascal();
-        let model = calibrate(&data, eps, &spec).unwrap();
+        let model = calibrate(&data, eps).unwrap();
         let part = partition_par(&data, eps, 3, 1).unwrap();
-        let costs = project_partition(&model, &part, &spec, true);
+        let costs = project_partition(&model, &part, &spec, &join());
         assert_eq!(costs.len(), part.shards.len());
         // Density shows up in the device stage (the join scan); the host
         // grid build scales with point count and is balanced here by
@@ -662,9 +565,9 @@ mod tests {
         let data = uniform(2, 3000, 23);
         let eps = 2.0;
         let spec = DeviceSpec::titan_x_pascal();
-        let model = calibrate(&data, eps, &spec).unwrap();
+        let model = calibrate(&data, eps).unwrap();
         let part = partition_par(&data, eps, 4, 1).unwrap();
-        let costs = project_partition(&model, &part, &spec, true);
+        let costs = project_partition(&model, &part, &spec, &join());
         assert!(part.ghost_points() > 0, "4 shards must replicate");
         for (c, s) in costs.iter().zip(&part.shards) {
             assert_eq!(c.ghost_upload_bytes, s.ghosts() * bytes_per_point(2));
@@ -682,13 +585,18 @@ mod tests {
         let eps = 1.5;
         let spec = DeviceSpec::titan_x_pascal();
         let sp = sample_pass(&data, 1).unwrap();
-        let model = calibrate_from_sample(&sp, eps, &spec).unwrap();
+        let model = calibrate_from_sample(&sp, eps).unwrap();
         let scale = data.len() as f64 / model.sample_data.len() as f64;
         let tree = build_cuts(&sp, eps, 4, 1).unwrap();
         let sample_part = materialize(&model.sample_data, &tree, 1).unwrap();
         assert_eq!(sample_part.shards.len(), 4);
-        let scaled = project_scaled(&model, &sample_part, scale, &spec, true);
-        let full = project_partition(&model, &materialize(&data, &tree, 1).unwrap(), &spec, true);
+        let scaled = project_scaled(&model, &sample_part, scale, &spec, &join());
+        let full = project_partition(
+            &model,
+            &materialize(&data, &tree, 1).unwrap(),
+            &spec,
+            &join(),
+        );
         let sum = |cs: &[ShardCost]| cs.iter().map(|c| c.modeled).sum::<Duration>();
         let (a, b) = (sum(&scaled).as_secs_f64(), sum(&full).as_secs_f64());
         assert!(
@@ -699,24 +607,22 @@ mod tests {
 
     #[test]
     fn empty_dataset_calibrates_to_zero() {
-        let spec = DeviceSpec::titan_x_pascal();
-        let model = calibrate(&Dataset::new(2), 1.0, &spec).unwrap();
+        let model = calibrate(&Dataset::new(2), 1.0).unwrap();
         assert_eq!(model.len, 0);
-        assert_eq!(model.avg_neighbors, 0.0);
-        assert_eq!(model.eval_cost, Duration::ZERO);
+        assert!(model.sample_neighbors.is_empty());
+        assert_eq!(model.build_time, Duration::ZERO);
     }
 
     #[test]
     fn invalid_epsilon_rejected() {
-        let spec = DeviceSpec::titan_x_pascal();
         let data = uniform(2, 10, 25);
         assert!(matches!(
-            calibrate(&data, -1.0, &spec),
+            calibrate(&data, -1.0),
             Err(GridBuildError::InvalidEpsilon(_))
         ));
         let sp = sample_pass(&data, 1).unwrap();
         assert!(matches!(
-            calibrate_from_sample(&sp, f64::NAN, &spec),
+            calibrate_from_sample(&sp, f64::NAN),
             Err(GridBuildError::InvalidEpsilon(_))
         ));
     }
@@ -724,71 +630,51 @@ mod tests {
     #[test]
     fn fused_calibration_is_lane_invariant() {
         // The sample pass strides by global id, so every lane count hands
-        // calibration the identical point set: every derived statistic
-        // must equal the one-lane `calibrate`'s exactly; only the timed
-        // costs may differ.
-        let spec = DeviceSpec::titan_x_pascal();
+        // calibration the identical point set: every derived statistic —
+        // and the priced calibration cost — must equal the one-lane
+        // `calibrate`'s exactly.
         for (data, eps) in [
             (uniform(2, 5000, 27), 1.5),
             (clustered(3, 3000, 4, 2.0, 0.1, 26), 0.5),
         ] {
-            let base = calibrate(&data, eps, &spec).unwrap();
+            let base = calibrate(&data, eps).unwrap();
             for lanes in [2, 4, 5, 16] {
-                let m =
-                    calibrate_from_sample(&sample_pass(&data, lanes).unwrap(), eps, &spec).unwrap();
+                let m = calibrate_from_sample(&sample_pass(&data, lanes).unwrap(), eps).unwrap();
                 assert_eq!(m.len, base.len, "lanes = {lanes}");
-                assert_eq!(m.sample_ids, base.sample_ids, "lanes = {lanes}");
                 assert_eq!(m.sample_neighbors, base.sample_neighbors);
                 assert_eq!(m.sample_candidates, base.sample_candidates);
-                assert_eq!(m.avg_neighbors, base.avg_neighbors);
-                assert_eq!(m.avg_candidates, base.avg_candidates);
-                assert_eq!(m.non_empty_cells, base.non_empty_cells);
+                assert_eq!(m.sample_shells, base.sample_shells);
                 assert_eq!(m.sample_data.coords(), base.sample_data.coords());
+                assert_eq!(m.build_time, base.build_time);
             }
         }
     }
 
     #[test]
-    fn correction_converges_geometrically() {
-        // A local instance (the global one is shared with concurrently
-        // running engine tests). The correction lives in a feedback
-        // loop: each projection already embeds the current factor, so
-        // emulate that — a raw 4× under-projection must walk the factor
-        // to ≈4 (the loop's fixed point), and reset restores 1.
-        let c = EvalCorrection::new();
-        assert_eq!(c.factor(2), 1.0);
-        let raw = Duration::from_millis(25);
-        let measured = Duration::from_millis(100);
-        for _ in 0..12 {
-            c.observe(2, raw.mul_f64(c.factor(2)), measured);
+    fn partition_cost_prices_what_materialize_charges() {
+        // The chooser's partition-cost model and the executed materialize
+        // share one byte count; with the real ghost count and one lane
+        // they agree exactly, so the `shard_partition` audit measures
+        // only ghost-count and lane-balance prediction error.
+        let data = uniform(2, 6000, 28);
+        let eps = 1.2;
+        let sp = sample_pass(&data, 1).unwrap();
+        for k in [1, 4, 8] {
+            let tree = build_cuts(&sp, eps, k, 1).unwrap();
+            let part = materialize(&data, &tree, 1).unwrap();
+            let projected = modeled_partition_cost(
+                &sp,
+                tree.build_time,
+                tree.num_leaves(),
+                1,
+                part.ghost_points() as f64,
+            );
+            let cuts = if tree.num_leaves() > 1 {
+                tree.build_time
+            } else {
+                Duration::ZERO
+            };
+            assert_eq!(projected, cuts + part.build_time, "k = {k}");
         }
-        assert!((c.factor(2) - 4.0).abs() < 0.1, "factor {}", c.factor(2));
-        // Slots are independent: 6-D never observed anything.
-        assert_eq!(c.factor(6), 1.0);
-        let settled = c.factor(2);
-        c.observe(2, Duration::ZERO, Duration::from_millis(1)); // ignored
-        assert_eq!(c.factor(2), settled);
-        c.reset();
-        assert_eq!(c.factor(2), 1.0);
-    }
-
-    #[test]
-    fn correction_is_clamped() {
-        let c = EvalCorrection::new();
-        for _ in 0..64 {
-            c.observe(3, Duration::from_nanos(1), Duration::from_secs(10));
-        }
-        assert_eq!(c.factor(3), EVAL_CORRECTION_CLAMP);
-        for _ in 0..128 {
-            c.observe(3, Duration::from_secs(10), Duration::from_nanos(1));
-        }
-        assert_eq!(c.factor(3), 1.0 / EVAL_CORRECTION_CLAMP);
-        // Out-of-range dims share the clamped end slots rather than
-        // panicking.
-        assert_eq!(c.factor(0), 1.0);
-        assert_eq!(c.factor(64), 1.0);
-        c.observe(64, Duration::from_nanos(1), Duration::from_secs(10));
-        assert!(c.factor(64) > 1.0);
-        assert_eq!(c.factor(64), c.factor(EVAL_CORRECTION_DIMS));
     }
 }

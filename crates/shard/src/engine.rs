@@ -39,7 +39,7 @@
 //! would execute. Each candidate's sample shards are cost-projected
 //! ghost-inclusive ([`crate::cost::project_scaled`]) and LPT-scheduled,
 //! and the modeled device makespan is summed with the candidate's
-//! measured cut-tree build, its modeled materialize cost
+//! cut-tree build, its modeled materialize cost
 //! ([`crate::cost::modeled_partition_cost`]) and the calibration cost.
 //! The candidate with the smallest modeled *response* wins, exact ties
 //! breaking toward fewer shards
@@ -47,11 +47,11 @@
 //! *used* when the ghost-plus-build tax is worth it. An explicit
 //! [`ShardedConfig::num_shards`] bypasses the chooser.
 //!
-//! The chooser's absolute projections are kept honest by a closed loop:
-//! every run feeds its (projected, measured) stream-makespan pair to the
-//! cost-model audit and to [`crate::cost::eval_correction`], which
-//! multiplies subsequent calibrations' `eval_cost` so the projection
-//! error stays inside the audited band instead of re-diverging.
+//! Every run records its (projected, measured) stream-makespan pair with
+//! the cost-model audit. Both sides are priced by the same functions from
+//! counts — predicted for the projection, counted for the run — so the
+//! audited error is count-prediction error (the projection also leaves
+//! out the fixed per-transfer PCIe latency).
 //!
 //! ## Ownership fusion
 //!
@@ -69,22 +69,21 @@
 //!
 //! ## Timing model
 //!
-//! Every simulated device executes its kernels on the *host's* cores, and
-//! the device time model (`DeviceSpec::throughput_vs_host_core`) converts
-//! a launch's aggregate host work into modeled device time assuming the
-//! launch had the full host to itself. Running two simulated devices'
-//! kernels simultaneously would violate that assumption and double-count
-//! host throughput, so the executor serializes *kernel execution* across
-//! device tasks with a substrate lock (remapping and merging still
-//! overlap). Cross-device concurrency is then modeled exactly the way the
-//! batching scheme models transfer overlap: each device's modeled busy
-//! time accumulates independently, and the engine's modeled response time
-//! takes the **maximum** over devices — the busiest device bounds
-//! completion, just as a real multi-GPU driver would observe.
+//! Every modeled duration is priced from counts, never from a host clock:
+//! kernels from their traced bytes (`DeviceSpec::kernel_time`), host
+//! stages — the prelude's passes, calibration, the chooser loop and each
+//! shard's grid build — from the bytes they stream at the host-core rate
+//! (`sim_gpu::host_core_time`). The simulated devices therefore execute
+//! concurrently on the host's cores without disturbing each other's
+//! modeled time. Each device's modeled stream accumulates independently,
+//! and the engine's modeled response time takes the **maximum** over
+//! devices — the busiest device bounds completion, just as a real
+//! multi-GPU driver would observe. The same seed gives the same modeled
+//! report on any host, at any load.
 
 use crate::cost::{
-    calibrate_from_sample, eval_correction, grid_correction, modeled_partition_cost,
-    project_partition, project_scaled, CostModel, ShardCost,
+    calibrate_from_sample, modeled_partition_cost, project_partition, project_scaled,
+    projection_bytes, CostModel, ShardCost,
 };
 use crate::partition::{build_cuts, materialize, partition_par, CutTree, Partition, SamplePass};
 use crate::schedule::{argmin_shard_count, lpt_schedule, modeled_makespan, Assignment};
@@ -94,16 +93,17 @@ use grid_join::{
 };
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use sim_gpu::{DevicePool, DeviceTally, PoolProfiler};
+use sim_gpu::{host_core_time, DevicePool, DeviceTally, PoolProfiler};
 use sj_datasets::Dataset;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Chooser verdict: the winning shard count, its projected partition
-/// build cost (for the `shard_partition` audit), and the full
-/// `(candidate, modeled response)` table for the report.
-type ChosenShards = (usize, Duration, Vec<(usize, Duration)>);
+/// build cost (for the `shard_partition` audit), the modeled time of the
+/// pricing loop itself, and the full `(candidate, modeled response)`
+/// table for the report.
+type ChosenShards = (usize, Duration, Duration, Vec<(usize, Duration)>);
 
 /// Upper bound on re-execution rounds after device faults: each round
 /// re-runs every still-failed shard on the least-loaded surviving device,
@@ -186,27 +186,32 @@ pub struct ShardedReport {
     /// `(shard count, modeled response objective)` for every candidate
     /// the chooser priced (empty when `num_shards` was explicit). The
     /// objective is the candidate's LPT device makespan plus its
-    /// partition build cost (measured cut tree + modeled materialize)
-    /// plus the calibration cost — see the module docs.
+    /// partition build cost (cut tree + materialize, both priced from
+    /// streamed bytes) plus the calibration cost — see the module docs.
     pub candidate_makespans: Vec<(usize, Duration)>,
     /// Total halo ghost points (replication overhead).
     pub ghost_points: usize,
-    /// Modeled time of the fused bounds/sample streaming pass (slowest
-    /// of the per-device lanes) — shared by partitioning and
-    /// calibration.
+    /// Modeled time of the fused bounds/sample streaming pass (the bytes
+    /// its slowest per-device lane streams, at the host-core rate) —
+    /// shared by partitioning and calibration.
     pub sample_time: Duration,
-    /// Wall time of the cost-model calibration, *excluding* the shared
-    /// sample pass.
+    /// Modeled time of the cost-model calibration (the bytes its binning
+    /// and neighbor scan stream, at the host-core rate), *excluding* the
+    /// shared sample pass.
     pub calibrate_time: Duration,
-    /// Modeled time of the speculative candidate cut-tree builds
-    /// (lane-budgeted critical path, summed over candidates) that run
-    /// overlapped with calibration when ≥ 2 devices are present.
+    /// Modeled time of the speculative candidate cut-tree builds (each
+    /// tree's lane-budgeted critical path of streamed bytes, summed over
+    /// candidates) that run overlapped with calibration when ≥ 2 devices
+    /// are present.
     pub cut_time: Duration,
-    /// Wall time of the shard-count chooser's pricing loop.
+    /// Modeled time of the shard-count chooser's pricing loop: each
+    /// candidate's materialize over the calibration sample plus its
+    /// projection pass, priced from streamed bytes (zero when
+    /// `num_shards` was explicit).
     pub choose_time: Duration,
-    /// Modeled time of the chosen partition's build: the sample pass,
-    /// its cut tree and the chunked materialize passes, one lane per
-    /// device (see `sj_shard::partition`).
+    /// Modeled time of the chosen partition's build, priced from streamed
+    /// bytes: the sample pass, its cut tree and the chunked materialize
+    /// passes, one lane per device (see `sj_shard::partition`).
     pub partition_time: Duration,
     /// Modeled end-to-end prelude ahead of the device streams: sample
     /// pass + (calibration overlapped with the cut builds) + chooser +
@@ -217,10 +222,13 @@ pub struct ShardedReport {
     /// executed partition (what the cost-model audit compares against
     /// [`Self::measured_stream`]).
     pub projected_stream: Duration,
-    /// Measured busiest device stream of the run.
+    /// The executed run's busiest device stream, priced from its counted
+    /// bytes — the outcome the audit compares the projection with.
     pub measured_stream: Duration,
     /// Wall time of the per-shard host index builds (summed across
-    /// device tasks; they overlap in wall time).
+    /// device tasks; they overlap in wall time). The modeled streams
+    /// charge each build its streamed bytes instead
+    /// (`GridIndex::build_bytes`).
     pub index_build_time: Duration,
     /// Wall time of the parallel execution phase.
     pub execute_time: Duration,
@@ -231,10 +239,11 @@ pub struct ShardedReport {
     pub total: Duration,
     /// Modeled multi-device response time: the parallel prelude
     /// ([`Self::prelude_time`]) plus the busiest device stream
-    /// (per-shard grid build + pipelined join timeline; devices run
-    /// concurrently so the maximum bounds completion). Matches the
-    /// single-device `JoinReport::modeled_total` convention, which
-    /// likewise excludes host-side table/merge construction.
+    /// (per-shard priced grid build + pipelined join timeline; devices
+    /// run concurrently so the maximum bounds completion). A pure
+    /// function of the data, ε, the configuration and the device spec.
+    /// Matches the single-device `JoinReport::modeled_total` convention,
+    /// which likewise excludes host-side table/merge construction.
     pub modeled_total: Duration,
     /// Duplicate pairs the merge found in the global table (counted, not
     /// removed, in every build). Exclusive pair ownership makes this 0.
@@ -351,12 +360,12 @@ impl ShardedSelfJoin {
     /// Prices every candidate shard count by materializing its own
     /// speculative cut tree over the calibration sample — modeled device
     /// makespan *plus* the cost of making the partition
-    /// (the candidate's measured speculative cut-tree build, its modeled
+    /// (the candidate's speculative cut-tree build, its modeled
     /// materialize passes, and the calibration) — and returns the
     /// modeled-response argmin (exact ties break toward fewer shards via
     /// [`argmin_shard_count`]), the winner's projected partition build
-    /// cost (for the `shard_partition` audit) and the full candidate
-    /// table for the report.
+    /// cost (for the `shard_partition` audit), the loop's own modeled
+    /// time and the full candidate table for the report.
     fn choose_shard_count(
         &self,
         model: &CostModel,
@@ -365,14 +374,15 @@ impl ShardedSelfJoin {
         ndev: usize,
     ) -> Result<ChosenShards, SelfJoinError> {
         let spec = self.pool.device(0).spec();
-        let unicomp = self.config.join.unicomp;
         let scale = model.len as f64 / model.sample_data.len().max(1) as f64;
         let mut table = Vec::new();
         let mut build_costs = Vec::new();
+        let mut choose_time = Duration::ZERO;
         for (k, tree) in trees {
             let k = *k;
             let sample_part = materialize(&model.sample_data, tree, 1)?;
-            let costs = project_scaled(model, &sample_part, scale, spec, unicomp);
+            choose_time += sample_part.build_time + host_core_time(projection_bytes(model));
+            let costs = project_scaled(model, &sample_part, scale, spec, &self.config.join);
             let assign = lpt_schedule(&costs.iter().map(ShardCost::cost).collect::<Vec<_>>(), ndev);
             let stages: Vec<(Duration, Duration)> =
                 costs.iter().map(|c| (c.grid_time, c.device_time)).collect();
@@ -388,7 +398,7 @@ impl ShardedSelfJoin {
             .find(|&&(k, _)| k == chosen)
             .map(|&(_, b)| b)
             .unwrap_or(Duration::ZERO);
-        Ok((chosen, chosen_build, table))
+        Ok((chosen, chosen_build, choose_time, table))
     }
 
     /// Runs the sharded self-join: all ordered pairs `(p, q)`, `p ≠ q`,
@@ -417,7 +427,7 @@ impl ShardedSelfJoin {
         // dataset yields the kd recursion's stride sample *and* the
         // calibration's binned sample (one lane per device).
         let sp = crate::partition::sample_pass(data, ndev)?;
-        let sample_time = sp.wall;
+        let sample_time = sp.modeled;
 
         // Stage 2, overlapped: the ghost-aware cost model calibrates
         // from the shared sample while the candidate cut trees build
@@ -427,7 +437,7 @@ impl ShardedSelfJoin {
         // two sides instead of their sum.
         let model = {
             let _cspan = sj_obs::Span::enter("shard.calibrate");
-            calibrate_from_sample(&sp, epsilon, spec)?
+            calibrate_from_sample(&sp, epsilon)?
         };
         let calibrate_time = model.build_time;
 
@@ -451,16 +461,15 @@ impl ShardedSelfJoin {
             calibrate_time + cut_time
         };
 
-        let tc = Instant::now();
         let mut chspan = sj_obs::Span::enter("shard.choose");
-        let (num_shards, projected_build, candidate_makespans) = match self.config.num_shards {
-            Some(k) => (k.max(1), Duration::ZERO, Vec::new()),
-            None => self.choose_shard_count(&model, &sp, &trees, ndev)?,
-        };
+        let (num_shards, projected_build, choose_time, candidate_makespans) =
+            match self.config.num_shards {
+                Some(k) => (k.max(1), Duration::ZERO, Duration::ZERO, Vec::new()),
+                None => self.choose_shard_count(&model, &sp, &trees, ndev)?,
+            };
         chspan.label("chosen", num_shards);
         chspan.label("candidates", candidate_makespans.len());
         drop(chspan);
-        let choose_time = tc.elapsed();
 
         // Stage 3: materialize only the winning tree against the full
         // dataset — the chunked passes are charged at their per-lane
@@ -489,7 +498,7 @@ impl ShardedSelfJoin {
             );
         }
         let prelude_time = sample_time + overlap_time + choose_time + materialize_time;
-        let costs = project_partition(&model, &part, spec, self.config.join.unicomp);
+        let costs = project_partition(&model, &part, spec, &self.config.join);
 
         let assignment: Assignment = {
             let mut sspan = sj_obs::Span::enter("shard.schedule");
@@ -508,8 +517,7 @@ impl ShardedSelfJoin {
         // Parallel execution: one rayon task per device drains its queue
         // — building each shard's grid, then running the subplan — and
         // streams globally-remapped pairs into the shared merge
-        // accumulator. The substrate lock serializes kernel execution
-        // across devices (see module docs).
+        // accumulator. Devices run concurrently (see module docs).
         let t2 = Instant::now();
         let profiler = PoolProfiler::new(ndev);
         let merged: Mutex<Vec<Pair>> = Mutex::new(Vec::new());
@@ -517,7 +525,6 @@ impl ShardedSelfJoin {
             Mutex::new(vec![None; part.shards.len()]);
         let index_build: Mutex<Duration> = Mutex::new(Duration::ZERO);
         let streams: Mutex<Vec<Duration>> = Mutex::new(vec![Duration::ZERO; ndev]);
-        let substrate = Mutex::new(());
         let device_faults = AtomicU64::new(0);
         let failed_shards: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         let last_fault: Mutex<Option<SelfJoinError>> = Mutex::new(None);
@@ -530,7 +537,7 @@ impl ShardedSelfJoin {
         // the primary per-device pass and the fault re-execution rounds;
         // pairs reach the merge only on success, so a failed attempt
         // contributes nothing and a re-run can never duplicate. Returns
-        // `(grid_build, device modeled time)`.
+        // `(modeled grid build, device modeled time)`.
         let run_shard = |d: usize, s: usize| -> Result<(Duration, Duration), SelfJoinError> {
             let shard = &part.shards[s];
             let mut shspan = sj_obs::Span::enter("shard.shard");
@@ -546,8 +553,9 @@ impl ShardedSelfJoin {
             // geometry; index at its ε.
             let tg = Instant::now();
             let grid = GridIndex::build(&shard.data, part.epsilon)?;
-            let grid_build = tg.elapsed();
-            *index_build.lock() += grid_build;
+            *index_build.lock() += tg.elapsed();
+            let grid_build =
+                host_core_time(GridIndex::build_bytes(shard.data.len(), shard.data.dim()));
             // The shard's host grid build occupies the stream
             // before the device pipeline starts.
             if !shard_cursor.is_nan() {
@@ -561,10 +569,7 @@ impl ShardedSelfJoin {
             let subplan = self
                 .subplan(&shard.data, &grid, costs[s].predicted_pairs)
                 .owned_prefix(shard.owned);
-            let out = {
-                let _kernels = substrate.lock();
-                execute(&subplan, Backend::Device(self.pool.device(d)))?
-            };
+            let out = execute(&subplan, Backend::Device(self.pool.device(d)))?;
             let mut pairs = out.pairs;
             remap_pairs(&mut pairs, &shard.global_ids);
             let h2d = out.report.index_bytes + shard.data.len() * shard.data.dim() * 8;
@@ -752,22 +757,6 @@ impl ShardedSelfJoin {
             projected_makespan.as_secs_f64(),
             stream_makespan.as_secs_f64(),
         );
-        // Component-wise closed loops keep the next calibration inside
-        // the audited band: the host-stage (grid build) projection is
-        // steered by the measured per-shard index-build walls, the
-        // device-stage projection by the modeled upload+kernel busy
-        // time the executed batches reported. Each knob gets its own
-        // measurement — a makespan-level loop on the eval knob alone
-        // cannot fix a drifting grid projection (it would pin the eval
-        // factor at its clamp and leave the aggregate error standing).
-        let projected_grid: Duration = costs.iter().map(|c| c.grid_time).sum();
-        let projected_device: Duration = costs.iter().map(|c| c.device_time).sum();
-        let measured_device: Duration = shards
-            .iter()
-            .map(|s| s.modeled_upload + s.modeled_kernel)
-            .sum();
-        grid_correction().observe(data.dim(), projected_grid, index_build_time);
-        eval_correction().observe(data.dim(), projected_device, measured_device);
         // Balance/replication gauges: busiest stream over mean busy
         // stream (1.0 = perfectly balanced), and halo replication as a
         // fraction of owned points.
@@ -1025,31 +1014,17 @@ mod tests {
 
     #[test]
     fn chooser_projection_converges_within_band() {
-        // The audit-recalibration acceptance bar: with the re-pinned
-        // TRACED_EVAL_OVERHEAD and the closed-loop correction fed by
-        // each run, the projected stream makespan must settle within
-        // ±50% of the measured one (the audit's histogram used to sit
-        // at its +800% clamp). The correction is process-global and
-        // other tests observe into it concurrently, so assert on the
-        // median of the last few runs rather than a single sample.
+        // The audit acceptance bar: the projected stream makespan lies
+        // within ±50% of the measured one (the audit's histogram used to
+        // sit at its +800% clamp). Both sides are priced from counts, so
+        // one run is the whole story.
         let data = uniform(2, 6000, 45);
-        let eps = 2.0;
-        let engine = ShardedSelfJoin::titan_x(4);
-        let mut errs = Vec::new();
-        for _ in 0..8 {
-            let out = engine.run(&data, eps).unwrap();
-            let p = out.report.projected_stream.as_secs_f64();
-            let m = out.report.measured_stream.as_secs_f64();
-            assert!(m > 0.0 && p > 0.0);
-            errs.push((p - m) / m);
-        }
-        let mut tail: Vec<f64> = errs[errs.len() - 4..].to_vec();
-        tail.sort_by(f64::total_cmp);
-        let median = (tail[1] + tail[2]) / 2.0;
-        assert!(
-            median.abs() <= 0.5,
-            "post-recalibration relative error {median:+.2} outside ±50% (runs: {errs:?})"
-        );
+        let out = ShardedSelfJoin::titan_x(4).run(&data, 2.0).unwrap();
+        let p = out.report.projected_stream.as_secs_f64();
+        let m = out.report.measured_stream.as_secs_f64();
+        assert!(m > 0.0 && p > 0.0);
+        let err = (p - m) / m;
+        assert!(err.abs() <= 0.5, "relative error {err:+.2} outside ±50%");
     }
 
     #[test]

@@ -74,8 +74,7 @@ pub mod partition;
 pub mod schedule;
 
 pub use cost::{
-    calibrate, calibrate_from_sample, eval_correction, grid_correction, project_partition,
-    project_scaled, CostModel, EvalCorrection, ShardCost,
+    calibrate, calibrate_from_sample, project_partition, project_scaled, CostModel, ShardCost,
 };
 pub use engine::{ShardRunReport, ShardedConfig, ShardedOutput, ShardedReport, ShardedSelfJoin};
 pub use partition::{build_cuts, materialize, sample_pass, CutTree, Partition, SamplePass, Shard};

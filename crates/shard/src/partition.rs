@@ -43,14 +43,18 @@
 //! [`partition_par`] composes the three stages; [`Partition::build_time`]
 //! charges the sample pass's slowest lane, the recursion's critical path
 //! and the slowest lane of each materialize pass — the same host-parallel
-//! convention the engine applies to its per-device streams. Because the
-//! sample's points are real points, a cut that leaves sample points on
-//! both sides leaves real points on both sides — every leaf owns at least
-//! one point by construction.
+//! convention the engine applies to its per-device streams. Every charge
+//! is modeled, not measured: a lane's (or a region's) charge is the bytes
+//! it streams, priced at the host-core rate
+//! ([`sim_gpu::host_core_time`]), so the same data and ε always cost the
+//! same. Because the sample's points are real points, a cut that leaves
+//! sample points on both sides leaves real points on both sides — every
+//! leaf owns at least one point by construction.
 
 use grid_join::error::GridBuildError;
+use sim_gpu::host_core_time;
 use sj_datasets::Dataset;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Relative widening of the ε halo band guarding against floating-point
 /// rounding at cell boundaries (see crate docs, invariant 1).
@@ -115,11 +119,12 @@ pub struct Partition {
     /// when the cut tree was sampled from the partitioned data — see
     /// [`materialize`] for a tree applied to other points.
     pub shards: Vec<Shard>,
-    /// Modeled build time. From [`partition_par`]: the sample pass's
-    /// slowest lane + the recursion's lane-budgeted critical path + the
-    /// slowest lane of each chunked materialize pass. From
-    /// [`materialize`]: the materialize passes only (the caller owns the
-    /// sample and recursion stages and their accounting).
+    /// Modeled build time, priced from streamed bytes. From
+    /// [`partition_par`]: the sample pass's slowest lane + the recursion's
+    /// lane-budgeted critical path + the slowest lane of each chunked
+    /// materialize pass. From [`materialize`]: the materialize passes only
+    /// (the caller owns the sample and recursion stages and their
+    /// accounting).
     pub build_time: Duration,
 }
 
@@ -171,12 +176,9 @@ pub struct SamplePass {
     /// Sample coordinates, column-major: `cols[j][slot]` is dimension `j`
     /// of sample `slot` (the point with global id `ids[slot]`).
     pub cols: Vec<Vec<f64>>,
-    /// Modeled pass time: the slowest of the per-lane chunk walls.
-    pub wall: Duration,
-    /// Measured streaming cost per point of the slowest lane — the
-    /// engine's unit price for modeling the materialize passes when it
-    /// folds partition cost into the shard-count objective.
-    pub per_point: Duration,
+    /// Modeled pass time: the bytes the slowest lane streams (its chunk's
+    /// coordinates in, its samples out), priced at the host-core rate.
+    pub modeled: Duration,
 }
 
 impl SamplePass {
@@ -191,8 +193,8 @@ impl SamplePass {
 ///
 /// The sample is strided by *global* id, so each lane contributes a
 /// disjoint in-order segment and the assembled sample is bit-identical
-/// for every lane count. Each lane is timed individually and
-/// [`SamplePass::wall`] charges the slowest — the host-parallel
+/// for every lane count. Each lane's streamed bytes are counted and
+/// [`SamplePass::modeled`] charges the slowest — the host-parallel
 /// convention shared with [`materialize`] and the engine's per-device
 /// streams.
 pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuildError> {
@@ -210,8 +212,7 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
             stride: 1,
             ids: Vec::new(),
             cols: vec![Vec::new(); dim],
-            wall: Duration::ZERO,
-            per_point: Duration::ZERO,
+            modeled: Duration::ZERO,
         });
     }
     let mut span = sj_obs::Span::enter("shard.sample_pass");
@@ -224,11 +225,13 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
     let mut dmax = vec![f64::NEG_INFINITY; dim];
     let mut ids: Vec<u32> = Vec::with_capacity(n.div_ceil(sstride));
     let mut cols: Vec<Vec<f64>> = vec![Vec::with_capacity(n.div_ceil(sstride)); dim];
-    let mut slowest = Duration::ZERO;
-    let mut per_point = Duration::ZERO;
+    // The slowest lane's streamed bytes: its chunk's rows in, its samples
+    // (id + row) out.
+    let row_bytes = 8 * dim as u64;
+    let mut slowest = 0u64;
     for lane in 0..lanes {
         let (start, end) = (lane * csize, ((lane + 1) * csize).min(n));
-        let tl = Instant::now();
+        let sampled_before = ids.len();
         let mut lspan = sj_obs::Span::enter("shard.partition.lane");
         lspan.label("pass", "sample");
         lspan.label("lane", lane);
@@ -246,11 +249,10 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
                 }
             }
         }
-        let w = tl.elapsed();
-        if w > slowest {
-            slowest = w;
-            per_point = w.div_f64((end - start).max(1) as f64);
-        }
+        slowest = slowest.max(
+            (end - start) as u64 * row_bytes
+                + (ids.len() - sampled_before) as u64 * (row_bytes + 4),
+        );
     }
     span.label("sample", ids.len());
     Ok(SamplePass {
@@ -261,9 +263,54 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
         stride: sstride,
         ids,
         cols,
-        wall: slowest,
-        per_point,
+        modeled: host_core_time(slowest),
     })
+}
+
+// Bytes one lane of each materialize pass streams (`row` = the bytes of
+// one coordinate row): classify reads each row and writes its 2-byte
+// owner, plus an id + row copy of every ghost it gathers; the ghost-tail
+// pass reads and writes those copies again; gather reads row + owner and
+// writes row + id; the single-shard clone reads and writes every row plus
+// the identity ids.
+fn classify_bytes(points: u64, ghosts: u64, row: u64) -> u64 {
+    points * (row + 2) + ghosts * (row + 4)
+}
+
+fn tail_bytes(ghosts: u64, row: u64) -> u64 {
+    2 * ghosts * (row + 4)
+}
+
+fn gather_bytes(points: u64, row: u64) -> u64 {
+    points * (2 * row + 6)
+}
+
+fn copy_bytes(points: u64, row: u64) -> u64 {
+    points * (2 * row + 4)
+}
+
+/// Bytes [`materialize`] streams on its critical path (the slowest lane of
+/// each pass) for `n` points of `dim` dimensions cut into `leaves` boxes
+/// with `ghosts` ghost copies in total, across `lanes` lanes — assuming
+/// points and ghosts spread evenly over the lanes. The shard-count chooser
+/// prices its predicted partitions with this; [`materialize`] charges the
+/// same per-lane byte counts from the lanes' actual contents.
+pub(crate) fn materialize_bytes(
+    n: usize,
+    dim: usize,
+    leaves: usize,
+    lanes: usize,
+    ghosts: usize,
+) -> u64 {
+    let row = 8 * dim as u64;
+    if n == 0 || leaves <= 1 {
+        return copy_bytes(n as u64, row);
+    }
+    let lanes = lanes.clamp(1, n);
+    let per_lane = n.div_ceil(lanes) as u64;
+    classify_bytes(per_lane, ghosts.div_ceil(lanes) as u64, row)
+        + tail_bytes(ghosts.div_ceil(lanes.min(leaves)) as u64, row)
+        + gather_bytes(per_lane, row)
 }
 
 /// High bit of a cut-tree child link marks a leaf; the rest is the leaf
@@ -298,9 +345,10 @@ pub struct CutTree {
     /// Dimensions cut, in pre-order (this region's cut, then the left
     /// subtree's, then the right's).
     pub cut_dims: Vec<usize>,
-    /// Modeled build time of the recursion: each region's cut-search wall
-    /// is measured, children charge `max` while the lane budget splits
-    /// and `+` once it is down to one lane.
+    /// Modeled build time of the recursion: each region's cut search is
+    /// charged the bytes it streams at the host-core rate, children charge
+    /// `max` while the lane budget splits and `+` once it is down to one
+    /// lane.
     pub build_time: Duration,
     leaves: Vec<Leaf>,
     nodes: Vec<CutNode>,
@@ -389,7 +437,8 @@ pub fn build_cuts(
         cut_dims: Vec::new(),
         nodes: Vec::new(),
     };
-    let (root, build_time) = spl.split(root_region, lanes);
+    let (root, bytes) = spl.split(root_region, lanes);
+    let build_time = host_core_time(bytes);
     let Splitter {
         mut leaves,
         cut_dims,
@@ -456,7 +505,7 @@ pub fn partition_par(
     let sp = sample_pass(data, lanes)?;
     let cuts = build_cuts(&sp, epsilon, num_shards, lanes)?;
     let mut part = materialize(data, &cuts, lanes)?;
-    part.build_time += sp.wall + cuts.build_time;
+    part.build_time += sp.modeled + cuts.build_time;
     Ok(part)
 }
 
@@ -480,13 +529,12 @@ pub fn materialize(
         return Err(GridBuildError::TooManyPoints(data.len()));
     }
     let epsilon = cuts.epsilon;
-    let t0 = Instant::now();
     if data.is_empty() || cuts.num_leaves() == 1 {
         return Ok(Partition {
             cut_dims: cuts.cut_dims.clone(),
             epsilon,
             shards: vec![whole_shard(data)],
-            build_time: t0.elapsed(),
+            build_time: host_core_time(copy_bytes(data.len() as u64, 8 * data.dim() as u64)),
         });
     }
     let mut span = sj_obs::Span::enter("shard.partition");
@@ -504,10 +552,9 @@ pub fn materialize(
     let nodes = &cuts.nodes;
     let tree_root = cuts.root;
     let nshards = leaves.len();
-    // Modeled build time: the slowest lane of each pass; Σ lane walls −
-    // max lane wall is wall time the chunked passes would have hidden had
-    // the lanes run concurrently, subtracted from the total at the end.
-    let mut hidden = Duration::ZERO;
+    // Modeled build bytes: the slowest lane of each pass.
+    let row = 8 * dim as u64;
+    let mut critical = 0u64;
 
     // Halo-band geometry per shard, flattened `[s * dim + j]` so the hot
     // passes below chase no per-shard Vec pointers: the widened
@@ -561,10 +608,8 @@ pub fn materialize(
     }
     let mut owners = vec![0u16; n];
     let mut lane_outs: Vec<LaneOut> = Vec::with_capacity(lanes);
-    let mut slowest = Duration::ZERO;
-    let mut summed = Duration::ZERO;
+    let mut slowest = 0u64;
     for (lane, &(start, end)) in chunks.iter().enumerate() {
-        let tl = Instant::now();
         let mut lspan = sj_obs::Span::enter("shard.partition.lane");
         lspan.label("pass", "classify");
         lspan.label("lane", lane);
@@ -608,12 +653,11 @@ pub fn materialize(
                 }
             }
         }
-        let w = tl.elapsed();
-        slowest = slowest.max(w);
-        summed += w;
+        let gathered: usize = out.ghost_ids.iter().map(Vec::len).sum();
+        slowest = slowest.max(classify_bytes((end - start) as u64, gathered as u64, row));
         lane_outs.push(out);
     }
-    hidden += summed - slowest;
+    critical += slowest;
 
     // Exact-size shard buffers from the lane counts: owned points first
     // (each (lane, shard) pair gets a disjoint scatter window, in lane
@@ -647,14 +691,14 @@ pub fn materialize(
     // Ghost tails, chunked by *shard* (round-robin over lanes): each
     // shard's tail is a disjoint buffer region, so lanes can copy their
     // shards' tails independently.
-    let mut slowest = Duration::ZERO;
-    let mut summed = Duration::ZERO;
+    let mut slowest = 0u64;
     for lane in 0..lanes.min(nshards) {
-        let tl = Instant::now();
         let mut lspan = sj_obs::Span::enter("shard.partition.lane");
         lspan.label("pass", "ghost_tails");
         lspan.label("lane", lane);
+        let mut copied = 0usize;
         for s in (lane..nshards).step_by(lanes) {
+            copied += ghosts_of[s];
             let mut cur = owned_of[s];
             for out in &lane_outs {
                 let len = out.ghost_ids[s].len();
@@ -663,20 +707,16 @@ pub fn materialize(
                 cur += len;
             }
         }
-        let w = tl.elapsed();
-        slowest = slowest.max(w);
-        summed += w;
+        slowest = slowest.max(tail_bytes(copied as u64, row));
     }
-    hidden += summed - slowest;
+    critical += slowest;
     drop(lane_outs);
 
     // Pass 2 (chunked): gather the owned prefixes. Each lane re-streams
     // its rows and scatters them into its own windows of the shard
     // buffers — sequential writes per shard, no merge step afterwards.
-    let mut slowest = Duration::ZERO;
-    let mut summed = Duration::ZERO;
+    let mut slowest = 0u64;
     for (c, &(start, end)) in chunks.iter().enumerate() {
-        let tl = Instant::now();
         let mut lspan = sj_obs::Span::enter("shard.partition.lane");
         lspan.label("pass", "gather");
         lspan.label("lane", c);
@@ -688,11 +728,9 @@ pub fn materialize(
             coords_buf[s][cur[s] * dim..cur[s] * dim + dim].copy_from_slice(p);
             cur[s] += 1;
         }
-        let w = tl.elapsed();
-        slowest = slowest.max(w);
-        summed += w;
+        slowest = slowest.max(gather_bytes((end - start) as u64, row));
     }
-    hidden += summed - slowest;
+    critical += slowest;
 
     let shards: Vec<Shard> = ids_buf
         .into_iter()
@@ -718,7 +756,7 @@ pub fn materialize(
         cut_dims: cuts.cut_dims.clone(),
         epsilon,
         shards,
-        build_time: t0.elapsed().saturating_sub(hidden),
+        build_time: host_core_time(critical),
     })
 }
 
@@ -753,18 +791,19 @@ impl Splitter<'_> {
     /// Recursively splits one region, appending settled leaves, pre-order
     /// cut dimensions (this region's cut, then the left subtree's, then
     /// the right's) and cut-tree nodes; returns the subtree's child link
-    /// plus its modeled build time under `budget` fan-out lanes: this
-    /// region's measured cut-search wall, plus `max(left, right)` while
-    /// the budget splits across children, `left + right` once it is one.
-    fn split(&mut self, r: Region, budget: usize) -> (u32, Duration) {
-        let tr = Instant::now();
+    /// plus its critical-path bytes under `budget` fan-out lanes: the
+    /// bytes this region's cut search streamed, plus `max(left, right)`
+    /// while the budget splits across children, `left + right` once it is
+    /// one.
+    fn split(&mut self, r: Region, budget: usize) -> (u32, u64) {
         if r.k <= 1 || r.slots.len() <= 1 {
-            return (self.leaf(r), tr.elapsed());
+            return (self.leaf(r), 0);
         }
-        let Some((j, b, left_slots, right_slots)) = self.cut_region(&r) else {
+        let (cut, cut_bytes) = self.cut_region(&r);
+        let Some((j, b, left_slots, right_slots)) = cut else {
             // No dimension offers a cut with both sides non-empty (all
             // sample points share one ε-cell in every dimension): leaf.
-            return (self.leaf(r), tr.elapsed());
+            return (self.leaf(r), cut_bytes);
         };
         let kl = r.k / 2;
         let kr = r.k - kl;
@@ -799,13 +838,12 @@ impl Splitter<'_> {
             b,
             kids: [u32::MAX, u32::MAX],
         });
-        let cut_wall = tr.elapsed();
         let (bl, br) = (budget.div_ceil(2), budget / 2);
         let (lkid, lt) = self.split(left, bl.max(1));
         let (rkid, rt) = self.split(right, br.max(1));
         self.nodes[node].kids = [lkid, rkid];
         let children = if budget > 1 { lt.max(rt) } else { lt + rt };
-        (node as u32, cut_wall + children)
+        (node as u32, cut_bytes + children)
     }
 
     fn leaf(&mut self, r: Region) -> u32 {
@@ -823,11 +861,16 @@ impl Splitter<'_> {
     /// boundaries bracketing the region's balance quantile; the first
     /// boundary with both sides non-empty wins. Returns `(dim, boundary,
     /// left_slots, right_slots)` with the coordinate test `x < boundary`
-    /// deciding sides.
+    /// deciding sides, plus the bytes the search streamed: per probed
+    /// dimension the quantile sample (slot and coordinate gathered, value
+    /// written, one select pass), per probed boundary the count pass (slot
+    /// and coordinate per point), and for the winner the fill pass (slot
+    /// and coordinate in, slot out) and the right half's split-off copy.
     #[allow(clippy::type_complexity)]
-    fn cut_region(&self, r: &Region) -> Option<(usize, f64, Vec<u32>, Vec<u32>)> {
+    fn cut_region(&self, r: &Region) -> (Option<(usize, f64, Vec<u32>, Vec<u32>)>, u64) {
         let dim = self.cols.len();
         let n = r.slots.len();
+        let mut bytes = 0u64;
         let mut dims: Vec<usize> = (0..dim).collect();
         dims.sort_by(|&a, &b| (r.smax[b] - r.smin[b]).total_cmp(&(r.smax[a] - r.smin[a])));
 
@@ -843,6 +886,7 @@ impl Splitter<'_> {
                 .step_by(stride)
                 .map(|&g| col[g as usize])
                 .collect();
+            bytes += 36 * vals.len() as u64;
             let target = (vals.len() * kl / r.k).clamp(1, vals.len() - 1);
             let (_, &mut v, _) = vals.select_nth_unstable_by(target, f64::total_cmp);
             // The two cell boundaries bracketing the quantile value v:
@@ -866,6 +910,7 @@ impl Splitter<'_> {
                     .iter()
                     .map(|&g| (col[g as usize] < b) as usize)
                     .sum();
+                bytes += 12 * n as u64;
                 if lcnt == 0 || lcnt == n {
                     continue;
                 }
@@ -883,10 +928,11 @@ impl Splitter<'_> {
                     ri += 1 - is_left;
                 }
                 let right = buf.split_off(lcnt);
-                return Some((j, b, buf, right));
+                bytes += 16 * n as u64 + 8 * right.len() as u64;
+                return (Some((j, b, buf, right)), bytes);
             }
         }
-        None
+        (None, bytes)
     }
 }
 
@@ -1156,13 +1202,17 @@ mod tests {
     fn lane_budget_only_changes_the_charge() {
         // The recursion's fan-out budget must not change the tree, and a
         // wider budget must never be charged more than the serial build
-        // of the *same measured walls*. (Walls are measured per call, so
-        // compare shape, not exact times.)
+        // of the same streamed bytes.
         let data = uniform(4, 6000, 53);
         let sp = sample_pass(&data, 1).unwrap();
         let serial = build_cuts(&sp, 8.0, 16, 1).unwrap();
         let fanned = build_cuts(&sp, 8.0, 16, 8).unwrap();
         assert_eq!(serial.cut_dims, fanned.cut_dims);
         assert_eq!(serial.num_leaves(), fanned.num_leaves());
+        assert!(fanned.build_time < serial.build_time);
+        assert_eq!(
+            build_cuts(&sp, 8.0, 16, 8).unwrap().build_time,
+            fanned.build_time
+        );
     }
 }

@@ -4,6 +4,24 @@ use crate::fault::{DeviceFault, FaultInjector, FaultOp};
 use crate::memory::{DeviceBuffer, MemoryPool, OutOfMemory};
 use crate::transfer::TransferModel;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
+
+/// Traced bytes one host CPU core streams per second — the single rate of
+/// the modeled clock. Pinned so cell-major magnitudes stay where the
+/// wall-derived clock it replaced had them: the median device-side rate
+/// of the `kernel_hotpath --quick` cell-major kernels (six runs each of
+/// syn-2M and SDSS-2M on a 2-vCPU x86-64 VM) was ≈ 32.7 GB/s, i.e.
+/// ≈ 1.3 GB/s per core at [`DeviceSpec::throughput_vs_host_core`] = 25.
+/// The rate includes the arithmetic around each traced access, hence an
+/// order of magnitude below a core's raw DRAM bandwidth.
+pub const HOST_CORE_BYTES_PER_SEC: f64 = 1.3e9;
+
+/// Modeled time for one host core to stream `bytes` at
+/// [`HOST_CORE_BYTES_PER_SEC`]: the price of every host stage a modeled
+/// total charges (grid builds, the shard prelude's passes, calibration).
+pub fn host_core_time(bytes: u64) -> Duration {
+    Duration::from_secs_f64(bytes as f64 / HOST_CORE_BYTES_PER_SEC)
+}
 
 /// Static hardware parameters of a simulated device.
 ///
@@ -46,18 +64,17 @@ pub struct DeviceSpec {
     /// Modeled device throughput relative to **one host CPU core** for the
     /// memory-bound FP64 kernels this workspace runs.
     ///
-    /// The simulator executes kernel threads on host cores, so measured
-    /// wall time reflects host throughput; multiplying the aggregate
-    /// thread work by `1 / throughput_vs_host_core` yields the modeled
-    /// device-kernel time. The TITAN X default of 25 sits between the
-    /// FP64-compute ratio (≈342 GFLOP/s GPU vs ≈34 GFLOP/s for one 2.1 GHz
-    /// AVX2 core ⇒ ~10×) and the memory-bandwidth ratio (≈480 GB/s GDDR5X
-    /// vs ≈15 GB/s per-core ⇒ ~32×); the paper's kernels are
-    /// bandwidth-bound, and its own measured average speedup over one CPU
-    /// core (26.9×) falls in the same band. This single parameter scales
-    /// *absolute* modeled times only — every relative comparison between
-    /// kernel variants, ε values, datasets and dimensionalities comes
-    /// from measured work.
+    /// A kernel's traced bytes are priced at
+    /// [`HOST_CORE_BYTES_PER_SEC`]` × throughput_vs_host_core` bytes per
+    /// second of modeled device time ([`Self::kernel_time`]). The TITAN X
+    /// default of 25 sits between the FP64-compute ratio (≈342 GFLOP/s
+    /// GPU vs ≈34 GFLOP/s for one 2.1 GHz AVX2 core ⇒ ~10×) and the
+    /// memory-bandwidth ratio (≈480 GB/s GDDR5X vs ≈15 GB/s per-core ⇒
+    /// ~32×); the paper's kernels are bandwidth-bound, and its own
+    /// measured average speedup over one CPU core (26.9×) falls in the
+    /// same band. This single parameter scales *absolute* modeled kernel
+    /// times only — every relative comparison between kernel variants, ε
+    /// values, datasets and dimensionalities comes from counted bytes.
     pub throughput_vs_host_core: f64,
 }
 
@@ -108,6 +125,16 @@ impl DeviceSpec {
     /// The host↔device transfer model implied by the PCIe parameters.
     pub fn transfer_model(&self) -> TransferModel {
         TransferModel::new(self.pcie_gib_per_s, self.pcie_latency_us)
+    }
+
+    /// Modeled device time of kernels that trace `bytes`: the bytes
+    /// priced at [`HOST_CORE_BYTES_PER_SEC`]` ×
+    /// `[`Self::throughput_vs_host_core`]. Every launch driver reports
+    /// this as [`crate::LaunchStats::modeled_wall`], and cost projections
+    /// price their predicted bytes with it.
+    pub fn kernel_time(&self, bytes: u64) -> Duration {
+        let rate = HOST_CORE_BYTES_PER_SEC * self.throughput_vs_host_core.max(1e-9);
+        Duration::from_secs_f64(bytes as f64 / rate)
     }
 }
 

@@ -8,16 +8,19 @@
 //! for result aggregation — while running on CPU cores.
 //!
 //! Every global-memory access in a kernel body goes through the
-//! [`ThreadCtx`], which is generic over a [`Tracer`]. The fast path uses
-//! [`NoTrace`] (every hook is an empty `#[inline]` body, so the optimizer
-//! erases it); the profiled path uses a cache-simulating tracer to produce
-//! the Table II metrics. One kernel implementation serves both modes.
+//! [`ThreadCtx`], which is generic over a [`Tracer`]. The fast path counts
+//! the traced bytes of each block in one register-resident counter; the
+//! profiled path uses a cache-simulating tracer to produce the Table II
+//! metrics. One kernel implementation serves both modes, and every launch
+//! driver prices the same byte count into modeled device time
+//! ([`DeviceSpec::kernel_time`](crate::DeviceSpec::kernel_time)).
 
 use crate::cache::{CacheSim, CacheStats};
 use crate::device::Device;
 use crate::memory::DeviceBuffer;
 use crate::occupancy::{occupancy, KernelResources, OccupancyResult};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Receives every traced global-memory access of a kernel thread.
@@ -44,13 +47,19 @@ pub trait Tracer {
     fn begin_thread(&mut self, _global_id: usize, _thread_in_block: usize) {}
 }
 
-/// The zero-overhead tracer used for timing runs.
+/// The fast path's tracer: one counter of the traced bytes of a block
+/// (loads, stores and atomics alike, as every tracer's defaults route
+/// them).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct NoTrace;
+struct ByteCounter {
+    bytes: u64,
+}
 
-impl Tracer for NoTrace {
+impl Tracer for ByteCounter {
     #[inline(always)]
-    fn load(&mut self, _addr: u64, _bytes: usize) {}
+    fn load(&mut self, _addr: u64, bytes: usize) {
+        self.bytes += bytes as u64;
+    }
 }
 
 /// A tracer that drives the L1 cache simulator (one per simulated SM).
@@ -152,11 +161,14 @@ impl Default for LaunchConfig {
 pub struct LaunchStats {
     /// Wall-clock execution time of the launch on the **host** pool.
     pub wall: Duration,
-    /// Modeled execution time on the simulated device: the aggregate
-    /// thread work (`wall × host threads used`) divided by the device's
-    /// [`throughput_vs_host_core`](crate::DeviceSpec::throughput_vs_host_core).
-    /// Relative comparisons between launches are unaffected by the model
-    /// constant; only absolute magnitudes depend on it.
+    /// Global-memory bytes the launch's threads traced: every load, store
+    /// and atomic, summed over all blocks. A pure function of the kernel's
+    /// work — identical for every launch driver, host and interleaving.
+    pub bytes: u64,
+    /// Modeled execution time on the simulated device: [`Self::bytes`]
+    /// priced at the device's traced-byte rate
+    /// ([`DeviceSpec::kernel_time`](crate::DeviceSpec::kernel_time)). The
+    /// same kernel over the same data always models the same time.
     pub modeled_wall: Duration,
     /// Number of thread blocks executed.
     pub blocks: usize,
@@ -182,14 +194,17 @@ pub fn launch<K: Kernel>(
     let blocks = total_threads.div_ceil(cfg.block_threads.max(1));
     let mut span = sj_obs::Span::enter("gpu.launch");
     let start = Instant::now();
+    let bytes = AtomicU64::new(0);
     (0..blocks).into_par_iter().for_each(|block_id| {
-        let mut tracer = NoTrace;
-        run_block(kernel, cfg, total_threads, block_id, &mut tracer);
+        let mut counter = ByteCounter::default();
+        run_block(kernel, cfg, total_threads, block_id, &mut counter);
+        bytes.fetch_add(counter.bytes, Ordering::Relaxed);
     });
-    let wall = start.elapsed();
+    let bytes = bytes.into_inner();
     let stats = LaunchStats {
-        wall,
-        modeled_wall: model_device_time(device, wall),
+        wall: start.elapsed(),
+        bytes,
+        modeled_wall: device.spec().kernel_time(bytes),
         blocks,
         threads: total_threads,
         occupancy: occ,
@@ -198,14 +213,6 @@ pub fn launch<K: Kernel>(
     span.label("threads", total_threads);
     span.set_modeled_dur(stats.modeled_wall.as_secs_f64());
     stats
-}
-
-/// Converts measured host wall time into modeled device time (see
-/// [`LaunchStats::modeled_wall`]).
-pub fn model_device_time(device: &Device, host_wall: Duration) -> Duration {
-    let host_threads = rayon::current_num_threads().max(1) as f64;
-    let factor = device.spec().throughput_vs_host_core.max(1e-9);
-    Duration::from_secs_f64(host_wall.as_secs_f64() * host_threads / factor)
 }
 
 /// Executes `kernel` in profiled mode: blocks are assigned round-robin to
@@ -248,10 +255,10 @@ pub fn launch_profiled<K: Kernel>(
     for s in &per_sm {
         merged.merge(s);
     }
-    let wall = start.elapsed();
     let stats = LaunchStats {
-        wall,
-        modeled_wall: model_device_time(device, wall),
+        wall: start.elapsed(),
+        bytes: merged.bytes_requested,
+        modeled_wall: spec.kernel_time(merged.bytes_requested),
         blocks,
         threads: total_threads,
         occupancy: occ,
@@ -262,8 +269,10 @@ pub fn launch_profiled<K: Kernel>(
     (stats, merged)
 }
 
+/// Runs one block's threads in order, each through `tracer` (shared by
+/// every launch driver, work profiling in [`crate::work`] included).
 #[inline]
-fn run_block<K: Kernel, T: Tracer>(
+pub(crate) fn run_block<K: Kernel, T: Tracer>(
     kernel: &K,
     cfg: LaunchConfig,
     total_threads: usize,
@@ -282,18 +291,6 @@ fn run_block<K: Kernel, T: Tracer>(
         };
         kernel.thread(&mut ctx);
     }
-}
-
-/// Crate-public block runner for alternative launch drivers (work
-/// profiling lives in [`crate::work`]).
-pub(crate) fn run_block_pub<K: Kernel, T: Tracer>(
-    kernel: &K,
-    cfg: LaunchConfig,
-    total_threads: usize,
-    block_id: usize,
-    tracer: &mut T,
-) {
-    run_block(kernel, cfg, total_threads, block_id, tracer)
 }
 
 #[cfg(test)]
@@ -324,6 +321,67 @@ mod tests {
             let x = ctx.read(self.input, i);
             self.output[i].store((2.0 * x).to_bits(), Ordering::Relaxed);
         }
+    }
+
+    /// Thread i reads `i % 5` elements, then appends one result (atomic
+    /// cursor bump + store) when its last element is odd: loads, stores
+    /// and atomics of uneven per-thread volume.
+    struct MixedKernel<'a> {
+        input: &'a DeviceBuffer<f64>,
+        results: &'a crate::AppendBuffer<u64>,
+    }
+
+    impl Kernel for MixedKernel<'_> {
+        fn resources(&self) -> KernelResources {
+            KernelResources {
+                registers_per_thread: 24,
+                shared_mem_per_block: 0,
+            }
+        }
+
+        fn thread<T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>) {
+            let mut last = 0.0;
+            for r in 0..ctx.global_id % 5 {
+                last = ctx.read(self.input, (ctx.global_id + r) % self.input.len());
+            }
+            if last as u64 % 2 == 1 {
+                ctx.trace_atomic(self.results.cursor_addr(), 8);
+                if let Some(addr) = self.results.push(ctx.global_id as u64) {
+                    ctx.trace_store(addr, 8);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_driver_counts_and_prices_the_same_bytes() {
+        let dev = Device::new(DeviceSpec::small_test_device());
+        let input_data: Vec<f64> = (0..777).map(|i| i as f64).collect();
+        let input = dev.alloc_from_host(&input_data).unwrap();
+        let cfg = LaunchConfig { block_threads: 64 };
+        let n = 1500;
+        let run = |driver: usize| {
+            let results = crate::AppendBuffer::<u64>::new(dev.pool(), n).unwrap();
+            let k = MixedKernel {
+                input: &input,
+                results: &results,
+            };
+            match driver {
+                0 => launch(&dev, cfg, n, &k),
+                1 => launch_profiled(&dev, cfg, n, &k).0,
+                _ => crate::work::launch_work_profiled(&dev, cfg, n, &k).0,
+            }
+        };
+        let fast = run(0);
+        assert!(fast.bytes > 0);
+        assert_eq!(fast.modeled_wall, dev.spec().kernel_time(fast.bytes));
+        for driver in [1, 2] {
+            let other = run(driver);
+            assert_eq!(other.bytes, fast.bytes, "driver {driver}");
+            assert_eq!(other.modeled_wall, fast.modeled_wall, "driver {driver}");
+        }
+        // Repeat launches count identically, whatever the interleaving.
+        assert_eq!(run(0).bytes, fast.bytes);
     }
 
     #[test]

@@ -30,9 +30,21 @@
 //!   leasing — the adversarial substrate the layers above prove their
 //!   failover against.
 //!
-//! Kernels run in two modes sharing one code path: a **fast mode** (no-op
-//! tracer, zero overhead after monomorphization) used for timing figures,
-//! and a **profiled mode** (cache-simulating tracer) used for Table II.
+//! Kernels run in two modes sharing one code path: a **fast mode** (a
+//! per-block counter of traced bytes) used for timing figures, and a
+//! **profiled mode** (cache-simulating tracer) used for Table II.
+//!
+//! ## The modeled clock
+//!
+//! Modeled time is priced from counted bytes, never from host wall time:
+//! a launch's traced bytes cost
+//! [`HOST_CORE_BYTES_PER_SEC`]` × `[`DeviceSpec::throughput_vs_host_core`]
+//! per second ([`DeviceSpec::kernel_time`]), and a host stage that a
+//! modeled total charges costs the bytes it streams at the host-core rate
+//! ([`host_core_time`]). PCIe transfers stay analytic ([`transfer`]). Every
+//! modeled duration is therefore a pure function of the data, ε, the
+//! configuration and the [`DeviceSpec`] — the same on any host, at any
+//! load, with any number of simulated devices running concurrently.
 
 pub mod append;
 pub mod cache;
@@ -48,15 +60,12 @@ pub mod work;
 
 pub use append::{AppendBuffer, Reservation};
 pub use cache::{CacheConfig, CacheSim, CacheStats};
-pub use device::{Device, DeviceSpec};
+pub use device::{host_core_time, Device, DeviceSpec, HOST_CORE_BYTES_PER_SEC};
 pub use fault::{
     DeviceFault, DeviceHealth, FaultEvent, FaultInjector, FaultKind, FaultOp, FaultPlan,
     HealthConfig, HealthLedger, StormConfig,
 };
-pub use kernel::{
-    launch, launch_profiled, model_device_time, Kernel, LaunchConfig, LaunchStats, NoTrace,
-    ThreadCtx, Tracer,
-};
+pub use kernel::{launch, launch_profiled, Kernel, LaunchConfig, LaunchStats, ThreadCtx, Tracer};
 pub use memory::{DeviceBuffer, Evictor, LedgerEntry, MemoryLedger, MemoryPool, OutOfMemory};
 pub use occupancy::{occupancy, KernelResources, OccupancyResult};
 pub use pool::{DeviceLease, DevicePool, DeviceTally, PoolPressure, PoolProfiler, QueuedWork};

@@ -6,7 +6,10 @@
 //! simulator's equivalents: the occupancy calculation plus the cache
 //! simulator's statistics, with bandwidth figures derived from the fast-run
 //! wall time (profiled runs pay simulation overhead, so throughput is
-//! always computed against an untraced execution of the same kernel).
+//! always computed against the fast execution of the same kernel). These
+//! GB/s figures are host measurements for Table II's ratios; the modeled
+//! clock itself never reads a wall time — both runs report the same
+//! counted bytes and hence the same [`LaunchStats::modeled_wall`].
 
 use crate::cache::CacheStats;
 use crate::device::Device;
@@ -53,7 +56,8 @@ impl ProfiledLaunch {
         kernel: &K,
     ) -> (LaunchStats, KernelMetrics) {
         let fast = launch(device, cfg, total_threads, kernel);
-        let (_, cache) = launch_profiled(device, cfg, total_threads, kernel);
+        let (traced, cache) = launch_profiled(device, cfg, total_threads, kernel);
+        debug_assert_eq!(traced.bytes, fast.bytes, "drivers disagree on traced bytes");
         let secs = fast.wall.as_secs_f64().max(1e-12);
         let metrics = KernelMetrics {
             wall: fast.wall,

@@ -126,7 +126,7 @@ pub fn launch_work_profiled<K: Kernel>(
         .into_par_iter()
         .map(|block_id| {
             let mut tracer = WorkTracer::default();
-            crate::kernel::run_block_pub(kernel, cfg, total_threads, block_id, &mut tracer);
+            crate::kernel::run_block(kernel, cfg, total_threads, block_id, &mut tracer);
             (block_id, tracer)
         })
         .collect();
@@ -142,20 +142,21 @@ pub fn launch_work_profiled<K: Kernel>(
             }
         }
     }
-    (
-        LaunchStats {
-            wall,
-            modeled_wall: crate::kernel::model_device_time(device, wall),
-            blocks,
-            threads: total_threads,
-            occupancy: occ,
-        },
-        WorkProfile {
-            ops,
-            bytes,
-            warp_size: device.spec().warp_size,
-        },
-    )
+    let profile = WorkProfile {
+        ops,
+        bytes,
+        warp_size: device.spec().warp_size,
+    };
+    let bytes = profile.total_bytes();
+    let stats = LaunchStats {
+        wall,
+        bytes,
+        modeled_wall: device.spec().kernel_time(bytes),
+        blocks,
+        threads: total_threads,
+        occupancy: occ,
+    };
+    (stats, profile)
 }
 
 #[cfg(test)]
