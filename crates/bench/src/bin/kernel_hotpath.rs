@@ -3,23 +3,29 @@
 //! batched result reservation).
 //!
 //! Runs both paths over surrogates of the paper's 2M-point tier (uniform
-//! Syn-2D and the SDSS galaxy surrogate), asserting pair-for-pair
-//! identical tables, and reports per path:
+//! Syn-2D and the SDSS galaxy surrogate) and a uniform 6-D tier, where the
+//! hoist walks `3^5` runs per cell, asserting pair-for-pair identical
+//! tables, and reports per path:
 //!
-//! * **wall** — host wall time of the join kernels (plus the hoisting
-//!   precompute for the cell-major path; estimation excluded from both),
+//! * **wall** — host wall time of the join kernels (estimation excluded),
 //! * **modeled** — the same kernels priced from their counted traced
 //!   bytes (`DeviceSpec::kernel_time`): identical on every run,
+//! * **hoist wall / hoist modeled** — the cell-major hoisting precompute
+//!   on both clocks (the per-thread path has none),
+//! * **speedup** — the per-thread kernels over the cell-major kernels plus
+//!   the hoist, on each clock,
 //! * **L1 hit** — the cache simulator's hit rate for one profiled launch
 //!   of the join kernel (the paper's Table II methodology).
 //!
 //! Every table is also written to `bench_results/kernel_hotpath.json` so
 //! the perf trajectory is tracked from this PR on. The run *asserts* the
-//! acceptance bars: the cell-major path is never slower on modeled time,
-//! and (full runs) ≥ 1.3× faster in wall-clock on the syn-2M surrogate.
+//! acceptance bars: the cell-major path (kernels plus hoist) is never
+//! slower on modeled time; on syn-6D the hoist's modeled time is at most
+//! [`HOIST_BAR`] of the join kernels'; and (full runs) the cell-major path
+//! is ≥ 1.3× faster in wall-clock on the syn-2M surrogate.
 //!
 //! Note: `--trials` is floored at 3 — the asserted wall-clock ratio is
-//! too noisy at best-of-1 (the modeled column is the same every trial).
+//! too noisy at best-of-1 (the modeled columns are the same every trial).
 
 use grid_join::cell_major::{CellMajorPlan, CellMajorSelfJoinKernel};
 use grid_join::kernels::SelfJoinKernel;
@@ -32,15 +38,32 @@ use sj_bench::table::{emit_table, fmt_secs, fmt_speedup};
 use sj_datasets::{sdss, synthetic, Dataset};
 use std::time::Duration;
 
+/// The syn-6D hoist's modeled time may be at most this fraction of the
+/// join kernels' modeled time. The hoist is priced from its traced bytes,
+/// so the bar is deterministic.
+const HOIST_BAR: f64 = 0.25;
+
 struct PathRun {
     wall: Duration,
     modeled: Duration,
+    hoist_wall: Duration,
+    hoist_modeled: Duration,
     pairs: usize,
     table: grid_join::NeighborTable,
 }
 
-/// Best-of-`trials` batched join on a prebuilt grid; wall/modeled cover
-/// the join kernels plus (cell-major) the hoisting pass.
+impl PathRun {
+    fn total_wall(&self) -> Duration {
+        self.wall + self.hoist_wall
+    }
+
+    fn total_modeled(&self) -> Duration {
+        self.modeled + self.hoist_modeled
+    }
+}
+
+/// Best-of-`trials` (by kernels plus hoist wall) batched join on a
+/// prebuilt grid.
 fn run_path(data: &Dataset, grid: &GridIndex, path: HotPath, trials: usize) -> PathRun {
     let mut best: Option<PathRun> = None;
     for _ in 0..trials {
@@ -51,12 +74,17 @@ fn run_path(data: &Dataset, grid: &GridIndex, path: HotPath, trials: usize) -> P
         let out = join.run_on_grid(data, grid).expect("join failed");
         let b = &out.report.batching;
         let run = PathRun {
-            wall: b.kernel_time + b.hoist_time,
-            modeled: b.modeled_kernel_time + b.modeled_hoist_time,
+            wall: b.kernel_time,
+            modeled: b.modeled_kernel_time,
+            hoist_wall: b.hoist_time,
+            hoist_modeled: b.modeled_hoist_time,
             pairs: out.table.total_pairs(),
             table: out.table,
         };
-        if best.as_ref().is_none_or(|p| run.wall < p.wall) {
+        if best
+            .as_ref()
+            .is_none_or(|p| run.total_wall() < p.total_wall())
+        {
             best = Some(run);
         }
     }
@@ -114,6 +142,7 @@ fn main() {
     let workloads: Vec<(&str, Dataset)> = vec![
         ("syn-2M", synthetic::uniform(2, n, 42)),
         ("SDSS-2M", sdss::sdss2d(n, 305)),
+        ("syn-6D", synthetic::uniform(6, n, 44)),
     ];
     let trials = args.trials.max(3);
 
@@ -135,9 +164,10 @@ fn main() {
         let pt_hit = l1_hit_rate(data, &grid, HotPath::PerThread, capacity);
         let cm_hit = l1_hit_rate(data, &grid, HotPath::CellMajor, capacity);
 
-        let wall_speedup = per_thread.wall.as_secs_f64() / cell_major.wall.as_secs_f64().max(1e-12);
+        let wall_speedup =
+            per_thread.wall.as_secs_f64() / cell_major.total_wall().as_secs_f64().max(1e-12);
         let modeled_speedup =
-            per_thread.modeled.as_secs_f64() / cell_major.modeled.as_secs_f64().max(1e-12);
+            per_thread.modeled.as_secs_f64() / cell_major.total_modeled().as_secs_f64().max(1e-12);
         if *name == "syn-2M" {
             syn_wall_speedup = wall_speedup;
         }
@@ -153,6 +183,8 @@ fn main() {
                 "path",
                 "wall",
                 "modeled",
+                "hoist wall",
+                "hoist modeled",
                 "speedup (wall)",
                 "speedup (modeled)",
                 "L1 hit",
@@ -163,6 +195,8 @@ fn main() {
                     "per-thread".into(),
                     fmt_secs(per_thread.wall.as_secs_f64()),
                     fmt_secs(per_thread.modeled.as_secs_f64()),
+                    "-".into(),
+                    "-".into(),
                     "1.00x".into(),
                     "1.00x".into(),
                     format!("{pt_hit:.3}"),
@@ -172,6 +206,8 @@ fn main() {
                     "cell-major".into(),
                     fmt_secs(cell_major.wall.as_secs_f64()),
                     fmt_secs(cell_major.modeled.as_secs_f64()),
+                    fmt_secs(cell_major.hoist_wall.as_secs_f64()),
+                    fmt_secs(cell_major.hoist_modeled.as_secs_f64()),
                     fmt_speedup(wall_speedup),
                     fmt_speedup(modeled_speedup),
                     format!("{cm_hit:.3}"),
@@ -180,14 +216,26 @@ fn main() {
             ],
         );
 
-        // Smoke bar (CI runs --quick): the cell-major path is never
-        // slower on modeled time.
+        // Smoke bar (CI runs --quick): the cell-major path, hoist
+        // included, is never slower on modeled time.
         assert!(
-            cell_major.modeled <= per_thread.modeled,
+            cell_major.total_modeled() <= per_thread.modeled,
             "{name}: cell-major modeled time regressed ({:?} vs {:?})",
-            cell_major.modeled,
+            cell_major.total_modeled(),
             per_thread.modeled
         );
+
+        // Hoist bar: in 6-D every cell walks 3^5 runs of B; the walk must
+        // keep the hoist a small fraction of the join it serves.
+        if *name == "syn-6D" {
+            let ratio = cell_major.hoist_modeled.as_secs_f64()
+                / cell_major.modeled.as_secs_f64().max(1e-12);
+            println!("\nsyn-6D hoist / join kernels (modeled): {ratio:.3} (bar: <= {HOIST_BAR})");
+            assert!(
+                ratio <= HOIST_BAR,
+                "syn-6D hoist costs {ratio:.3}x the join kernels' modeled time (bar: {HOIST_BAR})"
+            );
+        }
 
         // Tracing-overhead bar: with tracing disabled every sj_obs call
         // site is one relaxed atomic load and an inert guard. Measure
@@ -211,7 +259,7 @@ fn main() {
             let spans = sj_obs::drain().len();
 
             let overhead = per_call * spans as f64;
-            let pct = 100.0 * overhead / cell_major.wall.as_secs_f64().max(1e-12);
+            let pct = 100.0 * overhead / cell_major.total_wall().as_secs_f64().max(1e-12);
             println!(
                 "\ntracing disabled-path overhead: {spans} call sites x {:.1}ns \
                  = {:.2}us ({pct:.3}% of the cell-major join wall; bar <= 2%)",

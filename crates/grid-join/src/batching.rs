@@ -444,6 +444,29 @@ mod tests {
         assert!(est as f64 <= truth * 2.0, "est {est} truth {truth}");
     }
 
+    #[test]
+    fn estimate_equals_host_count_at_the_same_sample() {
+        // The estimate's cells come from the run walk; the host join
+        // searches every adjacent coordinate. Same cells, same counts: the
+        // estimate recomputed from the host table's row lengths at the
+        // same stride sample must match exactly.
+        let dev = Device::new(DeviceSpec::titan_x_pascal());
+        for (dim, n, eps, seed) in [(2, 5000, 3.0, 45), (6, 3000, 30.0, 46)] {
+            let (data, grid, dg) = setup(dim, n, eps, seed, &dev);
+            let cfg = BatchingConfig::default();
+            let (est, sample, _, _) = estimate_result_size(&dev, &dg, &cfg, None).unwrap();
+            let table = host_self_join(&data, &grid);
+            let stride = n.div_ceil(sample);
+            let ids: Vec<usize> = (0..n).step_by(stride).collect();
+            assert_eq!(ids.len(), sample, "dim {dim}");
+            let total: usize = ids.iter().map(|&i| table.neighbors(i).len()).sum();
+            let avg = total as f64 / ids.len() as f64;
+            let expected = (avg * n as f64 * cfg.safety_factor).ceil() as u64;
+            assert!(total > 0, "dim {dim}: degenerate sample");
+            assert_eq!(est, expected, "dim {dim}");
+        }
+    }
+
     fn exec(unicomp: bool, hot_path: HotPath) -> ExecOptions {
         ExecOptions {
             unicomp,

@@ -8,15 +8,28 @@
 //! restructures the join around the *cell*:
 //!
 //! 1. **Cell-major data layout** — threads read coordinates from the
-//!    grid's reordered snapshot ([`GridIndex::reordered_coords`]): a
+//!    grid's reordered snapshot ([`crate::GridIndex::reordered_coords`]): a
 //!    cell's points are one contiguous `dim`-strided scan, and original
 //!    ids are recovered through the `A` remap only when a pair is emitted.
 //! 2. **Per-cell neighbor hoisting** — [`CellMajorPlan`] runs two small
-//!    one-thread-per-*cell* kernels that clip the adjacent ranges and
-//!    binary-search `B` **once per non-empty home cell**, materializing a
-//!    CSR neighbor-offset table keyed by `G` index. The join kernel then
-//!    walks precomputed cell positions, cutting the search work from
-//!    `O(|D| · 3^d · log |B|)` to `O(|B| · 3^d · log |B|)`.
+//!    one-thread-per-*cell* kernels (count, then fill) that clip the
+//!    adjacent ranges **once per non-empty home cell** and materialize a
+//!    CSR neighbor-offset table keyed by `G` index; the join kernel then
+//!    walks precomputed cell positions. Each kernel finds a cell's
+//!    neighbors with one **ascending run walk** of `B`: dimension 0 varies
+//!    fastest in [`linearize`], so with dimensions `1..d` fixed the clipped
+//!    dimension-0 range is one run of at most 3 consecutive ids, whose
+//!    existing cells sit at consecutive positions of `B`. The walk visits
+//!    the runs in ascending id order and finds each with a galloping
+//!    search bounded below by where the previous run ended, so a cell
+//!    costs `3^(d−1)` short searches instead of `3^d` binary searches of
+//!    all of `B`, and its list comes out sorted. The fill kernel writes
+//!    each list into one reservation of its counted length. Against the
+//!    per-thread `O(|D| · 3^d · log |B|)`, the search work is
+//!    `O(|B| · 3^(d−1) · log gap)`, where `gap` is the distance in `B`
+//!    between consecutive runs. The estimate's
+//!    [`crate::kernels::CountKernel`] finds its sampled points' cells with
+//!    the same walk.
 //! 3. **Batched result reservation** — threads stage candidate pairs in a
 //!    small fixed local buffer ([`PairStage`]) and flush with **one**
 //!    atomic cursor reservation per batch
@@ -30,10 +43,10 @@
 //! with the *new* true access stream.
 
 use crate::device_grid::DeviceGrid;
-use crate::kernels::{kernel_registers, traced_find_cell, traced_mask_range};
+use crate::kernels::{kernel_registers, traced_clipped_ranges, traced_partition_point};
 use crate::linearize::{delinearize, linearize, MAX_DIM};
 use crate::result::{Ownership, Pair};
-use crate::unicomp::{adjacent_ranges, for_each_full, for_each_unicomp};
+use crate::unicomp::DimRange;
 use sim_gpu::append::AppendBuffer;
 use sim_gpu::occupancy::KernelResources;
 use sim_gpu::{launch, Device, DeviceBuffer, Kernel, LaunchConfig, OutOfMemory, ThreadCtx, Tracer};
@@ -107,14 +120,191 @@ impl PairStage {
     }
 }
 
+/// An ascending walk over `B`. The caller hands it runs of consecutive
+/// linear ids in ascending order; the walk lower-bounds each run's first
+/// id with a galloping search that starts where the previous run ended,
+/// then reports the run's existing cells by walking forward. Reported
+/// positions therefore come out strictly ascending.
+struct RunWalk {
+    /// Where the next run's search starts: every position of the walk's
+    /// range below it holds an id below the next run.
+    cursor: usize,
+    /// Exclusive bound on the positions the walk searches and reports.
+    end: usize,
+    /// Whether `cursor` is a previous run's end to gallop from; the first
+    /// run of a walk binary-searches `[cursor, end)` instead.
+    galloping: bool,
+}
+
+impl RunWalk {
+    /// Reports the existing cells with ids in `[first, last]`, which must
+    /// lie above every id of the runs already walked.
+    #[inline]
+    fn run<T: Tracer, F: FnMut(&mut ThreadCtx<'_, T>, usize)>(
+        &mut self,
+        ctx: &mut ThreadCtx<'_, T>,
+        b: &DeviceBuffer<u64>,
+        first: u64,
+        last: u64,
+        found: &mut F,
+    ) {
+        let mut pos = if self.galloping {
+            traced_gallop(ctx, b, self.cursor, self.end, first)
+        } else {
+            traced_partition_point(ctx, b, self.cursor, self.end, |c| c < first)
+        };
+        self.galloping = true;
+        while pos < self.end && ctx.read(b, pos) <= last {
+            found(ctx, pos);
+            pos += 1;
+        }
+        self.cursor = pos;
+    }
+
+    /// Walks the runs of the box of cells whose dimension `k` spans
+    /// `ranges[k]`, in ascending id order: dimensions `1..` step as an
+    /// odometer with the highest outermost, and each run spans
+    /// `ranges[0]`, whose consecutive coordinates are consecutive ids.
+    #[inline]
+    fn walk_box<T: Tracer, F: FnMut(&mut ThreadCtx<'_, T>, usize)>(
+        &mut self,
+        ctx: &mut ThreadCtx<'_, T>,
+        grid: &DeviceGrid,
+        ranges: &[DimRange],
+        found: &mut F,
+    ) {
+        let dim = grid.dim;
+        let mut coords = [0u32; MAX_DIM];
+        for k in 0..dim {
+            coords[k] = ranges[k].0;
+        }
+        let width = u64::from(ranges[0].1 - ranges[0].0);
+        loop {
+            let first = linearize(&coords[..dim], &grid.cells_per_dim[..dim]);
+            self.run(ctx, &grid.b, first, first + width, found);
+            let mut k = 1;
+            while k < dim && coords[k] == ranges[k].1 {
+                coords[k] = ranges[k].0;
+                k += 1;
+            }
+            if k == dim {
+                return;
+            }
+            coords[k] += 1;
+        }
+    }
+}
+
+/// Lower bound of `id` in the sorted `b[lo..hi)`, galloping from `lo`: it
+/// probes `lo, lo+1, lo+3, lo+7, …` until a probe reaches `id`, then
+/// binary-searches the last bracket, so it costs `O(log gap)` probes for
+/// an answer `gap` positions past `lo` (every probe traced).
+#[inline]
+fn traced_gallop<T: Tracer>(
+    ctx: &mut ThreadCtx<'_, T>,
+    b: &DeviceBuffer<u64>,
+    lo: usize,
+    hi: usize,
+    id: u64,
+) -> usize {
+    let (mut below, mut probe, mut step) = (lo, lo, 1);
+    while probe < hi {
+        if ctx.read(b, probe) >= id {
+            return traced_partition_point(ctx, b, below, probe, |c| c < id);
+        }
+        below = probe + 1;
+        probe += step;
+        step *= 2;
+    }
+    traced_partition_point(ctx, b, below, hi, |c| c < id)
+}
+
+/// Visits the existing cells of the full adjacency box `ranges` (the
+/// clipped adjacent ranges of some cell, own cell included) in ascending
+/// `B`/`G` position order: one run per combination of dimensions `1..`,
+/// each found by the ascending walk. Shared by the hoist's full mode and
+/// the estimate's [`crate::kernels::CountKernel`].
+#[inline]
+pub(crate) fn for_each_adjacent_cell<T: Tracer, F: FnMut(&mut ThreadCtx<'_, T>, usize)>(
+    ctx: &mut ThreadCtx<'_, T>,
+    grid: &DeviceGrid,
+    ranges: &[DimRange],
+    mut found: F,
+) {
+    let mut walk = RunWalk {
+        cursor: 0,
+        end: grid.b.len(),
+        galloping: false,
+    };
+    walk.walk_box(ctx, grid, ranges, &mut found);
+}
+
+/// Visits the existing cells of the UNICOMP subset of the home cell at
+/// position `h` (coordinates `cell`, clipped adjacent ranges `ranges`) in
+/// ascending position order — the same cell set as
+/// [`crate::unicomp::for_each_unicomp`], reordered. Dimension `j` with an
+/// odd coordinate contributes the box at `c_j − 1` (the minus half) and
+/// the box at `c_j + 1` (the plus half) — see [`unicomp_half`]. Every
+/// minus-half id lies below the home cell's and every plus-half id above
+/// it; within each half the most significant differing dimension orders
+/// the ids. So the minus halves are walked for `j = d−1 … 0` inside
+/// `[0, h)`, and the plus halves for `j = 0 … d−1` galloping from `h + 1`.
+#[inline]
+fn for_each_unicomp_cell<T: Tracer, F: FnMut(&mut ThreadCtx<'_, T>, usize)>(
+    ctx: &mut ThreadCtx<'_, T>,
+    grid: &DeviceGrid,
+    h: usize,
+    cell: &[u32],
+    ranges: &[DimRange],
+    found: &mut F,
+) {
+    let dim = grid.dim;
+    let mut minus = RunWalk {
+        cursor: 0,
+        end: h,
+        galloping: false,
+    };
+    for j in (0..dim).rev() {
+        if cell[j] % 2 == 1 && cell[j] > ranges[j].0 {
+            let half = unicomp_half(cell, ranges, j, cell[j] - 1);
+            minus.walk_box(ctx, grid, &half[..dim], found);
+        }
+    }
+    let mut plus = RunWalk {
+        cursor: h + 1,
+        end: grid.b.len(),
+        galloping: true,
+    };
+    for j in 0..dim {
+        if cell[j] % 2 == 1 && cell[j] < ranges[j].1 {
+            let half = unicomp_half(cell, ranges, j, cell[j] + 1);
+            plus.walk_box(ctx, grid, &half[..dim], found);
+        }
+    }
+}
+
+/// The box of one UNICOMP half: coordinate `x` in dimension `j`,
+/// dimensions below `j` spanning their `ranges`, dimensions above pinned
+/// to the home `cell`.
+#[inline]
+fn unicomp_half(cell: &[u32], ranges: &[DimRange], j: usize, x: u32) -> [DimRange; MAX_DIM] {
+    let mut half = [(0u32, 0u32); MAX_DIM];
+    half[..j].copy_from_slice(&ranges[..j]);
+    half[j] = (x, x);
+    for (r, &c) in half[j + 1..].iter_mut().zip(&cell[j + 1..]) {
+        *r = (c, c);
+    }
+    half
+}
+
 /// Per-cell hoisting pass shared by the count and fill kernels: computes
 /// the home cell's clipped adjacent ranges and enumerates the *existing*
-/// neighbor cells (positions in `B`/`G`), invoking `found` for each.
+/// neighbor cells (positions in `B`/`G`) in ascending order, invoking
+/// `found` for each.
 ///
-/// In full mode the home cell itself is included (its position is `h`, no
-/// search needed); in UNICOMP mode only the parity-selected neighbor
-/// subset is visited — the home cell is handled by the join kernel's
-/// id-ordering rule.
+/// In full mode the home cell itself is included; in UNICOMP mode only
+/// the parity-selected neighbor subset is visited — the home cell is
+/// handled by the join kernel's id-ordering rule.
 #[inline]
 fn for_each_existing_neighbor<T: Tracer, F: FnMut(&mut ThreadCtx<'_, T>, u32)>(
     ctx: &mut ThreadCtx<'_, T>,
@@ -127,34 +317,12 @@ fn for_each_existing_neighbor<T: Tracer, F: FnMut(&mut ThreadCtx<'_, T>, u32)>(
     let lin = ctx.read(&grid.b, h);
     let mut cell = [0u32; MAX_DIM];
     delinearize(lin, &grid.cells_per_dim[..dim], &mut cell[..dim]);
-    let mut adj = [(0u32, 0u32); MAX_DIM];
-    adjacent_ranges(&cell[..dim], &grid.cells_per_dim[..dim], &mut adj[..dim]);
-    let mut filtered = [(0u32, 0u32); MAX_DIM];
-    for j in 0..dim {
-        match traced_mask_range(ctx, grid, j, adj[j].0, adj[j].1) {
-            Some(r) => filtered[j] = r,
-            // The home cell is non-empty, so every dimension's mask
-            // contains at least its coordinate.
-            None => unreachable!("mask cannot eliminate the home cell's coordinate"),
-        }
-    }
+    let ranges = traced_clipped_ranges(ctx, grid, &cell[..dim]);
+    let mut found = |ctx: &mut ThreadCtx<'_, T>, nh: usize| found(ctx, nh as u32);
     if unicomp {
-        for_each_unicomp(dim, &cell[..dim], &filtered[..dim], |coords| {
-            let l = linearize(coords, &grid.cells_per_dim[..dim]);
-            if let Some(nh) = traced_find_cell(ctx, grid, l) {
-                found(ctx, nh as u32);
-            }
-        });
+        for_each_unicomp_cell(ctx, grid, h, &cell[..dim], &ranges[..dim], &mut found);
     } else {
-        for_each_full(dim, &filtered[..dim], |coords| {
-            let l = linearize(coords, &grid.cells_per_dim[..dim]);
-            if l == lin {
-                // The home cell exists at position h by construction.
-                found(ctx, h as u32);
-            } else if let Some(nh) = traced_find_cell(ctx, grid, l) {
-                found(ctx, nh as u32);
-            }
-        });
+        for_each_adjacent_cell(ctx, grid, &ranges[..dim], found);
     }
 }
 
@@ -189,12 +357,16 @@ impl Kernel for CellNeighborCountKernel<'_> {
     }
 }
 
-/// Pass 2: re-runs the traversal and appends one `(h, neighbor_h)` record
-/// per existing neighbor cell; the host scatters them into the CSR table.
+/// Pass 2: re-runs the walk and writes the cell's sorted neighbor list
+/// into **one** reservation of its counted length (read from the uploaded
+/// CSR offsets), then records `(h, reservation start)` so the host can
+/// copy the list to its CSR slot.
 struct CellNeighborFillKernel<'a> {
     grid: &'a DeviceGrid,
     unicomp: bool,
-    entries: &'a AppendBuffer<(u32, u32)>,
+    offsets: &'a DeviceBuffer<u32>,
+    entries: &'a AppendBuffer<u32>,
+    starts: &'a AppendBuffer<(u32, u32)>,
 }
 
 impl Kernel for CellNeighborFillKernel<'_> {
@@ -211,12 +383,27 @@ impl Kernel for CellNeighborFillKernel<'_> {
         if h >= self.grid.b.len() {
             return;
         }
+        let count = (ctx.read(self.offsets, h + 1) - ctx.read(self.offsets, h)) as usize;
+        ctx.trace_atomic(self.entries.cursor_addr(), 8);
+        let r = self.entries.reserve(count);
+        let mut written = 0;
+        // `write_reserved` panics past the reservation: the fill can never
+        // list more cells than the count pass counted.
         for_each_existing_neighbor(ctx, self.grid, h, self.unicomp, |ctx, nh| {
-            ctx.trace_atomic(self.entries.cursor_addr(), 8);
-            if let Some(addr) = self.entries.push((h as u32, nh)) {
-                ctx.trace_store(addr, 8);
+            if let Some(addr) = self.entries.write_reserved(&r, written, nh) {
+                ctx.trace_store(addr, 4);
             }
+            written += 1;
         });
+        // Nor fewer: its unwritten slots would list cell 0 in the table.
+        assert_eq!(
+            written, count,
+            "cell {h}: the fill pass listed {written} neighbor cells, the count pass {count}"
+        );
+        ctx.trace_atomic(self.starts.cursor_addr(), 8);
+        if let Some(addr) = self.starts.push((h as u32, r.start() as u32)) {
+            ctx.trace_store(addr, 8);
+        }
     }
 }
 
@@ -225,13 +412,17 @@ impl Kernel for CellNeighborFillKernel<'_> {
 /// or modeled device time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlanBuildStats {
-    /// Host wall time of the whole build (kernels + CSR assembly).
+    /// Host wall time of the whole build: both kernels, the transfers and
+    /// the host's copy of each cell's list into its CSR slot.
     pub wall: Duration,
-    /// Modeled device time of the two hoisting kernels.
+    /// Modeled device time of the two hoisting kernels (count and fill).
     pub modeled: Duration,
-    /// Bytes uploaded for the CSR table and the slot→cell map.
+    /// Bytes uploaded: the CSR offsets (before the fill pass, which reads
+    /// them), the CSR neighbor lists and the slot→cell map.
     pub h2d_bytes: usize,
-    /// Bytes drained back to the host by the two passes.
+    /// Bytes drained back to the host: the count pass's `(h, count)`
+    /// records, and the fill pass's 4-byte neighbor entries plus one
+    /// `(h, reservation start)` record per cell.
     pub d2h_bytes: usize,
 }
 
@@ -247,8 +438,8 @@ pub struct CellMajorPlan {
     pub cell_of_slot: DeviceBuffer<u32>,
     /// CSR offsets into [`Self::nbr_cells`] (`|B| + 1` entries).
     pub nbr_offsets: DeviceBuffer<u32>,
-    /// CSR values: existing neighbor-cell positions in `B`/`G`, sorted
-    /// ascending per home cell.
+    /// CSR values: existing neighbor-cell positions in `B`/`G`, strictly
+    /// ascending per home cell (the walk finds them in that order).
     pub nbr_cells: DeviceBuffer<u32>,
 }
 
@@ -270,9 +461,11 @@ impl CellMajorPlan {
     }
 
     /// Builds the plan on the device: two one-thread-per-cell kernel
-    /// passes (count, then fill) perform the hoisted mask clipping and
-    /// `B` searches; the host prefix-sums and scatters the records into
-    /// the CSR table and uploads it together with the slot→cell map.
+    /// passes (count, then fill) clip the adjacent ranges and walk `B`
+    /// once per pass. The host prefix-sums the counts into CSR offsets and
+    /// uploads them; each fill thread writes its sorted list into one
+    /// reservation, and the host copies the lists into the CSR table and
+    /// uploads it together with the slot→cell map.
     pub fn build(
         device: &Device,
         grid: &DeviceGrid,
@@ -313,9 +506,11 @@ impl CellMajorPlan {
             );
             *off = total as u32;
         }
+        let nbr_offsets = device.alloc_from_host(&offsets)?;
 
-        // Pass 2: materialize the (h, neighbor) records.
-        let mut entries = AppendBuffer::<(u32, u32)>::new(device.pool(), total as usize)?;
+        // Pass 2: each cell's list, in one reservation per cell.
+        let mut entries = AppendBuffer::<u32>::new(device.pool(), total as usize)?;
+        let mut starts = AppendBuffer::<(u32, u32)>::new(device.pool(), nb)?;
         let s2 = launch(
             device,
             launch_cfg,
@@ -323,27 +518,27 @@ impl CellMajorPlan {
             &CellNeighborFillKernel {
                 grid,
                 unicomp,
+                offsets: &nbr_offsets,
                 entries: &entries,
+                starts: &starts,
             },
         );
-        debug_assert!(!entries.overflowed(), "fill pass exceeded counted total");
-        let fill_records = entries.drain_to_host();
-        drop(entries);
+        let entries_host = entries.drain_to_host();
+        let start_records = starts.drain_to_host();
+        drop((entries, starts));
         stats.modeled += s2.modeled_wall;
-        stats.d2h_bytes += fill_records.len() * 8;
+        stats.d2h_bytes += entries_host.len() * 4 + start_records.len() * 8;
 
-        // Counting scatter into CSR, then per-list sort: append order is
-        // nondeterministic across blocks, the sorted lists are not.
+        // Reservation order is nondeterministic across blocks; each list
+        // is already sorted, so copying it to its CSR slot is all the
+        // host does.
         let mut values = vec![0u32; total as usize];
-        let mut cursor: Vec<u32> = offsets[..nb].to_vec();
-        for &(h, nh) in &fill_records {
-            let c = &mut cursor[h as usize];
-            values[*c as usize] = nh;
-            *c += 1;
+        for &(h, start) in &start_records {
+            let (h, start) = (h as usize, start as usize);
+            let (lo, hi) = (offsets[h] as usize, offsets[h + 1] as usize);
+            values[lo..hi].copy_from_slice(&entries_host[start..start + hi - lo]);
         }
-        for w in offsets.windows(2) {
-            values[w[0] as usize..w[1] as usize].sort_unstable();
-        }
+        drop(entries_host);
 
         // Slot→cell map, derived from G (pure host metadata, like A).
         let g_host = grid.g.as_slice();
@@ -355,7 +550,7 @@ impl CellMajorPlan {
         let plan = Self {
             unicomp,
             cell_of_slot: device.alloc_from_host(&cell_of_slot)?,
-            nbr_offsets: device.alloc_from_host(&offsets)?,
+            nbr_offsets,
             nbr_cells: device.alloc_from_host(&values)?,
         };
         stats.h2d_bytes = plan.cell_of_slot.size_bytes()
@@ -513,6 +708,8 @@ mod tests {
     use super::*;
     use crate::grid::GridIndex;
     use crate::result::NeighborTable;
+    use crate::unicomp::{adjacent_ranges, for_each_full, for_each_unicomp};
+    use proptest::prelude::*;
     use sim_gpu::{Device, DeviceSpec};
     use sj_datasets::synthetic::{clustered, lattice, uniform};
     use sj_datasets::Dataset;
@@ -624,39 +821,88 @@ mod tests {
         assert_eq!(NeighborTable::from_pairs(500, &all), expected);
     }
 
-    #[test]
-    fn plan_neighbor_lists_match_host_enumeration() {
-        // The CSR table must contain exactly the existing adjacent cells
-        // the host-side grid would enumerate for each home cell.
-        let data = uniform(3, 400, 65);
-        let grid = GridIndex::build(&data, 9.0).unwrap();
+    /// The hoisted lists of every home cell, checked against the host
+    /// grid's enumeration: the clipped adjacent box (full mode) or its
+    /// UNICOMP subset, searched cell by cell with
+    /// [`GridIndex::find_cell`], sorted.
+    fn assert_lists_match_host(data: &Dataset, eps: f64) {
+        let dim = data.dim();
+        let grid = GridIndex::build(data, eps).unwrap();
         let dev = Device::new(DeviceSpec::titan_x_pascal());
-        let dg = DeviceGrid::upload(&dev, &data, &grid).unwrap();
-        let (plan, _) = CellMajorPlan::build(&dev, &dg, false, LaunchConfig::default()).unwrap();
-        let offsets = plan.nbr_offsets.as_slice();
-        let values = plan.nbr_cells.as_slice();
-        let mut cbuf = [0u32; MAX_DIM];
-        for (h, &cell) in grid.b().iter().enumerate() {
-            delinearize(cell, grid.cells_per_dim(), &mut cbuf[..3]);
-            let mut adj = [(0u32, 0u32); MAX_DIM];
-            adjacent_ranges(&cbuf[..3], grid.cells_per_dim(), &mut adj[..3]);
-            let mut filtered = [(0u32, 0u32); MAX_DIM];
-            for j in 0..3 {
-                filtered[j] = grid.mask_range(j, adj[j].0, adj[j].1).unwrap();
-            }
-            let mut expected = Vec::new();
-            for_each_full(3, &filtered[..3], |coords| {
-                let lin = linearize(coords, grid.cells_per_dim());
-                if let Some(nh) = grid.find_cell(lin) {
-                    expected.push(nh as u32);
+        let dg = DeviceGrid::upload(&dev, data, &grid).unwrap();
+        for unicomp in [false, true] {
+            let (plan, _) =
+                CellMajorPlan::build(&dev, &dg, unicomp, LaunchConfig::default()).unwrap();
+            let offsets = plan.nbr_offsets.as_slice();
+            let values = plan.nbr_cells.as_slice();
+            assert_eq!(offsets.len(), grid.b().len() + 1);
+            let mut cell = [0u32; MAX_DIM];
+            for (h, &lin) in grid.b().iter().enumerate() {
+                delinearize(lin, grid.cells_per_dim(), &mut cell[..dim]);
+                let mut adj = [(0u32, 0u32); MAX_DIM];
+                adjacent_ranges(&cell[..dim], grid.cells_per_dim(), &mut adj[..dim]);
+                let mut ranges = [(0u32, 0u32); MAX_DIM];
+                for j in 0..dim {
+                    ranges[j] = grid.mask_range(j, adj[j].0, adj[j].1).unwrap();
                 }
-            });
-            expected.sort_unstable();
-            assert_eq!(
-                &values[offsets[h] as usize..offsets[h + 1] as usize],
-                &expected[..],
-                "cell {h}"
-            );
+                let mut expected = Vec::new();
+                let visit = |coords: &[u32]| {
+                    if let Some(nh) = grid.find_cell(linearize(coords, grid.cells_per_dim())) {
+                        expected.push(nh as u32);
+                    }
+                };
+                if unicomp {
+                    for_each_unicomp(dim, &cell[..dim], &ranges[..dim], visit);
+                } else {
+                    for_each_full(dim, &ranges[..dim], visit);
+                }
+                expected.sort_unstable();
+                let list = &values[offsets[h] as usize..offsets[h + 1] as usize];
+                assert!(
+                    list.windows(2).all(|w| w[0] < w[1]),
+                    "cell {h} (unicomp={unicomp}): list not strictly ascending: {list:?}"
+                );
+                assert_eq!(list, &expected[..], "cell {h} (unicomp={unicomp})");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Dims 1–6 on uniform, clustered and duplicate-heavy data; when
+        /// `flat < dim`, every point shares one coordinate in dimension
+        /// `flat`, so the grid is one non-empty cell wide there.
+        #[test]
+        fn plan_neighbor_lists_match_host_enumeration(
+            dim in 1usize..=6,
+            kind in 0u32..3,
+            flat in 0usize..8,
+            eps in 12.0f64..34.0,
+            seed in 0u64..10_000,
+        ) {
+            let n = 320;
+            let mut data = match kind {
+                0 => uniform(dim, n, seed),
+                1 => clustered(dim, n, 3, 4.0, 0.2, seed),
+                _ => {
+                    // 40 distinct points, each repeated 8 times.
+                    let base = uniform(dim, n / 8, seed);
+                    let mut d = Dataset::new(dim);
+                    for i in 0..n {
+                        d.push(base.point(i % base.len()));
+                    }
+                    d
+                }
+            };
+            if flat < dim {
+                let mut coords = data.coords().to_vec();
+                for p in coords.chunks_exact_mut(dim) {
+                    p[flat] = 50.0;
+                }
+                data = Dataset::from_flat(dim, coords);
+            }
+            assert_lists_match_host(&data, eps);
         }
     }
 

@@ -21,6 +21,7 @@
 //! context so the profiled mode drives the L1 cache simulator with the
 //! kernel's true access stream.
 
+use crate::cell_major::for_each_adjacent_cell;
 use crate::device_grid::DeviceGrid;
 use crate::grid::cell_coords;
 use crate::linearize::{linearize, MAX_DIM};
@@ -51,7 +52,7 @@ pub fn kernel_registers(dim: usize, unicomp: bool) -> usize {
 /// `[lo, hi)` whose element does not satisfy `pred` (i.e.
 /// `partition_point`), tracing every probe.
 #[inline]
-fn traced_partition_point<E, T, P>(
+pub(crate) fn traced_partition_point<E, T, P>(
     ctx: &mut ThreadCtx<'_, T>,
     buf: &DeviceBuffer<E>,
     mut lo: usize,
@@ -79,7 +80,7 @@ where
 /// using traced binary searches. Returns `None` when the mask eliminates
 /// the whole range.
 #[inline]
-pub(crate) fn traced_mask_range<T: Tracer>(
+fn traced_mask_range<T: Tracer>(
     ctx: &mut ThreadCtx<'_, T>,
     grid: &DeviceGrid,
     j: usize,
@@ -98,6 +99,27 @@ pub(crate) fn traced_mask_range<T: Tracer>(
     let end = traced_partition_point(ctx, &grid.m_values, start, mhi, |c| c <= hi);
     let last = ctx.read(&grid.m_values, end - 1);
     Some((first, last))
+}
+
+/// The adjacent ranges of `cell` in every dimension, clipped against the
+/// masks `M_j` (traced).
+#[inline]
+pub(crate) fn traced_clipped_ranges<T: Tracer>(
+    ctx: &mut ThreadCtx<'_, T>,
+    grid: &DeviceGrid,
+    cell: &[u32],
+) -> [DimRange; MAX_DIM] {
+    let dim = grid.dim;
+    let mut adj = [(0u32, 0u32); MAX_DIM];
+    adjacent_ranges(cell, &grid.cells_per_dim[..dim], &mut adj[..dim]);
+    let mut clipped = [(0u32, 0u32); MAX_DIM];
+    for j in 0..dim {
+        clipped[j] = traced_mask_range(ctx, grid, j, adj[j].0, adj[j].1)
+            // The cell is non-empty, so every dimension's mask contains at
+            // least its coordinate.
+            .expect("mask cannot eliminate a non-empty cell's own coordinate");
+    }
+    clipped
 }
 
 /// Binary-searches `B` for a linear cell id (traced). Returns the cell's
@@ -274,17 +296,7 @@ impl Kernel for SelfJoinKernel<'_> {
         );
 
         // Adjacent ranges, clipped against the masks M_j.
-        let mut adj = [(0u32, 0u32); MAX_DIM];
-        adjacent_ranges(&cell[..dim], &grid.cells_per_dim[..dim], &mut adj[..dim]);
-        let mut filtered = [(0u32, 0u32); MAX_DIM];
-        for j in 0..dim {
-            match traced_mask_range(ctx, grid, j, adj[j].0, adj[j].1) {
-                Some(r) => filtered[j] = r,
-                // The query's own cell is non-empty, so every dimension's
-                // mask contains at least its coordinate.
-                None => unreachable!("mask cannot eliminate the query's own coordinate"),
-            }
-        }
+        let filtered = traced_clipped_ranges(ctx, grid, &cell[..dim]);
 
         if !self.unicomp {
             // Full traversal: visit every surviving adjacent cell
@@ -360,9 +372,11 @@ impl Kernel for SelfJoinKernel<'_> {
 
 /// Result-size estimation kernel (batching support, §V-A).
 ///
-/// Runs the same traversal as the join kernel for a *sample* of query
-/// points, but only counts neighbours. One thread per sample; each thread
-/// appends its count to `counts`.
+/// Visits the same cells as the full join traversal for a *sample* of
+/// query points, but only counts neighbours. The cells are found by the
+/// ascending run walk of the [`crate::cell_major`] hoist, which visits
+/// exactly the cells the join kernel searches for one by one. One thread
+/// per sample; each thread appends its count to `counts`.
 pub struct CountKernel<'a> {
     /// Device-resident grid and data.
     pub grid: &'a DeviceGrid,
@@ -403,34 +417,26 @@ impl Kernel for CountKernel<'_> {
             &grid.cells_per_dim[..dim],
             &mut cell[..dim],
         );
-        let mut adj = [(0u32, 0u32); MAX_DIM];
-        adjacent_ranges(&cell[..dim], &grid.cells_per_dim[..dim], &mut adj[..dim]);
-        let mut filtered = [(0u32, 0u32); MAX_DIM];
-        for j in 0..dim {
-            match traced_mask_range(ctx, grid, j, adj[j].0, adj[j].1) {
-                Some(r) => filtered[j] = r,
-                None => unreachable!("mask cannot eliminate the query's own coordinate"),
-            }
-        }
+        let filtered = traced_clipped_ranges(ctx, grid, &cell[..dim]);
         let mut count = 0u32;
-        for_each_full(dim, &filtered[..dim], |coords| {
-            let lin = linearize(coords, &grid.cells_per_dim[..dim]);
-            if let Some(h) = traced_find_cell(ctx, grid, lin) {
-                scan_cell(
-                    ctx,
-                    grid,
-                    h,
-                    &p[..dim],
-                    eps_sq,
-                    None,
-                    Some(qid),
-                    &mut |_, _| {
-                        count += 1;
-                    },
-                );
-            }
+        for_each_adjacent_cell(ctx, grid, &filtered[..dim], |ctx, h| {
+            scan_cell(
+                ctx,
+                grid,
+                h,
+                &p[..dim],
+                eps_sq,
+                None,
+                Some(qid),
+                &mut |_, _| {
+                    count += 1;
+                },
+            );
         });
-        self.counts.push(count);
+        ctx.trace_atomic(self.counts.cursor_addr(), 8);
+        if let Some(addr) = self.counts.push(count) {
+            ctx.trace_store(addr, std::mem::size_of::<u32>());
+        }
     }
 }
 

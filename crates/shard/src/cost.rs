@@ -404,17 +404,42 @@ pub fn modeled_partition_cost(
     cuts + host_core_time(bytes)
 }
 
+/// Mean `B` reads per run of the hoist's ascending walk over a grid of
+/// `cells` non-empty cells whose data spans `span` cells per dimension,
+/// for the full box of `3^(dim−1)` runs: the first run binary-searches
+/// `B`; every later one gallops — about `1 + 2·log2(1 + gap)` probes for
+/// an answer `gap` positions past the previous run's end — and ends with
+/// one read past the run. A step of the run odometer in dimension `k`
+/// skips `cpd^k · (cpd − 3) / (cpd − 1)` ids, of which `cells / cpd^dim`
+/// are non-empty, where `cpd = span + 2` counts the grid's ε margin.
+fn walk_reads_per_run(dim: usize, cells: f64, span: f64) -> f64 {
+    let cpd = span.max(1.0) + 2.0;
+    let density = cells / cpd.powi(dim as i32);
+    let runs = 3f64.powi(dim as i32 - 1);
+    let mut probes = cells.max(2.0).log2();
+    for k in 1..dim {
+        let steps = 2.0 * 3f64.powi((dim - 1 - k) as i32);
+        let gap = density * cpd.powi(k as i32) * (cpd - 3.0) / (cpd - 1.0);
+        probes += steps * (1.0 + 2.0 * (1.0 + gap).log2());
+    }
+    probes / runs + 1.0
+}
+
 /// Predicted work counts of one shard, priced like executed work.
 ///
 /// The counts follow the cell-major kernels' traced accesses (the default
 /// hot path; the per-thread ablation is priced the same way): a grid of
 /// `cells ≈ points / occupancy` non-empty cells, where the occupancy of a
 /// non-empty cell is the Poisson mean `λ / (1 − e^{−λ})` of the sampled
-/// shell population `λ = candidates / shell`. The hoisting pass searches
-/// `B` for every in-bounds shell coordinate of every cell (twice: count,
-/// then fill) and records the non-empty ones; the join kernel reads each
-/// query's slot, coordinates and neighbor-cell list, one coordinate row per
-/// scanned candidate, and an id plus stored pairs per hit.
+/// shell population `λ = candidates / shell`. The hoisting pass walks `B`
+/// once per cell in each of its two kernels (count, then fill): one run of
+/// dimension-0 neighbors per combination of the other dimensions' shell
+/// coordinates, [`walk_reads_per_run`] reads per run and one more per
+/// listed cell; the count kernel appends one record per cell, the fill
+/// kernel one 4-byte entry per listed cell plus one reservation and one
+/// start record per cell. The join kernel reads each query's slot,
+/// coordinates and neighbor-cell list, one coordinate row per scanned
+/// candidate, and an id plus stored pairs per hit.
 fn project_shard(
     model: &CostModel,
     shard: usize,
@@ -442,12 +467,19 @@ fn project_shard(
     let lambda = (density.candidates / shell).max(1e-9);
     let filled = 1.0 - (-lambda).exp();
     let cells = (n * filled / lambda).clamp(n.min(1.0), n);
-    // UNICOMP visits the parity half of the shell (home cell excluded).
+    // UNICOMP visits the parity half of the shell (home cell excluded),
+    // in about (full runs + 1) / 2 runs.
     let visited = if unicomp { (shell - 1.0) / 2.0 } else { shell };
     let listed = visited * filled;
-    let search = 8.0 * (cells.max(1.0).log2().ceil() + 2.0);
-    let hoist_bytes =
-        cells * (2.0 * (8.0 + dim as f64 * 40.0 + visited * search) + 16.0 + 16.0 * listed);
+    let full_runs = shell.powf((dim as f64 - 1.0) / dim as f64);
+    let runs = if unicomp {
+        (full_runs + 1.0) / 2.0
+    } else {
+        full_runs
+    };
+    let span = (n / lambda).max(1.0).powf(1.0 / dim as f64);
+    let walk = 8.0 * (runs * walk_reads_per_run(dim, cells, span) + listed);
+    let hoist_bytes = cells * (2.0 * (8.0 + dim as f64 * 40.0 + walk) + 48.0 + 4.0 * listed);
     // Stored pairs are owned-keyed only (the ownership window).
     let stored = density.neighbors * owned as f64;
     let hits = if unicomp {
@@ -465,7 +497,9 @@ fn project_shard(
     // transfers per shard, the same for every shard) carries no
     // information about the shard's work and is left out.
     let batches = join.batching.min_batches.clamp(1, local.max(1));
-    let cell_records = 8.0 * (cells + cells * listed);
+    // Count records and fill start records (8 bytes per cell each), and
+    // the 4-byte neighbor entries.
+    let cell_records = cells * (16.0 + 4.0 * listed);
     let mut stages = vec![
         BatchCost {
             h2d_bytes: upload_bytes,
