@@ -81,8 +81,8 @@ fn main() {
         reference.insert(eps.to_bits(), out.table);
     }
 
-    // Steady-state cost calibration (same recipe as serve_slo): second
-    // pass over a warm throwaway session defines pool capacity.
+    // Pool capacity (same recipe as serve_slo): the measured modeled cost
+    // of each ε served again by a warm throwaway session.
     let mean_cost = {
         let session = SelfJoinSession::new(data.clone(), DevicePool::titan_x(1));
         for &eps in &eps_set {
@@ -146,9 +146,8 @@ fn main() {
             },
         );
         let id = service.register_dataset("syn", data.clone());
-        // Two warm passes: resident snapshots on every device and a
-        // steady-state cost model before any fault can fire.
-        service.warm(id, &eps_set).expect("warm failed");
+        // Resident snapshots on every device and every ε's exact count
+        // cached before any fault can fire.
         service.warm(id, &eps_set).expect("warm failed");
         service.reset_metrics();
         let retries_before = sj_obs::registry()

@@ -78,10 +78,11 @@ pub struct Measurement {
 /// only (index construction excluded, §VI-B); Super-EGO reports
 /// ego-sort + join; GPU variants report the **modeled device response
 /// time** — grid construction plus the pipelined timeline of uploads,
-/// modeled kernels and result downloads (the kernels execute on host
-/// cores, so wall time is converted through the device's documented
-/// throughput model; see `sim_gpu::DeviceSpec::throughput_vs_host_core`);
-/// brute force reports a single modeled kernel invocation.
+/// kernels and result downloads, every kernel priced from its counted
+/// bytes (`sim_gpu::DeviceSpec::kernel_time`); brute force reports a
+/// single modeled kernel invocation. The R-tree and Super-EGO baselines
+/// report host *wall* time, so comparisons against GPU variants mix the
+/// two clocks.
 pub fn run_algorithms(
     data: &Dataset,
     epsilon: f64,
@@ -98,10 +99,6 @@ pub fn run_algorithms(
             let (secs, p) = run_once(data, epsilon, algo);
             best = best.min(secs);
             pairs = p;
-        }
-        if algo != Algo::GpuBrute {
-            // Brute force also computes the exact count, so include it in
-            // the cross-validation set.
         }
         match reference_pairs {
             None => reference_pairs = Some(pairs),

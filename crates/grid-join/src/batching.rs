@@ -156,6 +156,35 @@ impl BatchReport {
     }
 }
 
+/// The id stride of the estimation kernel's sample over `n` points:
+/// `sample_fraction` of them, at least `min_sample`, at most all.
+pub(crate) fn sample_stride(n: usize, cfg: &BatchingConfig) -> usize {
+    let sample = ((n as f64 * cfg.sample_fraction) as usize)
+        .max(cfg.min_sample)
+        .min(n);
+    n.div_ceil(sample.max(1)).max(1)
+}
+
+/// The batch count and result-buffer pair budget of a join over `n` slots
+/// estimated at `estimated` pairs, on a device with `free_bytes` free: at
+/// least `min_batches`, more when the estimate overflows the budget, a
+/// share of free memory floored so tiny datasets still get a useful
+/// buffer. The executor runs this split; cost projections price it.
+pub(crate) fn batch_split(
+    n: usize,
+    estimated: u64,
+    free_bytes: usize,
+    cfg: &BatchingConfig,
+) -> (usize, usize) {
+    let budget_pairs =
+        ((free_bytes as f64 * cfg.result_mem_fraction) as usize / size_of::<Pair>()).max(4096);
+    let batches = cfg
+        .min_batches
+        .max((estimated as usize).div_ceil(budget_pairs))
+        .min(n.max(1));
+    (batches, budget_pairs)
+}
+
 /// Estimates the total number of directed result pairs by sampling.
 ///
 /// `query_epsilon` overrides the distance threshold (resident-index reuse
@@ -174,14 +203,13 @@ pub fn estimate_result_size(
     }
     let mut span = sj_obs::Span::enter("gpu.estimate");
     let eps = query_epsilon.unwrap_or(grid.epsilon);
-    let sample = ((n as f64 * cfg.sample_fraction) as usize)
-        .max(cfg.min_sample)
-        .min(n);
-    // Deterministic stratified sample: every ceil(n/sample)-th point. A is
-    // grouped by cell, but ids are assigned in input order, so striding ids
+    // Deterministic stratified sample: every stride-th point. A is grouped
+    // by cell, but ids are assigned in input order, so striding ids
     // samples space roughly uniformly for any input order.
-    let stride = n.div_ceil(sample);
-    let ids: Vec<u32> = (0..n).step_by(stride).map(|i| i as u32).collect();
+    let ids: Vec<u32> = (0..n)
+        .step_by(sample_stride(n, cfg))
+        .map(|i| i as u32)
+        .collect();
     let sample_ids = device.alloc_from_host(&ids)?;
     let counts = AppendBuffer::<u32>::new(device.pool(), ids.len())?;
     let kernel = CountKernel {
@@ -273,18 +301,11 @@ pub fn run_batched_on(
         HotPath::PerThread => None,
     };
 
-    // Buffer capacity: bounded by the free-memory budget, floored so tiny
-    // datasets still get a useful buffer.
-    let pair_size = std::mem::size_of::<Pair>();
-    let budget_pairs =
-        ((device.free_bytes() as f64 * cfg.result_mem_fraction) as usize / pair_size).max(4096);
-    let batches = cfg
-        .min_batches
-        .max((estimated as usize).div_ceil(budget_pairs))
-        .min(n.max(1));
+    let (batches, budget_pairs) = batch_split(n, estimated, device.free_bytes(), cfg);
     // Expected pairs per batch, with headroom for skew between batches.
     let per_batch_estimate = (estimated as usize).div_ceil(batches);
     let mut capacity = (per_batch_estimate * 2).clamp(4096, budget_pairs);
+    let pair_size = size_of::<Pair>();
 
     let mut results = AppendBuffer::<Pair>::new(device.pool(), capacity)?;
     let mut all_pairs: Vec<Pair> = Vec::with_capacity(estimated as usize);

@@ -16,7 +16,9 @@
 //!   neighbor hoisting, batched result reservation ([`cell_major`]; the
 //!   default execution path),
 //! * a **result-set batching** pipeline that bounds device memory use and
-//!   overlaps transfers with compute ([`batching`]), and
+//!   overlaps transfers with compute ([`batching`]),
+//! * **cost projection** from predicted work counts, priced like executed
+//!   work ([`cost`]), and
 //! * a **brute-force** GPU baseline for the evaluation ([`brute_force`]).
 //!
 //! Start with [`GpuSelfJoin`]:
@@ -33,6 +35,7 @@
 pub mod batching;
 pub mod brute_force;
 pub mod cell_major;
+pub mod cost;
 pub mod device_grid;
 pub mod error;
 pub mod grid;

@@ -40,10 +40,11 @@
 //! finish on the old one (device memory is freed when the last query
 //! drops its `Arc`).
 
-use crate::batching::ExecOptions;
+use crate::batching::{batch_split, sample_stride, ExecOptions};
 use crate::cell_major::{CellMajorPlan, HotPath};
+use crate::cost::{calibrate, price, Census, Density};
 use crate::device_grid::DeviceGrid;
-use crate::error::SelfJoinError;
+use crate::error::{GridBuildError, SelfJoinError};
 use crate::grid::GridIndex;
 use crate::knn::{gpu_knn_on, KnnHit};
 use crate::plan::{execute, Backend, EstimateStage, IndexStage, JoinPlan, JoinReport};
@@ -60,9 +61,6 @@ use std::time::{Duration, Instant};
 /// Process-wide session id source — the owner tag sessions register their
 /// snapshots under in the pool's [`sim_gpu::MemoryLedger`].
 static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(1);
-
-/// EWMA weight of the newest observation in the session's cost model.
-const COST_EWMA_ALPHA: f64 = 0.3;
 
 /// Configuration of a resident session.
 #[derive(Clone, Copy, Debug)]
@@ -145,12 +143,15 @@ struct Resident {
     /// Devices that have uploaded this generation at least once — a
     /// second upload on such a device is a *re-upload* (post-eviction).
     uploaded_devices: Mutex<HashSet<usize>>,
-    /// ε′ bits → exact directed pair count of an already-served query.
+    /// ε′ bits → the exact directed pair count of an already-served query
+    /// and the modeled time of its join launches with their downloads
+    /// (the pipeline a repeat query runs: no estimate, build or upload).
     /// Query streams repeat ε values; a hit replaces the sampling
-    /// estimate kernel with the exact count from the previous answer
-    /// (invalidated with the generation — a rebuild changes the grid, not
-    /// the answer, but the cache rides the generation's lifetime anyway).
-    estimates: Mutex<HashMap<u64, u64>>,
+    /// estimate kernel with the exact count from the previous answer, and
+    /// prices the repeat at what the previous answer cost (invalidated
+    /// with the generation — a rebuild changes the grid, not the answer,
+    /// but the cache rides the generation's lifetime anyway).
+    estimates: Mutex<HashMap<u64, (u64, Duration)>>,
 }
 
 struct SessionState {
@@ -158,31 +159,9 @@ struct SessionState {
     stats: SessionStats,
 }
 
-/// Learned per-session cost coefficients (modeled seconds), updated by an
-/// EWMA after every served query — the calibration behind
-/// [`SelfJoinSession::projected_cost`].
-#[derive(Clone, Copy, Debug, Default)]
-struct CostModel {
-    /// Modeled seconds of a resident query per work unit, where one unit
-    /// is one point scanned or one result pair produced (kernels and
-    /// result transfers both scale with it).
-    query_secs_per_unit: Option<f64>,
-    /// Modeled seconds of an index (re)build including the first-touch
-    /// snapshot upload.
-    build_secs: Option<f64>,
-}
-
-fn ewma(slot: &mut Option<f64>, observation: f64) {
-    *slot = Some(match *slot {
-        Some(prev) => prev + COST_EWMA_ALPHA * (observation - prev),
-        None => observation,
-    });
-}
-
-/// Projected modeled cost of a prospective query, from the session's
-/// cached result-size estimates plus the learned batching cost model —
-/// the admission signal a serving frontend reads *without* touching a
-/// device.
+/// Projected modeled cost of a prospective query (see
+/// [`SelfJoinSession::projected_cost`]) — the admission signal a serving
+/// frontend reads *without* touching a device.
 #[derive(Clone, Copy, Debug)]
 pub struct ProjectedCost {
     /// Projected modeled response time (build included when needed).
@@ -192,10 +171,6 @@ pub struct ProjectedCost {
     /// Whether the query would fall outside the validity band and force
     /// an index rebuild.
     pub needs_build: bool,
-    /// Whether every coefficient behind `modeled` comes from observed
-    /// queries (false while the session is cold — admission controllers
-    /// should admit uncalibrated queries rather than guess).
-    pub calibrated: bool,
 }
 
 /// Output of one session self-join query.
@@ -237,7 +212,6 @@ pub struct SelfJoinSession {
     pool: DevicePool,
     config: SessionConfig,
     state: Mutex<SessionState>,
-    model: Mutex<CostModel>,
     /// Snapshot evictions (LRU or manual). Kept outside `state` because
     /// ledger evictors fire without a session handle — they share this
     /// counter through an `Arc`.
@@ -256,7 +230,6 @@ impl SelfJoinSession {
                 resident: None,
                 stats: SessionStats::default(),
             }),
-            model: Mutex::new(CostModel::default()),
             evictions: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -398,7 +371,11 @@ impl SelfJoinSession {
         // Repeat-ε queries inject the exact pair count of the earlier
         // answer (scaled by the safety factor for batch-buffer headroom)
         // instead of re-running the sampling kernel.
-        let cached_count = resident.estimates.lock().get(&epsilon.to_bits()).copied();
+        let cached_count = resident
+            .estimates
+            .lock()
+            .get(&epsilon.to_bits())
+            .map(|&(pairs, _)| pairs);
         let estimate = match cached_count {
             Some(pairs) => EstimateStage::Precomputed(
                 ((pairs as f64) * self.config.join.batching.safety_factor).ceil() as u64,
@@ -435,25 +412,6 @@ impl SelfJoinSession {
             }
         };
 
-        // Calibrate the cost model from what the query actually cost on
-        // the modeled clock (pure query cost — the report has not had the
-        // session-level one-time costs folded in yet).
-        {
-            let units = (self.data.len() as u64 + out.report.batching.actual_pairs) as f64;
-            let mut model = self.model.lock();
-            ewma(
-                &mut model.query_secs_per_unit,
-                out.report.modeled_total.as_secs_f64() / units.max(1.0),
-            );
-            if !reused {
-                let mut one_time = build_modeled;
-                if first_touch {
-                    one_time += snap.upload_modeled;
-                }
-                ewma(&mut model.build_secs, one_time.as_secs_f64());
-            }
-        }
-
         // Fold the session-level one-time costs into this query's report:
         // the executor saw a resident index, so it charged neither the
         // build nor the upload — whichever of those this query actually
@@ -465,10 +423,13 @@ impl SelfJoinSession {
             out.report.total += touch_wall;
             out.report.modeled_total += snap.upload_modeled;
         }
-        resident
-            .estimates
-            .lock()
-            .insert(epsilon.to_bits(), out.report.batching.actual_pairs);
+        resident.estimates.lock().insert(
+            epsilon.to_bits(),
+            (
+                out.report.batching.actual_pairs,
+                out.report.batching.timeline.total,
+            ),
+        );
 
         {
             let mut state = self.state.lock();
@@ -521,11 +482,7 @@ impl SelfJoinSession {
     /// when ε is outside the resident band. Returns `(generation,
     /// reused, build_wall)`.
     fn resident_for(&self, epsilon: f64) -> Result<(Arc<Resident>, bool, Duration), SelfJoinError> {
-        if !(epsilon.is_finite() && epsilon > 0.0) {
-            return Err(SelfJoinError::Grid(
-                crate::error::GridBuildError::InvalidEpsilon(epsilon),
-            ));
-        }
+        check_epsilon(epsilon)?;
         {
             let mut state = self.state.lock();
             let reusable = state.resident.as_ref().is_some_and(|resident| {
@@ -686,83 +643,56 @@ impl SelfJoinSession {
     }
 
     /// Projects the modeled cost of a query at `epsilon` without touching
-    /// a device: the expected result size comes from the generation's
-    /// exact-count cache (scaled from the nearest cached ε when the exact
-    /// value is absent) and the time coefficients from the EWMA-calibrated
-    /// cost model. Serving frontends use this as their admission signal;
-    /// while `calibrated` is false the projection is a prior, not a
-    /// measurement.
-    pub fn projected_cost(&self, epsilon: f64) -> ProjectedCost {
-        let n = self.data.len() as u64;
-        if !(epsilon.is_finite() && epsilon > 0.0) {
-            // Garbage ε would poison the nearest-ε search below (NaN log
-            // ratios); report an uncalibrated zero-cost build so the
-            // caller proceeds to the query path, whose validation turns
-            // it into the proper error.
-            return ProjectedCost {
-                modeled: Duration::ZERO,
-                expected_pairs: 0,
-                needs_build: true,
-                calibrated: false,
-            };
-        }
-        let needs_build = !self.would_reuse(epsilon);
-        let dim = self.data.dim().max(1) as i32;
-        let (expected_pairs, pairs_known) = {
-            let state = self.state.lock();
-            match state.resident.as_ref() {
-                Some(resident) => {
-                    let estimates = resident.estimates.lock();
-                    match estimates.get(&epsilon.to_bits()) {
-                        Some(&pairs) => (pairs, true),
-                        None => {
-                            // Nearest cached ε (log distance), scaled by
-                            // the volume ratio (ε′/ε)^dim — pair counts
-                            // grow with the ball volume.
-                            let nearest = estimates
-                                .iter()
-                                .map(|(bits, &pairs)| (f64::from_bits(*bits), pairs))
-                                .filter(|(eps, _)| *eps > 0.0)
-                                .min_by(|a, b| {
-                                    let da = (epsilon / a.0).ln().abs();
-                                    let db = (epsilon / b.0).ln().abs();
-                                    da.partial_cmp(&db).expect("finite cached eps")
-                                });
-                            match nearest {
-                                Some((eps_c, pairs)) => {
-                                    let scaled = pairs as f64 * (epsilon / eps_c).powi(dim);
-                                    (scaled.ceil() as u64, true)
-                                }
-                                None => (n.saturating_mul(8), false),
-                            }
-                        }
-                    }
-                }
-                None => (n.saturating_mul(8), false),
-            }
-        };
-        let model = *self.model.lock();
-        // Cold-session prior: a work unit costs about what moving one
-        // result pair over PCIe does.
-        let per_unit = model.query_secs_per_unit.unwrap_or_else(|| {
-            let tm = self.pool.device(0).spec().transfer_model();
-            tm.time(std::mem::size_of::<crate::result::Pair>())
-                .as_secs_f64()
-        });
-        let mut secs = per_unit * (n + expected_pairs) as f64;
-        let mut calibrated = model.query_secs_per_unit.is_some() && pairs_known;
-        if needs_build {
-            match model.build_secs {
-                Some(build) => secs += build,
-                None => calibrated = false,
+    /// a device — serving frontends admit on it. A repeat of an ε the
+    /// resident generation has served costs what that query's launches
+    /// and downloads did. Any other ε is priced from a census sampled at
+    /// the width of the grid that would serve it ([`crate::cost`], on pool
+    /// device 0's spec): the estimate kernel and the join launches, plus
+    /// the grid build, upload and hoist when no resident generation serves
+    /// ε. First-touch uploads are not priced: the device is not known
+    /// until placement.
+    ///
+    /// # Errors
+    ///
+    /// [`SelfJoinError::Grid`] when `epsilon` is not finite and positive.
+    pub fn projected_cost(&self, epsilon: f64) -> Result<ProjectedCost, SelfJoinError> {
+        check_epsilon(epsilon)?;
+        let serves =
+            |r: &Arc<Resident>| in_band(r.grid.epsilon(), epsilon, self.config.reuse_floor);
+        let resident = self.state.lock().resident.clone().filter(serves);
+        if let Some(resident) = &resident {
+            if let Some(&(pairs, modeled)) = resident.estimates.lock().get(&epsilon.to_bits()) {
+                return Ok(ProjectedCost {
+                    modeled,
+                    expected_pairs: pairs,
+                    needs_build: false,
+                });
             }
         }
-        ProjectedCost {
-            modeled: Duration::from_secs_f64(secs.max(0.0)),
-            expected_pairs,
-            needs_build,
-            calibrated,
-        }
+        // Calibrated at the serving grid's width; neighbor counts scale to
+        // ε by the volume ratio.
+        let (n, dim, join) = (self.data.len(), self.data.dim(), &self.config.join);
+        let built = resident
+            .as_ref()
+            .map_or(epsilon * self.config.build_headroom, |r| r.grid.epsilon());
+        let dmin = self.data.min_per_dim().unwrap_or_else(|| vec![0.0; dim]);
+        let dmax = self.data.max_per_dim().unwrap_or_else(|| vec![0.0; dim]);
+        let model = calibrate(n, &dmin, &dmax, self.data.coords(), built)?;
+        let mut density = Density::of(&model, 0..model.sample_neighbors.len());
+        density.neighbors *= (epsilon / built).powi(dim as i32);
+        let pairs = (density.neighbors * n as f64).round() as u64;
+        let device = self.pool.device(0);
+        let estimated = (pairs as f64 * join.batching.safety_factor).ceil() as u64;
+        let (batches, _) = batch_split(n, estimated, device.free_bytes(), &join.batching);
+        let samples = n.div_ceil(sample_stride(n, &join.batching));
+        let mut census = Census::sampled(&model, &density, n, n, join.unicomp, batches, samples);
+        census.builds = resident.is_none();
+        let spec = device.spec();
+        Ok(ProjectedCost {
+            modeled: price(&census, spec, spec.transfer_model(), join.batching.streams).total(),
+            expected_pairs: pairs,
+            needs_build: resident.is_none(),
+        })
     }
 }
 
@@ -775,6 +705,15 @@ impl std::fmt::Debug for SelfJoinSession {
             .field("epsilon_built", &self.epsilon_built())
             .field("stats", &self.stats())
             .finish()
+    }
+}
+
+/// Rejects a query radius that is not finite and positive.
+fn check_epsilon(epsilon: f64) -> Result<(), SelfJoinError> {
+    if epsilon.is_finite() && epsilon > 0.0 {
+        Ok(())
+    } else {
+        Err(SelfJoinError::Grid(GridBuildError::InvalidEpsilon(epsilon)))
     }
 }
 
@@ -985,11 +924,14 @@ mod tests {
     #[test]
     fn invalid_epsilon_surfaces_error() {
         let session = SelfJoinSession::single_device(uniform(2, 50, 80));
-        assert!(matches!(session.query(-1.0), Err(SelfJoinError::Grid(_))));
-        assert!(matches!(
-            session.query(f64::NAN),
-            Err(SelfJoinError::Grid(_))
-        ));
+        let invalid = |e| matches!(e, SelfJoinError::Grid(GridBuildError::InvalidEpsilon(_)));
+        for eps in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            assert!(session.query(eps).is_err_and(invalid), "query at {eps}");
+            assert!(
+                session.projected_cost(eps).is_err_and(invalid),
+                "projection at {eps}"
+            );
+        }
     }
 
     #[test]
@@ -1053,41 +995,64 @@ mod tests {
         assert_eq!(pool.active_leases(), vec![0, 0, 0], "lease returned");
     }
 
+    /// The workloads the projection tests price (about 16 neighbors per
+    /// point), each with a fresh session.
+    fn projection_workloads() -> [(&'static str, SelfJoinSession, f64); 3] {
+        [
+            ("uniform 2-D", uniform(2, 4_000, 87), 3.6),
+            ("SDSS 2-D", sj_datasets::sdss::sdss2d(4_000, 92), 0.35),
+            ("uniform 6-D", uniform(6, 2_000, 93), 38.0),
+        ]
+        .map(|(name, data, eps)| (name, SelfJoinSession::single_device(data), eps))
+    }
+
+    /// Projected over measured modeled time.
+    fn ratio(cost: &ProjectedCost, out: &SessionQueryOutput) -> f64 {
+        cost.modeled.as_secs_f64() / out.report.modeled_total.as_secs_f64()
+    }
+
     #[test]
     fn projected_cost_calibrates_from_served_queries() {
-        let data = uniform(2, 1500, 87);
-        let session = SelfJoinSession::single_device(data);
-        let eps = 2.0;
-        // Cold: a prior, not a measurement.
-        let cold = session.projected_cost(eps);
-        assert!(!cold.calibrated);
-        assert!(cold.needs_build);
-        let out = session.query(eps).unwrap();
-        // Warm with the exact count cached: calibrated, no build needed.
-        let warm = session.projected_cost(eps);
-        assert!(warm.calibrated);
-        assert!(!warm.needs_build);
-        assert_eq!(warm.expected_pairs, out.report.batching.actual_pairs);
-        assert!(warm.modeled > Duration::ZERO);
-        // Projection for the cached ε tracks the observed modeled cost
-        // within a loose band (same model that was calibrated from it).
-        let observed = out.report.modeled_total.as_secs_f64();
-        let projected = warm.modeled.as_secs_f64();
-        assert!(
-            projected < observed * 3.0,
-            "projected {projected} vs observed {observed}"
-        );
-        // In-band ε′ without a cached count: scaled from the nearest ε.
-        let shrunk = session.projected_cost(eps * 0.8);
-        assert!(shrunk.calibrated);
-        assert!(shrunk.expected_pairs < warm.expected_pairs);
-        assert!(!shrunk.needs_build);
-        // Out-of-band ε: build cost folds in, still calibrated (one build
-        // has been observed).
-        let grown = session.projected_cost(eps * 4.0);
-        assert!(grown.needs_build);
-        assert!(grown.calibrated);
-        assert!(grown.modeled > shrunk.modeled);
+        for (name, session, eps) in projection_workloads() {
+            session.query(eps).unwrap();
+            // A repeat of a served ε costs what its launches did.
+            let warm = session.projected_cost(eps).unwrap();
+            assert!(!warm.needs_build);
+            let out = session.query(eps).unwrap();
+            assert!(out.reused_index);
+            assert_eq!(warm.expected_pairs, out.report.batching.actual_pairs);
+            let r = ratio(&warm, &out);
+            assert!((r - 1.0).abs() <= 0.02, "{name}: projected/measured {r}");
+            // An in-band ε′ nobody has served prices a census sampled on
+            // the resident grid: the estimate and the launches, no build.
+            let shrunk = session.projected_cost(eps * 0.8).unwrap();
+            assert!(!shrunk.needs_build);
+            assert!(shrunk.expected_pairs < warm.expected_pairs, "{name}");
+            let r = ratio(&shrunk, &session.query(eps * 0.8).unwrap());
+            assert!(
+                (2.0 / 3.0..=1.5).contains(&r),
+                "{name} at 0.8ε: projected/measured {r}"
+            );
+            // An out-of-band ε prices a rebuild.
+            let grown = session.projected_cost(eps * 4.0).unwrap();
+            assert!(grown.needs_build);
+            assert!(grown.modeled > warm.modeled, "{name}");
+        }
+    }
+
+    #[test]
+    fn cold_projection_brackets_the_first_query() {
+        // A never-queried session prices its first (build) query from a
+        // sampled census: within the shard chooser's ±50% bar.
+        for (name, session, eps) in projection_workloads() {
+            let cold = session.projected_cost(eps).unwrap();
+            assert!(cold.needs_build);
+            let r = ratio(&cold, &session.query(eps).unwrap());
+            assert!(
+                (2.0 / 3.0..=1.5).contains(&r),
+                "{name}: projected/measured {r}"
+            );
+        }
     }
 
     #[test]

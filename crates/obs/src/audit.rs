@@ -2,9 +2,9 @@
 //! measured outcome.
 //!
 //! The repo runs on *models* — admission control trusts
-//! `SelfJoinSession::projected_cost` (EWMA-calibrated), the shard-count
-//! chooser trusts `modeled_makespan` over predicted work counts — and
-//! either can drift silently from what execution then costs. This module
+//! `SelfJoinSession::projected_cost`, the shard-count chooser trusts
+//! `modeled_makespan`, both pricing predicted work counts — and either
+//! can drift silently from what execution then costs. This module
 //! makes the drift a metric: each
 //! instrumented site calls [`record`] with its projection and the
 //! measured outcome, and the signed relative error lands in a

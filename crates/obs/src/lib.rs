@@ -20,8 +20,8 @@
 //! * [`audit`] — cost-model calibration audits: every projected cost
 //!   (admission's `projected_cost`, the shard chooser's
 //!   `modeled_makespan`) paired with its measured outcome and exported
-//!   as a calibration-error histogram, so EWMA drift is visible instead
-//!   of silent.
+//!   as a calibration-error histogram, so count-prediction error is
+//!   visible instead of silent.
 //!
 //! [`json`] is the shared JSON writer/parser underneath both exporters —
 //! and underneath `sj_serve`'s metrics snapshot and `sj_bench`'s result

@@ -1,10 +1,10 @@
 //! The admission controller: admit, delay, or reject.
 //!
 //! The controller never touches a device. Its inputs are cheap reads —
-//! the session's [`ProjectedCost`] (cached result-size estimate × the
-//! calibrated batching cost model), the scheduler's projected queue wait,
-//! and the pool's [`sim_gpu::PoolPressure`] — and its output is a
-//! [`Decision`] made against the configured latency SLO:
+//! the session's [`ProjectedCost`] (the query's predicted work counts
+//! priced like executed work, see [`grid_join::cost`]), the scheduler's
+//! projected queue wait, and the pool's [`sim_gpu::PoolPressure`] — and
+//! its output is a [`Decision`] made against the configured latency SLO:
 //!
 //! * projected completion within the SLO → **admit**;
 //! * within `slo × delay_factor` → **admit, flagged delayed** (the query
@@ -12,10 +12,6 @@
 //! * beyond that, or past the queue-depth bound, or past the tenant's
 //!   in-flight cap → **reject** with a `retry_after` hint sized to when
 //!   the backlog is projected to have drained enough.
-//!
-//! Uncalibrated queries (a cold session that has never observed a build
-//! or a result size) are always admitted: rejecting on a guess would be
-//! worse than observing once and calibrating.
 
 use grid_join::ProjectedCost;
 use sim_gpu::PoolPressure;
@@ -107,11 +103,6 @@ pub fn decide(
             retry_after: retry_hint(),
         };
     }
-    if !cost.calibrated {
-        // Cold model: admit to observe. The first few queries calibrate
-        // the per-session cost coefficients everything else relies on.
-        return Decision::Admit { delayed: false };
-    }
     let projected = projected_wait + cost.modeled;
     if projected <= cfg.slo {
         Decision::Admit { delayed: false }
@@ -128,12 +119,11 @@ pub fn decide(
 mod tests {
     use super::*;
 
-    fn cost(ms: u64, calibrated: bool) -> ProjectedCost {
+    fn cost(ms: u64) -> ProjectedCost {
         ProjectedCost {
             modeled: Duration::from_millis(ms),
             expected_pairs: 1000,
             needs_build: false,
-            calibrated,
         }
     }
 
@@ -157,7 +147,7 @@ mod tests {
         let d = decide(
             &cfg(),
             Duration::from_millis(50),
-            &cost(40, true),
+            &cost(40),
             0,
             &idle_pressure(),
         );
@@ -169,7 +159,7 @@ mod tests {
         let d = decide(
             &cfg(),
             Duration::from_millis(90),
-            &cost(40, true),
+            &cost(40),
             0,
             &idle_pressure(),
         );
@@ -181,7 +171,7 @@ mod tests {
         let d = decide(
             &cfg(),
             Duration::from_millis(400),
-            &cost(40, true),
+            &cost(40),
             0,
             &idle_pressure(),
         );
@@ -194,22 +184,10 @@ mod tests {
     }
 
     #[test]
-    fn uncalibrated_cost_always_admits() {
-        let d = decide(
-            &cfg(),
-            Duration::from_secs(10),
-            &cost(40, false),
-            0,
-            &idle_pressure(),
-        );
-        assert_eq!(d, Decision::Admit { delayed: false });
-    }
-
-    #[test]
     fn tenant_cap_rejects_even_when_idle() {
         let mut c = cfg();
         c.tenant_max_inflight = 2;
-        let d = decide(&c, Duration::ZERO, &cost(1, true), 2, &idle_pressure());
+        let d = decide(&c, Duration::ZERO, &cost(1), 2, &idle_pressure());
         assert!(matches!(d, Decision::Reject { .. }));
     }
 
@@ -222,7 +200,7 @@ mod tests {
             queued: 3,
             healthy: 2,
         };
-        let d = decide(&c, Duration::ZERO, &cost(1, true), 0, &deep);
+        let d = decide(&c, Duration::ZERO, &cost(1), 0, &deep);
         assert!(matches!(d, Decision::Reject { .. }));
     }
 
@@ -237,7 +215,7 @@ mod tests {
             queued: 16,
             healthy: 1,
         };
-        let d = decide(&c, Duration::ZERO, &cost(10, true), 0, &deep);
+        let d = decide(&c, Duration::ZERO, &cost(10), 0, &deep);
         match d {
             Decision::Reject { retry_after } => {
                 assert_eq!(retry_after, Duration::from_millis(170));
@@ -248,7 +226,7 @@ mod tests {
         let d = decide(
             &c,
             Duration::ZERO,
-            &cost(10, true),
+            &cost(10),
             0,
             &PoolPressure { healthy: 2, ..deep },
         );
@@ -271,7 +249,7 @@ mod tests {
             queued: 10_000,
             healthy: 2,
         };
-        let d = decide(&c, Duration::from_secs(60), &cost(500, true), 999, &deep);
+        let d = decide(&c, Duration::from_secs(60), &cost(500), 999, &deep);
         assert_eq!(d, Decision::Admit { delayed: false });
     }
 }

@@ -8,9 +8,9 @@
 //! worker thread per pool device, with three control loops between the
 //! submit call and the kernels:
 //!
-//! 1. **Admission** ([`admission`]) — every query's projected cost comes
-//!    from its session's cached result-size estimates plus the calibrated
-//!    batching cost model ([`grid_join::ProjectedCost`]), and the pool's
+//! 1. **Admission** ([`admission`]) — every query's projected cost is its
+//!    predicted work counts priced like executed work
+//!    ([`grid_join::ProjectedCost`], [`grid_join::cost`]), and the pool's
 //!    backlog from [`sim_gpu::DevicePool::pressure`] and the scheduler's
 //!    per-device busy horizon. Queries whose projected completion would
 //!    break the configured latency SLO are *delayed* (admitted past the

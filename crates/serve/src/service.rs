@@ -319,11 +319,11 @@ impl SelfJoinService {
             .map(|(_, s)| Arc::clone(s))
     }
 
-    /// Warms a dataset's session: serves each ε once (seeding the
-    /// result-size cache and calibrating the cost model), then touches
-    /// every pool device so serving traffic never pays a first-touch
-    /// upload. Pass the *largest* ε first so the remaining ones reuse its
-    /// index generation.
+    /// Warms a dataset's session: serves each ε once (seeding the exact
+    /// result-size cache that both the estimate stage and the cost
+    /// projection read), then touches every pool device so serving traffic
+    /// never pays a first-touch upload. Pass the *largest* ε first so the
+    /// remaining ones reuse its index generation.
     pub fn warm(&self, dataset: DatasetId, epsilons: &[f64]) -> Result<(), ServeError> {
         let session = self.session(dataset).ok_or(ServeError::UnknownDataset)?;
         for &eps in epsilons {
@@ -355,7 +355,8 @@ impl SelfJoinService {
     /// sees the horizons its tag-predecessors created.
     pub fn submit_batch(&self, reqs: Vec<QueryRequest>) -> Vec<Result<QueryTicket, ServeError>> {
         // Phase 1 — per-request prep without scheduler locks: session
-        // lookup, tenant interning, cost projection.
+        // lookup, cost projection (which refuses an invalid ε here, before
+        // anything is placed or counted), tenant interning.
         struct Prep {
             req: QueryRequest,
             tenant: usize,
@@ -367,8 +368,10 @@ impl SelfJoinService {
                 let session = self
                     .session(req.dataset)
                     .ok_or(ServeError::UnknownDataset)?;
+                let cost = session
+                    .projected_cost(req.epsilon)
+                    .map_err(ServeError::Join)?;
                 let tenant = self.intern_tenant(&req.tenant);
-                let cost = session.projected_cost(req.epsilon);
                 Ok(Prep { req, tenant, cost })
             })
             .collect();
@@ -823,7 +826,7 @@ fn run_job(inner: &Arc<Inner>, mut job: Job) {
         }
 
         // Pair admission's projection with the measured modeled cost so
-        // calibration drift shows up in the cost audit.
+        // count-prediction error shows up in the cost audit.
         if result.is_ok() {
             sj_obs::audit::record("admission", job.projected, actual);
         }
@@ -974,7 +977,7 @@ mod tests {
             DevicePool::titan_x(1),
             ServiceConfig {
                 admission: AdmissionConfig {
-                    // SLO so tight that a calibrated queue of a few
+                    // SLO so tight that a projected queue of a few
                     // queries must overflow it.
                     slo: Duration::from_nanos(100),
                     delay_factor: 1.0,
@@ -984,7 +987,8 @@ mod tests {
             },
         );
         let id = service.register_dataset("demo", uniform(2, 1200, 121));
-        // Calibrate so admission has a real cost model.
+        // Warm, so admission prices each repeat of the served ε at what
+        // serving it cost.
         service.warm(id, &[3.0]).unwrap();
         // Saturate: same virtual arrival for a burst → projected waits
         // stack up and later submissions must shed.
@@ -1076,9 +1080,9 @@ mod tests {
 
     #[test]
     fn queue_depth_backstop_sees_its_own_batch() {
-        // A cold session (uncalibrated cost model) cannot be admitted on
-        // projected latency; the queue-depth backstop must still bound a
-        // single huge batch.
+        // Under a generous SLO, projected latency admits a whole cold
+        // burst; the queue-depth backstop must still bound a single huge
+        // batch.
         let service = SelfJoinService::new(
             DevicePool::titan_x(1),
             ServiceConfig {

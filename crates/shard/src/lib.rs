@@ -13,11 +13,12 @@
 //!   ε-wide ghost/halo band per face (the halo-ownership invariant
 //!   below); compact boxes have far less ε-surface per owned point than
 //!   slabs, so the ghost tax stays flat as shard counts grow.
-//! * [`cost`] — a ghost-aware cost model calibrated from the partition
-//!   prelude's shared sample ([`calibrate_from_sample`]): per-shard work
-//!   is projected from sampled neighbourhood densities *including* the
-//!   ghost-band join work and the ghost upload bytes, so the scheduler —
-//!   and the shard-count chooser — see *cost*, not point count.
+//! * [`cost`] — ghost-aware per-shard projections over
+//!   [`grid_join::cost`]'s model, calibrated from the partition prelude's
+//!   shared sample ([`calibrate_from_sample`]): each shard's sampled
+//!   census counts the ghost-band join work and the ghost upload bytes,
+//!   priced like executed work, so the scheduler — and the shard-count
+//!   chooser — see *cost*, not point count.
 //! * [`schedule`] — longest-processing-time assignment of shards to
 //!   devices by projected cost, and [`modeled_makespan`], the busiest-
 //!   device bound the engine minimizes when choosing how many shards to

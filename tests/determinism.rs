@@ -41,7 +41,7 @@ fn single_and_session_clock(data: &Dataset, eps: f64) -> [Duration; 5] {
         join.batching.modeled_kernel_time,
         built.modeled_total,
         reused.modeled_total,
-        session.projected_cost(eps).modeled,
+        session.projected_cost(eps).unwrap().modeled,
     ]
 }
 

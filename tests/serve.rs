@@ -3,9 +3,10 @@
 //! every completed answer must stay pair-for-pair identical to a fresh
 //! join, and the control loops must respect their configured bounds.
 
+use gpu_self_join::join::GridBuildError;
 use gpu_self_join::prelude::*;
 use gpu_self_join::serve::AdmissionConfig;
-use gpu_self_join::{GpuSelfJoin, ServeError};
+use gpu_self_join::{GpuSelfJoin, SelfJoinError, ServeError};
 use std::time::Duration;
 
 fn lenient_config() -> ServiceConfig {
@@ -123,13 +124,13 @@ fn snapshot_budget_evicts_and_stays_exact() {
 fn overload_is_shed_and_the_rest_meets_the_window() {
     let data = uniform(2, 1500, 505);
     let burst = 30usize;
-    let mk = |enabled: bool, slo_ms: u64| {
+    let mk = |enabled: bool, slo_us: u64| {
         let service = SelfJoinService::new(
             DevicePool::titan_x(1),
             ServiceConfig {
                 admission: AdmissionConfig {
                     enabled,
-                    slo: Duration::from_millis(slo_ms),
+                    slo: Duration::from_micros(slo_us),
                     delay_factor: 1.5,
                     ..AdmissionConfig::default()
                 },
@@ -137,15 +138,16 @@ fn overload_is_shed_and_the_rest_meets_the_window() {
             },
         );
         let id = service.register_dataset("d", data.clone());
-        // Calibrate the cost model so admission has a real projection.
-        service.warm(id, &[2.5]).unwrap();
+        // Warm, so admission prices each repeat of the served ε at what
+        // serving it cost.
         service.warm(id, &[2.5]).unwrap();
         service.reset_metrics();
         (service, id)
     };
 
-    // Tight SLO: part of the burst must shed.
-    let (service, id) = mk(true, 1);
+    // Tight SLO, about two queries' modeled cost (~45 µs each): part of
+    // the burst must shed.
+    let (service, id) = mk(true, 100);
     let window =
         service.config().admission.slo.as_secs_f64() * service.config().admission.delay_factor;
     let reqs: Vec<_> = (0..burst)
@@ -179,7 +181,7 @@ fn overload_is_shed_and_the_rest_meets_the_window() {
     assert!(rejected > 0, "a 30-deep burst cannot fit a ~1-query SLO");
 
     // Admission off: the same burst is admitted whole.
-    let (baseline, id) = mk(false, 1);
+    let (baseline, id) = mk(false, 100);
     let reqs: Vec<_> = (0..burst)
         .map(|_| QueryRequest::new("flood", id, 2.5).at(Duration::ZERO))
         .collect();
@@ -222,24 +224,30 @@ fn tenant_inflight_cap_is_per_tenant() {
     }
 }
 
-/// Garbage ε surfaces as a join error on the ticket — never a panic in
-/// the submit path, even with result-size estimates already cached.
+/// Garbage ε is refused at submit with the grid's invalid-ε error —
+/// never a panic in the submit path, never an admitted query that fails
+/// in the worker — even with result-size estimates already cached.
 #[test]
 fn invalid_epsilon_errors_cleanly() {
     let service = SelfJoinService::new(DevicePool::titan_x(1), lenient_config());
     let id = service.register_dataset("d", uniform(2, 300, 508));
-    // Cache two estimates so the nearest-ε projection path is live.
+    // Cache two estimates so a resident generation serves nearby ε.
     service.warm(id, &[2.0, 1.5]).unwrap();
     for bad in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
-        let outcome = service
-            .submit(QueryRequest::new("t", id, bad))
-            .expect("admission passes garbage through to the query path")
-            .wait();
+        let outcome = service.submit(QueryRequest::new("t", id, bad)).map(|_| ());
         assert!(
-            matches!(outcome, Err(ServeError::Join(_))),
-            "eps {bad}: expected a join error, got {outcome:?}"
+            matches!(
+                outcome,
+                Err(ServeError::Join(SelfJoinError::Grid(
+                    GridBuildError::InvalidEpsilon(_)
+                )))
+            ),
+            "eps {bad}: expected an invalid-ε refusal, got {outcome:?}"
         );
     }
+    let m = service.metrics();
+    assert_eq!(m.total.admitted, 0);
+    assert_eq!(m.total.failed, 0);
 }
 
 /// Metrics JSON exports what the report consumers need.
