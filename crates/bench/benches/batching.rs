@@ -3,7 +3,7 @@
 //! batches cost), and the stream-timeline scheduler itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use grid_join::batching::{estimate_result_size, run_batched, BatchingConfig, ExecOptions};
+use grid_join::batching::{estimate_result_size, run_batched_on, BatchingConfig, ExecOptions};
 use grid_join::{DeviceGrid, GridIndex, HotPath};
 use sim_gpu::{BatchCost, Device, DeviceSpec, LaunchConfig, StreamTimeline, TransferModel};
 use sj_datasets::synthetic::uniform;
@@ -41,7 +41,15 @@ fn bench_batch_counts(c: &mut Criterion) {
         };
         g.bench_with_input(BenchmarkId::from_parameter(batches), &cfg, |b, cfg| {
             b.iter(|| {
-                run_batched(&device, black_box(&dg), LaunchConfig::default(), opts, cfg).unwrap()
+                run_batched_on(
+                    &device,
+                    black_box(&dg),
+                    LaunchConfig::default(),
+                    opts,
+                    cfg,
+                    None,
+                )
+                .unwrap()
             })
         });
     }

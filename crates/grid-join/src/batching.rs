@@ -51,7 +51,7 @@ pub struct ExecOptions {
     /// one-time upload instead.
     pub resident: bool,
     /// Emit-time ownership window (shard subplans): both hot paths' kernels
-    /// drop pairs whose key falls outside `[lo, hi)` with one comparison
+    /// drop pairs whose key falls outside `[0, owned)` with one comparison
     /// *before* the result-buffer reservation, so ghost-keyed pairs are
     /// never materialized. `None` emits everything.
     pub ownership: Option<Ownership>,
@@ -127,35 +127,6 @@ pub struct BatchReport {
     pub buffer_capacity: usize,
 }
 
-impl BatchReport {
-    /// An all-zero report for executions that never touch the device (the
-    /// plan executor's host backend); only the produced pair count is
-    /// meaningful.
-    pub fn host(actual_pairs: u64) -> Self {
-        let zero_timeline = TimelineReport {
-            total: Duration::ZERO,
-            serial_total: Duration::ZERO,
-            compute_busy: Duration::ZERO,
-            h2d_busy: Duration::ZERO,
-            d2h_busy: Duration::ZERO,
-        };
-        Self {
-            batches: 0,
-            estimated_pairs: actual_pairs,
-            actual_pairs,
-            overflow_retries: 0,
-            kernel_time: Duration::ZERO,
-            modeled_kernel_time: Duration::ZERO,
-            estimate_time: Duration::ZERO,
-            modeled_estimate_time: Duration::ZERO,
-            hoist_time: Duration::ZERO,
-            modeled_hoist_time: Duration::ZERO,
-            timeline: zero_timeline,
-            buffer_capacity: 0,
-        }
-    }
-}
-
 /// The id stride of the estimation kernel's sample over `n` points:
 /// `sample_fraction` of them, at least `min_sample`, at most all.
 pub(crate) fn sample_stride(n: usize, cfg: &BatchingConfig) -> usize {
@@ -229,23 +200,12 @@ pub fn estimate_result_size(
 }
 
 /// Runs the batched self-join and returns all directed pairs plus the
-/// execution report.
-pub fn run_batched(
-    device: &Device,
-    grid: &DeviceGrid,
-    launch_cfg: LaunchConfig,
-    opts: ExecOptions,
-    cfg: &BatchingConfig,
-) -> Result<(Vec<Pair>, BatchReport), SelfJoinError> {
-    run_batched_on(device, grid, launch_cfg, opts, cfg, None)
-}
-
-/// [`run_batched`] against optionally pre-hoisted device state: a resident
-/// session passes the [`CellMajorPlan`] it cached with the snapshot so the
-/// hoisting pass runs once per index build, not once per query. The
-/// prebuilt plan must target `grid` and match `opts.unicomp`; its build
-/// cost is charged by whoever built it, so the report's hoist fields stay
-/// zero here.
+/// execution report. `prebuilt` is optionally pre-hoisted device state: a
+/// resident session passes the [`CellMajorPlan`] it cached with the
+/// snapshot so the hoisting pass runs once per index build, not once per
+/// query. The prebuilt plan must target `grid` and match `opts.unicomp`;
+/// its build cost is charged by whoever built it, so the report's hoist
+/// fields stay zero here.
 pub fn run_batched_on(
     device: &Device,
     grid: &DeviceGrid,
@@ -503,12 +463,13 @@ mod tests {
         let (data, grid, dg) = setup(2, 3000, 2.5, 42, &dev);
         for hot_path in [HotPath::PerThread, HotPath::CellMajor] {
             for unicomp in [false, true] {
-                let (pairs, report) = run_batched(
+                let (pairs, report) = run_batched_on(
                     &dev,
                     &dg,
                     LaunchConfig::default(),
                     exec(unicomp, hot_path),
                     &BatchingConfig::default(),
+                    None,
                 )
                 .unwrap();
                 assert!(report.batches >= 3, "paper mandates ≥3 batches");
@@ -538,12 +499,13 @@ mod tests {
             ..BatchingConfig::default()
         };
         for hot_path in [HotPath::PerThread, HotPath::CellMajor] {
-            let (pairs, report) = run_batched(
+            let (pairs, report) = run_batched_on(
                 &dev,
                 &dg,
                 LaunchConfig::default(),
                 exec(false, hot_path),
                 &cfg,
+                None,
             )
             .unwrap();
             assert!(
@@ -569,12 +531,13 @@ mod tests {
             ..BatchingConfig::default()
         };
         for hot_path in [HotPath::PerThread, HotPath::CellMajor] {
-            let (pairs, report) = run_batched(
+            let (pairs, report) = run_batched_on(
                 &dev,
                 &dg,
                 LaunchConfig::default(),
                 exec(false, hot_path),
                 &cfg,
+                None,
             )
             .unwrap();
             assert!(
@@ -595,12 +558,13 @@ mod tests {
             precomputed_estimate: Some(truth),
             ..BatchingConfig::default()
         };
-        let (pairs, report) = run_batched(
+        let (pairs, report) = run_batched_on(
             &dev,
             &dg,
             LaunchConfig::default(),
             exec(true, HotPath::CellMajor),
             &cfg,
+            None,
         )
         .unwrap();
         assert_eq!(report.estimated_pairs, truth);
@@ -617,12 +581,13 @@ mod tests {
         let grid = GridIndex::build(&data, 1.0).unwrap();
         let dg = DeviceGrid::upload(&dev, &data, &grid).unwrap();
         for hot_path in [HotPath::PerThread, HotPath::CellMajor] {
-            let (pairs, report) = run_batched(
+            let (pairs, report) = run_batched_on(
                 &dev,
                 &dg,
                 LaunchConfig::default(),
                 exec(false, hot_path),
                 &BatchingConfig::default(),
+                None,
             )
             .unwrap();
             assert!(pairs.is_empty());
@@ -634,12 +599,13 @@ mod tests {
     fn timeline_reports_overlap() {
         let dev = Device::new(DeviceSpec::titan_x_pascal());
         let (_, _, dg) = setup(2, 4000, 3.0, 45, &dev);
-        let (_, report) = run_batched(
+        let (_, report) = run_batched_on(
             &dev,
             &dg,
             LaunchConfig::default(),
             exec(false, HotPath::CellMajor),
             &BatchingConfig::default(),
+            None,
         )
         .unwrap();
         // Pipelined total can never exceed the serialized total.
@@ -651,12 +617,13 @@ mod tests {
         let dev = Device::new(DeviceSpec::titan_x_pascal());
         {
             let (_, _, dg) = setup(2, 1000, 2.0, 46, &dev);
-            let _ = run_batched(
+            let _ = run_batched_on(
                 &dev,
                 &dg,
                 LaunchConfig::default(),
                 exec(true, HotPath::CellMajor),
                 &BatchingConfig::default(),
+                None,
             )
             .unwrap();
             drop(dg);

@@ -31,7 +31,7 @@
 //!    [`crate::kernels::CountKernel`] finds its sampled points' cells with
 //!    the same walk.
 //! 3. **Batched result reservation** — threads stage candidate pairs in a
-//!    small fixed local buffer ([`PairStage`]) and flush with **one**
+//!    small fixed local buffer (`PairStage`) and flush with **one**
 //!    atomic cursor reservation per batch
 //!    ([`sim_gpu::append::AppendBuffer::reserve`]) instead of one atomic
 //!    per pair.
@@ -587,7 +587,7 @@ pub struct CellMajorSelfJoinKernel<'a> {
     /// Number of slots in this launch.
     pub slot_count: usize,
     /// Optional emit-time ownership window: pairs whose key falls outside
-    /// `[lo, hi)` are dropped *before* staging, so a sharded subplan never
+    /// the owned prefix `[0, owned)` are dropped *before* staging, so a sharded subplan never
     /// materializes ghost-keyed pairs (see
     /// [`crate::kernels::SelfJoinKernel::ownership`]).
     pub ownership: Option<Ownership>,

@@ -151,7 +151,8 @@ pub fn calibrate(
     // adjacent shell through the counting grid, exact distance tests for
     // the neighbor count, shell population for the candidate count.
     // Counts observed on the sampled grid are inflated back to full-
-    // density estimates.
+    // density estimates: each binned point other than the sample stands
+    // for `inflate` points, the sample itself for one.
     let sample_count = binned.min(512);
     let stride = (binned / sample_count).max(1);
     let eps_sq = epsilon * epsilon;
@@ -192,7 +193,7 @@ pub fn calibrate(
             })
             .product();
         raw_candidates += cand;
-        let cand = (cand as f64 * inflate).round() as u64;
+        let cand = (1.0 + cand.saturating_sub(1) as f64 * inflate).round() as u64;
         let nb = (nb as f64 * inflate).round() as u64;
         sample_neighbors.push(nb.min(u32::MAX as u64) as u32);
         sample_candidates.push(cand.min(u32::MAX as u64) as u32);
@@ -518,6 +519,7 @@ mod tests {
     use super::*;
     use crate::cell_major::{CellMajorPlan, CellMajorSelfJoinKernel};
     use crate::device_grid::DeviceGrid;
+    use crate::linearize::linearize;
     use crate::result::Pair;
     use sim_gpu::append::AppendBuffer;
     use sim_gpu::{launch, Device, LaunchConfig};
@@ -587,5 +589,60 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Points in the 3^d cells around `p`'s cell of `grid`: what the
+    /// join scans for `p`, itself included.
+    fn shell_population(grid: &GridIndex, p: &[f64]) -> usize {
+        let dim = grid.dim();
+        let mut home = vec![0u32; dim];
+        grid.cell_of(p, &mut home);
+        let mut coords = vec![0u32; dim];
+        (0..3usize.pow(dim as u32))
+            .filter_map(|m| {
+                let mut rem = m;
+                for j in 0..dim {
+                    coords[j] = (home[j] + (rem % 3) as u32).checked_sub(1)?;
+                    rem /= 3;
+                    if coords[j] as u64 >= grid.cells_per_dim()[j] {
+                        return None;
+                    }
+                }
+                grid.find_cell(linearize(&coords, grid.cells_per_dim()))
+            })
+            .map(|h| grid.cell_points(h).len())
+            .sum()
+    }
+
+    #[test]
+    fn binned_calibration_counts_candidates_near_the_exact_shell() {
+        // 100k uniform 2-D points (density 10 per unit area) at ε for about
+        // 16 neighbours per point: calibration bins a 4,000-point stride,
+        // so every binned point stands for 25 — except the sample point
+        // itself, which is one point of its own shell.
+        let data = uniform(2, 100_000, 35);
+        let eps = (16.0 / (std::f64::consts::PI * 10.0)).sqrt();
+        let (dmin, dmax) = (data.min_per_dim().unwrap(), data.max_per_dim().unwrap());
+        let model = calibrate(data.len(), &dmin, &dmax, data.coords(), eps).unwrap();
+        let grid = GridIndex::build(&data, eps).unwrap();
+        let samples = model.sample_data.len() as f64;
+        let exact = model
+            .sample_data
+            .iter()
+            .map(|p| shell_population(&grid, p))
+            .sum::<usize>() as f64
+            / samples;
+        let predicted = model
+            .sample_candidates
+            .iter()
+            .map(|&c| c as f64)
+            .sum::<f64>()
+            / samples;
+        let err = predicted / exact - 1.0;
+        assert!(
+            err.abs() < 0.10,
+            "mean candidates {predicted:.1} against an exact shell of {exact:.1} ({:+.1}%)",
+            100.0 * err
+        );
     }
 }

@@ -1,99 +1,55 @@
 //! Host-side grid joins: a sequential reference and a rayon-parallel
 //! variant.
 //!
-//! These are *independent* implementations of the ε-grid self-join that
-//! never touch the device model. They serve two purposes: cross-validating
-//! the GPU kernels (two implementations agreeing on random inputs is the
-//! repo's strongest correctness signal) and providing the "multi-core CPU"
-//! comparison point used by some ablation benches.
+//! These are *independent* implementations of the ε-grid self-join: they
+//! touch neither the device model nor the plan executor, and share no
+//! code with either. They serve two purposes: the reference the GPU
+//! kernels are checked against (two implementations agreeing on random
+//! inputs is the repo's strongest correctness signal — the paper's host
+//! grid join plays the same role) and the "multi-core CPU" comparison
+//! point of some ablation benches.
 //!
-//! Both entry points are thin [`crate::plan::JoinPlan`] builders over the
-//! shared executor ([`crate::plan::execute`] with a host backend), and all
-//! three scan paths — sequential, parallel and the single-point
-//! [`query_neighbors`] — funnel through one adjacent-cell scan,
+//! Every host path — sequential, parallel and the single-point
+//! [`query_neighbors`] — funnels through one adjacent-cell scan,
 //! [`query_neighbors_within`]. The `_within` form takes an explicit query
-//! radius ε′ ≤ ε_built so a resident session's host fallback can serve
-//! in-band queries without rebuilding the grid.
+//! radius ε′ ≤ ε_built, so a coarse grid answers a smaller-ε query
+//! exactly, without a rebuild.
 
 use crate::grid::GridIndex;
 use crate::linearize::{linearize, MAX_DIM};
-use crate::plan::{execute, Backend, JoinPlan};
 use crate::result::{NeighborTable, Pair};
 use crate::unicomp::{adjacent_ranges, for_each_full};
 use rayon::prelude::*;
 use sj_datasets::{euclidean_sq, Dataset};
 
-/// Sequential host self-join over the grid index. Returns the directed,
-/// self-excluded neighbour table.
+/// Sequential host self-join over the grid index at the grid's ε.
+/// Returns the directed, self-excluded neighbour table.
 pub fn host_self_join(data: &Dataset, grid: &GridIndex) -> NeighborTable {
-    let out = execute(
-        &JoinPlan::on_grid(data, grid),
-        Backend::Host { parallel: false },
-    )
-    .expect("host execution of a prebuilt grid cannot fail");
-    NeighborTable::from_pairs(data.len(), &out.pairs)
+    let pairs = host_pairs_for_range_within(data, grid, grid.epsilon(), 0, data.len());
+    NeighborTable::from_pairs(data.len(), &pairs)
 }
 
-/// Parallel host self-join (rayon over query chunks).
+/// Parallel host self-join: the same scan, rayon over query chunks.
 pub fn host_self_join_parallel(data: &Dataset, grid: &GridIndex) -> NeighborTable {
-    let out = execute(
-        &JoinPlan::on_grid(data, grid),
-        Backend::Host { parallel: true },
-    )
-    .expect("host execution of a prebuilt grid cannot fail");
-    NeighborTable::from_pairs(data.len(), &out.pairs)
-}
-
-/// Parallel directed-pair scan at an explicit query radius for queries in
-/// `[offset, offset + count)` — the plan executor's `Host { parallel:
-/// true }` backend (an ownership window restricts the range to the owned
-/// prefix).
-pub(crate) fn host_pairs_parallel(
-    data: &Dataset,
-    grid: &GridIndex,
-    query_epsilon: f64,
-    offset: usize,
-    count: usize,
-) -> Vec<Pair> {
-    let n = count;
-    // ~8 chunks per thread for load balance. `div_ceil` keeps the chunk
-    // size ≥ 1 for any `n` (the old `n / threads*8` truncated to 0 for
-    // small inputs and leaned on an arbitrary 1024 floor that serialized
-    // them); the cap bounds per-chunk scratch growth on huge inputs.
+    let n = data.len();
+    // ~8 chunks per thread for load balance; `div_ceil` keeps the chunk
+    // size ≥ 1 for any `n`, and the cap bounds per-chunk scratch growth
+    // on huge inputs.
     let threads = rayon::current_num_threads().max(1);
     let chunk = n.div_ceil(threads * 8).clamp(1, 1 << 16);
-    let num_chunks = n.div_ceil(chunk.max(1)).max(1);
-    (0..num_chunks)
+    let pairs: Vec<Pair> = (0..n.div_ceil(chunk))
         .into_par_iter()
-        .flat_map_iter(move |ci| {
-            let lo = offset + ci * chunk;
-            let hi = (lo + chunk).min(offset + n);
-            // One scratch Vec per chunk, reused across its queries,
-            // instead of a fresh allocation per query.
-            let mut out = Vec::new();
-            for q in lo..hi {
-                query_neighbors_within(data, grid, q, query_epsilon, |cand| {
-                    out.push(Pair::new(q as u32, cand));
-                });
-            }
-            out.into_iter()
+        .flat_map_iter(|ci| {
+            let lo = ci * chunk;
+            host_pairs_for_range_within(data, grid, grid.epsilon(), lo, chunk.min(n - lo))
         })
-        .collect()
+        .collect();
+    NeighborTable::from_pairs(n, &pairs)
 }
 
-/// Directed pairs for queries in `[offset, offset + count)` at the grid's
-/// own ε.
-pub fn host_pairs_for_range(
-    data: &Dataset,
-    grid: &GridIndex,
-    offset: usize,
-    count: usize,
-) -> Vec<Pair> {
-    host_pairs_for_range_within(data, grid, grid.epsilon(), offset, count)
-}
-
-/// [`host_pairs_for_range`] at an explicit query radius `query_epsilon`
-/// (≤ the grid's cell width; see [`query_neighbors_within`]).
+/// Directed pairs for queries in `[offset, offset + count)` at query
+/// radius `query_epsilon` (≤ the grid's cell width; see
+/// [`query_neighbors_within`]).
 pub fn host_pairs_for_range_within(
     data: &Dataset,
     grid: &GridIndex,
@@ -259,8 +215,9 @@ mod tests {
     fn range_partition_reassembles() {
         let data = uniform(2, 300, 24);
         let grid = GridIndex::build(&data, 5.0).unwrap();
-        let mut all = host_pairs_for_range(&data, &grid, 0, 150);
-        all.extend(host_pairs_for_range(&data, &grid, 150, 150));
+        let eps = grid.epsilon();
+        let mut all = host_pairs_for_range_within(&data, &grid, eps, 0, 150);
+        all.extend(host_pairs_for_range_within(&data, &grid, eps, 150, 150));
         assert_eq!(
             NeighborTable::from_pairs(300, &all),
             host_self_join(&data, &grid)

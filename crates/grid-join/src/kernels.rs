@@ -245,8 +245,8 @@ pub struct SelfJoinKernel<'a> {
     /// warp divergence on skewed data. Results are identical either way
     /// (the query set is a permutation).
     pub cell_order: bool,
-    /// Emit-time ownership window: only pairs keyed by a local id in
-    /// `[lo, hi)` are appended — one register comparison ahead of the
+    /// Emit-time ownership window: only pairs keyed by a local id in the
+    /// owned prefix `[0, owned)` are appended — one register comparison ahead of the
     /// result reservation. Without UNICOMP a non-owned query thread
     /// returns immediately (every pair it could emit is ghost-keyed);
     /// with UNICOMP ghost threads still run — the parity rule may make

@@ -57,7 +57,7 @@ pub use error::{GridBuildError, SelfJoinError};
 pub use grid::{CellRange, GridIndex};
 pub use host_join::{host_self_join, host_self_join_parallel, query_neighbors_within};
 pub use knn::{gpu_knn, gpu_knn_on, host_knn, KnnHit};
-pub use plan::{Backend, EstimateStage, IndexStage, JoinPlan, JoinReport, PlanOutput};
+pub use plan::{IndexStage, JoinPlan, JoinReport, PlanOutput};
 pub use result::{remap_pairs, NeighborTable, Ownership, Pair};
 pub use selfjoin::{GpuSelfJoin, SelfJoinConfig, SelfJoinOutput};
 pub use session::{

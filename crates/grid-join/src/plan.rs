@@ -1,18 +1,16 @@
 //! The join-plan IR and its executor — one description of the paper's
-//! pipeline for every join path.
+//! device pipeline for every GPU join path.
 //!
-//! Every entry point in this workspace runs the same four conceptual
-//! stages: obtain an ε-grid index, materialize a device snapshot, estimate
-//! the result size, and execute the batched kernels. Before this module
-//! existed each entry point hardwired its own copy of that pipeline; now
-//! they all *build* a [`JoinPlan`] and hand it to [`execute`]:
+//! Every device join in this workspace runs the same four conceptual
+//! stages (paper §V-A, Algorithm 1): obtain an ε-grid index, materialize a
+//! device snapshot, estimate the result size, and execute the batched
+//! kernels. Each entry point *builds* a [`JoinPlan`] and hands it, with
+//! the device to run on, to [`execute`]:
 //!
-//! * [`crate::GpuSelfJoin`] — `Build`/`Prebuilt` index, device backend.
-//! * [`crate::host_self_join`] / [`crate::host_self_join_parallel`] —
-//!   `Prebuilt` index, host backend (no device stages).
+//! * [`crate::GpuSelfJoin`] — `Build`/`Prebuilt` index.
 //! * `sj-shard`'s `ShardedSelfJoin` — a plan *rewrite*: the partition pass
 //!   turns one logical join into per-shard subplans (`Prebuilt` index,
-//!   `Precomputed` estimate, an [`ExecOptions::ownership`] window so the
+//!   precomputed estimate, an [`ExecOptions::ownership`] window so the
 //!   kernels of either hot path drop ghost-keyed pairs at emit time),
 //!   executed on the scheduled device; the engine lifts the pairs to
 //!   global ids and merges by concatenation — the ownership windows are
@@ -21,6 +19,11 @@
 //!   dataset, caches the built [`GridIndex`] plus per-device
 //!   [`DeviceGrid`] snapshots (and the hoisted [`CellMajorPlan`]), and
 //!   issues plans whose query ε′ may *undershoot* the built cell width.
+//!
+//! The host grid joins ([`crate::host_self_join`],
+//! [`crate::host_self_join_parallel`]) are the reference the executor is
+//! checked against, so they scan the grid on their own and share no code
+//! with it.
 //!
 //! ## Stage semantics
 //!
@@ -31,24 +34,21 @@
 //! threshold changes ([`ExecOptions::query_epsilon`]). The executor
 //! rejects ε′ > ε_built with [`SelfJoinError::EpsilonExceedsIndex`].
 //!
-//! **Estimate** ([`EstimateStage`]): run the sampling kernel, or inject a
-//! prediction computed elsewhere (the shard engine estimates every shard
-//! up front for its cost-based scheduler and passes the number through).
-//!
-//! **Execution** ([`Backend`]): a specific device, the host (sequential or
-//! rayon-parallel — no device stages at all), or a [`DevicePool`], which
-//! leases the least-loaded device for the duration of the run.
+//! **Estimate** ([`BatchingConfig::precomputed_estimate`]): run the
+//! sampling kernel, or inject a prediction computed elsewhere
+//! ([`JoinPlan::estimated`]: the shard engine estimates every shard up
+//! front for its cost-based scheduler, a session reuses the exact count
+//! of an ε it has served).
 
 use crate::batching::{run_batched_on, BatchReport, BatchingConfig, ExecOptions};
 use crate::cell_major::CellMajorPlan;
 use crate::device_grid::DeviceGrid;
 use crate::error::SelfJoinError;
 use crate::grid::GridIndex;
-use crate::host_join;
 use crate::kernels::kernel_registers;
 use crate::result::{Ownership, Pair};
 use sim_gpu::occupancy::KernelResources;
-use sim_gpu::{host_core_time, occupancy, Device, DevicePool, LaunchConfig, OccupancyResult};
+use sim_gpu::{host_core_time, occupancy, Device, LaunchConfig, OccupancyResult};
 use sj_datasets::Dataset;
 use std::time::{Duration, Instant};
 
@@ -70,7 +70,7 @@ pub enum IndexStage<'a> {
     /// whoever established residency charged those one-time costs.
     ///
     /// Must execute on the device holding `snapshot` (sessions lease the
-    /// device themselves and use [`Backend::Device`]).
+    /// device themselves).
     Resident {
         /// The resident host index (`snapshot` mirrors it).
         grid: &'a GridIndex,
@@ -82,35 +82,24 @@ pub enum IndexStage<'a> {
     },
 }
 
-/// How a plan obtains its result-size estimate.
-#[derive(Clone, Copy, Debug, Default)]
-pub enum EstimateStage {
-    /// Run the sampling count kernel (paper §V-A).
-    #[default]
-    Sample,
-    /// Use a prediction computed elsewhere (directed pairs, safety factor
-    /// included); the estimation kernel is skipped.
-    Precomputed(u64),
-}
-
-/// One self-join described as data: which index, which estimate, which
-/// kernels. Built by every public entry point and run by [`execute`] —
-/// the single owner of the pipeline's control flow.
+/// One self-join described as data: which index, which kernels, which
+/// batching (the estimate included). Built by every device entry point
+/// and run by [`execute`] — the single owner of the pipeline's control
+/// flow.
 #[derive(Clone, Copy, Debug)]
 pub struct JoinPlan<'a> {
     /// The dataset being joined (the index must describe exactly it).
     pub data: &'a Dataset,
     /// Index acquisition.
     pub index: IndexStage<'a>,
-    /// Result-size estimation.
-    pub estimate: EstimateStage,
     /// Kernel-level options (hot path, UNICOMP, query ε′). The executor
     /// owns [`ExecOptions::resident`] — it is derived from the index
     /// stage, not from what the builder set.
     pub exec: ExecOptions,
     /// Kernel launch geometry.
     pub launch: LaunchConfig,
-    /// Batching-scheme tunables (§V-A).
+    /// Batching-scheme tunables (§V-A), the result-size estimate input
+    /// among them.
     pub batching: BatchingConfig,
 }
 
@@ -120,7 +109,6 @@ impl<'a> JoinPlan<'a> {
         Self {
             data,
             index: IndexStage::Build { epsilon },
-            estimate: EstimateStage::Sample,
             exec: ExecOptions::default(),
             launch: LaunchConfig::default(),
             batching: BatchingConfig::default(),
@@ -145,9 +133,12 @@ impl<'a> JoinPlan<'a> {
         self
     }
 
-    /// Injects an externally computed result-size estimate.
+    /// Injects an externally computed result-size estimate (directed
+    /// pairs, safety factor included) into
+    /// [`BatchingConfig::precomputed_estimate`]; the estimation kernel is
+    /// skipped.
     pub fn estimated(mut self, pairs: u64) -> Self {
-        self.estimate = EstimateStage::Precomputed(pairs);
+        self.batching.precomputed_estimate = Some(pairs);
         self
     }
 
@@ -158,29 +149,12 @@ impl<'a> JoinPlan<'a> {
     }
 }
 
-/// Where a plan executes.
-#[derive(Clone, Copy, Debug)]
-pub enum Backend<'a> {
-    /// A specific device.
-    Device(&'a Device),
-    /// The host CPU — no device stages run at all (no upload, estimate or
-    /// batching; the report's device fields are zero).
-    Host {
-        /// Scan query chunks with rayon instead of sequentially.
-        parallel: bool,
-    },
-    /// A device pool: the executor leases the least-loaded device for the
-    /// duration of the run, so concurrent plans interleave across devices.
-    Pool(&'a DevicePool),
-}
-
 /// Timing/shape report of one executed plan.
 #[derive(Clone, Debug)]
 pub struct JoinReport {
     /// Host-side grid construction time (zero for prebuilt/resident).
     pub grid_build: Duration,
-    /// Wall time of the execution stage: the device pipeline (estimate +
-    /// kernels + drains) or the host scan.
+    /// Wall time of the device pipeline: estimate + kernels + drains.
     pub device_pipeline: Duration,
     /// End-to-end wall time of the plan (index + execution).
     pub total: Duration,
@@ -192,17 +166,14 @@ pub struct JoinReport {
     /// kernel priced from its counted bytes (`DeviceSpec::kernel_time`).
     /// A pure function of the data, ε, the plan and the device spec; this
     /// is the number the evaluation harness reports for GPU-SJ.
-    /// Host-backend plans are CPU baselines and report their real wall
-    /// time here instead — the host *is* the device.
     pub modeled_total: Duration,
     /// Non-empty cell count `|B|`.
     pub non_empty_cells: usize,
     /// Host-side index footprint in bytes.
     pub index_bytes: usize,
-    /// Theoretical occupancy of the join kernel used (all-zero with
-    /// `limiter: "host"` for host-backend plans).
+    /// Theoretical occupancy of the join kernel used.
     pub occupancy: OccupancyResult,
-    /// Batching execution details (all-zero for host-backend plans).
+    /// Batching execution details.
     pub batching: BatchReport,
 }
 
@@ -219,15 +190,15 @@ pub struct PlanOutput {
     pub report: JoinReport,
 }
 
-/// Runs a [`JoinPlan`] on a backend. The single owner of the pipeline's
-/// control flow: index acquisition → (device) snapshot → estimate →
-/// batched kernels.
+/// Runs a [`JoinPlan`] on `device`. The single owner of the pipeline's
+/// control flow: index acquisition → snapshot (upload or resident) →
+/// estimate → batched kernels.
 ///
 /// # Panics
 ///
 /// Panics if [`ExecOptions::ownership`] exceeds the dataset size (the
 /// shard contract passes an owned *prefix*).
-pub fn execute(plan: &JoinPlan<'_>, backend: Backend<'_>) -> Result<PlanOutput, SelfJoinError> {
+pub fn execute(plan: &JoinPlan<'_>, device: &Device) -> Result<PlanOutput, SelfJoinError> {
     let t0 = Instant::now();
     let mut span = sj_obs::Span::enter("plan.execute");
     // Where this plan starts on the modeled clock (the worker seeded the
@@ -268,10 +239,9 @@ pub fn execute(plan: &JoinPlan<'_>, backend: Backend<'_>) -> Result<PlanOutput, 
     // Ownership-window validation: the window addresses dataset ids.
     if let Some(o) = plan.exec.ownership {
         assert!(
-            o.lo <= o.hi && o.hi as usize <= plan.data.len(),
-            "ownership window [{}, {}) exceeds dataset size {}",
-            o.lo,
-            o.hi,
+            o.owned as usize <= plan.data.len(),
+            "ownership window [0, {}) exceeds dataset size {}",
+            o.owned,
             plan.data.len()
         );
     }
@@ -291,31 +261,7 @@ pub fn execute(plan: &JoinPlan<'_>, backend: Backend<'_>) -> Result<PlanOutput, 
         }
     }
 
-    // Execution stage.
-    let (pairs, mut report) = match backend {
-        Backend::Host { parallel } => run_host(plan, grid, grid_build, parallel),
-        Backend::Device(device) => run_device(plan, device, grid, grid_build, grid_modeled)?,
-        Backend::Pool(pool) => {
-            let lease = pool.lease();
-            run_device(plan, lease.device(), grid, grid_build, grid_modeled)?
-        }
-    };
-
-    report.total = t0.elapsed();
-    span.label("pairs", pairs.len());
-    span.set_modeled(modeled_start, report.modeled_total.as_secs_f64());
-    Ok(PlanOutput { pairs, report })
-}
-
-/// Device pipeline: snapshot (upload or resident) → batched kernels →
-/// report assembly.
-fn run_device(
-    plan: &JoinPlan<'_>,
-    device: &Device,
-    grid: &GridIndex,
-    grid_build: Duration,
-    grid_modeled: Duration,
-) -> Result<(Vec<Pair>, JoinReport), SelfJoinError> {
+    // Snapshot stage: upload, or reuse the resident one.
     let uploaded;
     let (dg, hoist, resident): (&DeviceGrid, Option<&CellMajorPlan>, bool) = match &plan.index {
         IndexStage::Resident {
@@ -334,15 +280,13 @@ fn run_device(
         }
     };
 
-    let mut opts = plan.exec;
-    opts.resident = resident;
-    let mut batching = plan.batching;
-    if let EstimateStage::Precomputed(pairs) = plan.estimate {
-        batching.precomputed_estimate = Some(pairs);
-    }
-
+    // Estimate and batched kernels.
+    let opts = ExecOptions {
+        resident,
+        ..plan.exec
+    };
     let t1 = Instant::now();
-    let (pairs, breport) = run_batched_on(device, dg, plan.launch, opts, &batching, hoist)?;
+    let (pairs, batching) = run_batched_on(device, dg, plan.launch, opts, &plan.batching, hoist)?;
     let device_pipeline = t1.elapsed();
 
     let occupancy = occupancy(
@@ -356,67 +300,30 @@ fn run_device(
     // An open straggler window inflates the modeled device time — the
     // answer is exact, the device is just slow. Host-side grid build is
     // unaffected.
-    let slowdown = device.slowdown();
-    let device_modeled = breport.modeled_estimate_time + breport.timeline.total;
-    let modeled_total = grid_modeled + device_modeled.mul_f64(slowdown);
+    let device_modeled = batching.modeled_estimate_time + batching.timeline.total;
+    let modeled_total = grid_modeled + device_modeled.mul_f64(device.slowdown());
+    span.label("pairs", pairs.len());
+    span.set_modeled(modeled_start, modeled_total.as_secs_f64());
     let report = JoinReport {
         grid_build,
         device_pipeline,
-        total: Duration::ZERO, // finalized by `execute`
+        total: t0.elapsed(),
         modeled_total,
         non_empty_cells: grid.non_empty_cells(),
         index_bytes: grid.size_bytes(),
         occupancy,
-        batching: breport,
+        batching,
     };
-    Ok((pairs, report))
-}
-
-/// Host pipeline: the shared adjacent-cell scan, sequential or parallel.
-/// A CPU baseline, so its modeled total is its wall time.
-fn run_host(
-    plan: &JoinPlan<'_>,
-    grid: &GridIndex,
-    grid_build: Duration,
-    parallel: bool,
-) -> (Vec<Pair>, JoinReport) {
-    let eps = plan.exec.query_epsilon.unwrap_or(grid.epsilon());
-    // The host scan emits query-keyed pairs only, so an ownership window
-    // restricts which queries are scanned — same emit-time semantics as
-    // the device kernels, with the work skipped rather than filtered.
-    let (off, cnt) = match plan.exec.ownership {
-        Some(o) => (o.lo as usize, o.len()),
-        None => (0, plan.data.len()),
-    };
-    let t1 = Instant::now();
-    let pairs = if parallel {
-        host_join::host_pairs_parallel(plan.data, grid, eps, off, cnt)
-    } else {
-        host_join::host_pairs_for_range_within(plan.data, grid, eps, off, cnt)
-    };
-    let scan = t1.elapsed();
-    let report = JoinReport {
-        grid_build,
-        device_pipeline: scan,
-        total: Duration::ZERO, // finalized by `execute`
-        modeled_total: grid_build + scan,
-        non_empty_cells: grid.non_empty_cells(),
-        index_bytes: grid.size_bytes(),
-        occupancy: OccupancyResult {
-            blocks_per_sm: 0,
-            warps_per_sm: 0,
-            occupancy: 0.0,
-            limiter: "host",
-        },
-        batching: BatchReport::host(pairs.len() as u64),
-    };
-    (pairs, report)
+    Ok(PlanOutput { pairs, report })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell_major::HotPath;
+    use crate::host_join::{host_self_join, host_self_join_parallel};
     use crate::result::NeighborTable;
+    use proptest::prelude::*;
     use sim_gpu::DeviceSpec;
     use sj_datasets::synthetic::{clustered, uniform};
 
@@ -425,25 +332,16 @@ mod tests {
     }
 
     #[test]
-    fn device_host_and_pool_backends_agree() {
+    fn device_join_matches_both_host_references() {
         let data = uniform(3, 900, 91);
         let eps = 6.0;
         let device = Device::new(DeviceSpec::titan_x_pascal());
-        let pool = DevicePool::titan_x(2);
-        let plan = JoinPlan::build_index(&data, eps);
-        let dev = execute(&plan, Backend::Device(&device)).unwrap();
-        let seq = execute(&plan, Backend::Host { parallel: false }).unwrap();
-        let par = execute(&plan, Backend::Host { parallel: true }).unwrap();
-        let pl = execute(&plan, Backend::Pool(&pool)).unwrap();
-        assert_eq!(table(&data, &dev), table(&data, &seq));
-        assert_eq!(table(&data, &dev), table(&data, &par));
-        assert_eq!(table(&data, &dev), table(&data, &pl));
+        let dev = execute(&JoinPlan::build_index(&data, eps), &device).unwrap();
+        let grid = GridIndex::build(&data, eps).unwrap();
+        assert_eq!(table(&data, &dev), host_self_join(&data, &grid));
+        assert_eq!(table(&data, &dev), host_self_join_parallel(&data, &grid));
         assert!(dev.report.batching.batches >= 3);
-        assert_eq!(seq.report.batching.batches, 0);
-        assert_eq!(seq.report.occupancy.limiter, "host");
         assert!(dev.report.grid_build > Duration::ZERO);
-        // The pool released its lease after the run.
-        assert_eq!(pool.active_leases(), vec![0, 0]);
     }
 
     #[test]
@@ -451,9 +349,9 @@ mod tests {
         let data = uniform(2, 600, 92);
         let grid = GridIndex::build(&data, 3.0).unwrap();
         let device = Device::new(DeviceSpec::titan_x_pascal());
-        let out = execute(&JoinPlan::on_grid(&data, &grid), Backend::Device(&device)).unwrap();
+        let out = execute(&JoinPlan::on_grid(&data, &grid), &device).unwrap();
         assert_eq!(out.report.grid_build, Duration::ZERO);
-        let fresh = execute(&JoinPlan::build_index(&data, 3.0), Backend::Device(&device)).unwrap();
+        let fresh = execute(&JoinPlan::build_index(&data, 3.0), &device).unwrap();
         assert_eq!(table(&data, &out), table(&data, &fresh));
     }
 
@@ -465,15 +363,9 @@ mod tests {
         let grid = GridIndex::build(&data, built).unwrap();
         let device = Device::new(DeviceSpec::titan_x_pascal());
         let reused = JoinPlan::on_grid(&data, &grid).query_epsilon(eps_q);
-        let dev = execute(&reused, Backend::Device(&device)).unwrap();
-        let host = execute(&reused, Backend::Host { parallel: true }).unwrap();
-        let fresh = execute(
-            &JoinPlan::build_index(&data, eps_q),
-            Backend::Device(&device),
-        )
-        .unwrap();
+        let dev = execute(&reused, &device).unwrap();
+        let fresh = execute(&JoinPlan::build_index(&data, eps_q), &device).unwrap();
         assert_eq!(table(&data, &dev), table(&data, &fresh));
-        assert_eq!(table(&data, &host), table(&data, &fresh));
     }
 
     #[test]
@@ -482,9 +374,7 @@ mod tests {
         let grid = GridIndex::build(&data, 1.0).unwrap();
         let device = Device::new(DeviceSpec::titan_x_pascal());
         let plan = JoinPlan::on_grid(&data, &grid).query_epsilon(1.5);
-        let err = execute(&plan, Backend::Device(&device)).unwrap_err();
-        assert!(matches!(err, SelfJoinError::EpsilonExceedsIndex { .. }));
-        let err = execute(&plan, Backend::Host { parallel: false }).unwrap_err();
+        let err = execute(&plan, &device).unwrap_err();
         assert!(matches!(err, SelfJoinError::EpsilonExceedsIndex { .. }));
     }
 
@@ -492,72 +382,61 @@ mod tests {
     fn invalid_query_epsilon_is_rejected() {
         let data = uniform(2, 100, 95);
         let grid = GridIndex::build(&data, 1.0).unwrap();
+        let device = Device::new(DeviceSpec::titan_x_pascal());
         let plan = JoinPlan::on_grid(&data, &grid).query_epsilon(-0.5);
-        let err = execute(&plan, Backend::Host { parallel: false }).unwrap_err();
+        let err = execute(&plan, &device).unwrap_err();
         assert!(matches!(err, SelfJoinError::Grid(_)));
     }
 
-    #[test]
-    fn owned_prefix_keeps_exactly_the_owned_keys_of_a_full_join() {
-        // The emit-time ownership window must produce exactly the
-        // owned-keyed pairs of the unrestricted join — for both hot paths,
-        // with and without UNICOMP (whose duplicate-search removal may
-        // leave a ghost query as the only producer of an owned-keyed
-        // pair), so the shard engine can run either kernel.
-        use crate::cell_major::HotPath;
-        let data = clustered(3, 500, 3, 1.0, 0.15, 98);
-        let eps = 1.5;
-        let owned = 320usize;
-        let device = Device::new(DeviceSpec::titan_x_pascal());
-        let sorted = |mut pairs: Vec<Pair>| {
-            pairs.sort_unstable();
-            pairs
-        };
-        for hot_path in [HotPath::PerThread, HotPath::CellMajor] {
-            for unicomp in [false, true] {
-                let mut full = JoinPlan::build_index(&data, eps);
-                full.exec.hot_path = hot_path;
-                full.exec.unicomp = unicomp;
-                let windowed = full.owned_prefix(owned);
-                let full = execute(&full, Backend::Device(&device)).unwrap();
-                let windowed = execute(&windowed, Backend::Device(&device)).unwrap();
-                let expected: Vec<Pair> = full
-                    .pairs
-                    .into_iter()
-                    .filter(|p| (p.key as usize) < owned)
-                    .collect();
-                assert!(!expected.is_empty());
-                assert_eq!(
-                    sorted(windowed.pairs),
-                    sorted(expected),
-                    "hot_path={hot_path:?} unicomp={unicomp}"
-                );
-            }
-        }
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    #[test]
-    fn ownership_fused_host_backend_scans_owned_prefix_only() {
-        let data = uniform(2, 450, 99);
-        let eps = 4.0;
-        let owned = 300usize;
-        let device = Device::new(DeviceSpec::titan_x_pascal());
-        let dev = execute(
-            &JoinPlan::build_index(&data, eps).owned_prefix(owned),
-            Backend::Device(&device),
-        )
-        .unwrap();
-        for parallel in [false, true] {
-            let host = execute(
-                &JoinPlan::build_index(&data, eps).owned_prefix(owned),
-                Backend::Host { parallel },
-            )
-            .unwrap();
-            assert_eq!(
-                table(&data, &host),
-                table(&data, &dev),
-                "parallel={parallel}"
-            );
+        /// The emit-time ownership window produces exactly the owned-keyed
+        /// pairs of the unrestricted join, at every window from empty to
+        /// the whole dataset, for both hot paths, with and without
+        /// UNICOMP (whose duplicate-search removal may leave a ghost query
+        /// as the only producer of an owned-keyed pair), so the shard
+        /// engine can run either kernel.
+        #[test]
+        fn owned_prefix_keeps_exactly_the_owned_keys_of_a_full_join(
+            dim in 1usize..=6,
+            owned in 0usize..=160,
+            eps in 12.0f64..34.0,
+            seed in 0u64..10_000,
+        ) {
+            let n = 160;
+            let data = clustered(dim, n, 3, 4.0, 0.2, seed);
+            let device = Device::new(DeviceSpec::titan_x_pascal());
+            let sorted = |mut pairs: Vec<Pair>| {
+                pairs.sort_unstable();
+                pairs
+            };
+            for hot_path in [HotPath::PerThread, HotPath::CellMajor] {
+                for unicomp in [false, true] {
+                    let mut plan = JoinPlan::build_index(&data, eps);
+                    plan.exec.hot_path = hot_path;
+                    plan.exec.unicomp = unicomp;
+                    let full = sorted(execute(&plan, &device).unwrap().pairs);
+                    prop_assert!(!full.is_empty());
+                    for owned in [0, owned, n] {
+                        let windowed = execute(&plan.owned_prefix(owned), &device).unwrap();
+                        let expected: Vec<Pair> = full
+                            .iter()
+                            .copied()
+                            .filter(|p| (p.key as usize) < owned)
+                            .collect();
+                        prop_assert_eq!(
+                            sorted(windowed.pairs),
+                            expected,
+                            "dim={} owned={} hot_path={:?} unicomp={}",
+                            dim,
+                            owned,
+                            hot_path,
+                            unicomp
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -565,8 +444,9 @@ mod tests {
     #[should_panic(expected = "ownership window")]
     fn oversized_ownership_window_panics() {
         let data = uniform(2, 50, 100);
+        let device = Device::new(DeviceSpec::titan_x_pascal());
         let plan = JoinPlan::build_index(&data, 3.0).owned_prefix(51);
-        let _ = execute(&plan, Backend::Host { parallel: false });
+        let _ = execute(&plan, &device);
     }
 
     #[test]
@@ -574,7 +454,7 @@ mod tests {
         let data = uniform(2, 1000, 97);
         let device = Device::new(DeviceSpec::titan_x_pascal());
         let plan = JoinPlan::build_index(&data, 3.0).estimated(50_000);
-        let out = execute(&plan, Backend::Device(&device)).unwrap();
+        let out = execute(&plan, &device).unwrap();
         assert_eq!(out.report.batching.estimated_pairs, 50_000);
         assert_eq!(out.report.batching.estimate_time, Duration::ZERO);
     }
@@ -583,13 +463,7 @@ mod tests {
     fn empty_dataset_runs_on_all_backends() {
         let data = Dataset::new(3);
         let device = Device::new(DeviceSpec::titan_x_pascal());
-        let plan = JoinPlan::build_index(&data, 1.0);
-        for out in [
-            execute(&plan, Backend::Device(&device)).unwrap(),
-            execute(&plan, Backend::Host { parallel: false }).unwrap(),
-            execute(&plan, Backend::Host { parallel: true }).unwrap(),
-        ] {
-            assert!(out.pairs.is_empty());
-        }
+        let out = execute(&JoinPlan::build_index(&data, 1.0), &device).unwrap();
+        assert!(out.pairs.is_empty());
     }
 }

@@ -132,53 +132,30 @@ impl NeighborTable {
     }
 }
 
-/// Emit-time ownership window of a shard-scoped join: the contiguous
-/// local-id range `[lo, hi)` of points this execution *owns*. Kernels
-/// carrying an ownership window test each candidate pair's key with one
-/// comparison **before** reserving result-buffer space, so ghost-keyed
-/// pairs are never materialized.
-///
-/// Shard-local datasets are laid out owned-points-first, so shard plans
-/// use the prefix window `[0, owned)`.
+/// Emit-time ownership window of a shard-scoped join: the owned prefix
+/// `[0, owned)` of local ids. Shard-local datasets are laid out
+/// owned-points-first, so one comparison per candidate pair's key —
+/// made **before** reserving result-buffer space — keeps ghost-keyed
+/// pairs from ever being materialized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ownership {
-    /// First owned local id (inclusive).
-    pub lo: u32,
-    /// One past the last owned local id (exclusive).
-    pub hi: u32,
+    /// One past the last owned local id.
+    pub owned: u32,
 }
 
 impl Ownership {
     /// The owned-points-first prefix window `[0, owned)` of a shard.
     pub fn prefix(owned: usize) -> Self {
         Self {
-            lo: 0,
-            hi: owned as u32,
+            owned: owned as u32,
         }
     }
 
     /// Whether a pair keyed by `key` belongs to this execution.
     #[inline]
     pub fn keeps(&self, key: u32) -> bool {
-        self.lo <= key && key < self.hi
+        key < self.owned
     }
-
-    /// Number of local ids in the window.
-    pub fn len(&self) -> usize {
-        (self.hi - self.lo) as usize
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lo >= self.hi
-    }
-}
-
-/// Sorts pairs by (key, value) — the host-side equivalent of the paper's
-/// post-kernel `thrust::sort`, used when a caller wants the raw pair list
-/// in canonical order rather than a [`NeighborTable`].
-pub fn sort_pairs(pairs: &mut [Pair]) {
-    pairs.sort_unstable();
 }
 
 /// Rewrites shard-local point ids to global ids through `global_ids`
@@ -275,10 +252,7 @@ mod tests {
         let own = Ownership::prefix(3);
         assert!(own.keeps(0) && own.keeps(2));
         assert!(!own.keeps(3));
-        assert_eq!(own.len(), 3);
-        let mid = Ownership { lo: 2, hi: 5 };
-        assert!(!mid.keeps(1) && mid.keeps(2) && mid.keeps(4) && !mid.keeps(5));
-        assert!(Ownership::prefix(0).is_empty());
+        assert!(!Ownership::prefix(0).keeps(0));
     }
 
     #[test]
@@ -298,7 +272,7 @@ mod tests {
 
     #[test]
     fn deterministic_under_permutation() {
-        let mut p1 = sample_pairs();
+        let p1 = sample_pairs();
         let p2 = {
             let mut v = p1.clone();
             v.reverse();
@@ -307,7 +281,5 @@ mod tests {
         let t1 = NeighborTable::from_pairs(3, &p1);
         let t2 = NeighborTable::from_pairs(3, &p2);
         assert_eq!(t1, t2);
-        sort_pairs(&mut p1);
-        assert!(p1.windows(2).all(|w| w[0] <= w[1]));
     }
 }

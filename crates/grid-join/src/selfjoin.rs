@@ -26,7 +26,7 @@ use crate::batching::{BatchingConfig, ExecOptions};
 use crate::cell_major::HotPath;
 use crate::error::SelfJoinError;
 use crate::grid::GridIndex;
-use crate::plan::{execute, Backend, EstimateStage, IndexStage, JoinPlan};
+use crate::plan::{execute, IndexStage, JoinPlan};
 use crate::result::NeighborTable;
 use sim_gpu::{Device, DeviceSpec, LaunchConfig};
 use sj_datasets::Dataset;
@@ -148,7 +148,6 @@ impl GpuSelfJoin {
         JoinPlan {
             data,
             index,
-            estimate: EstimateStage::Sample,
             exec: self.config.exec_options(),
             launch: self.config.launch,
             batching: self.config.batching,
@@ -159,7 +158,7 @@ impl GpuSelfJoin {
     /// `dist(p, q) ≤ epsilon`.
     pub fn run(&self, data: &Dataset, epsilon: f64) -> Result<SelfJoinOutput, SelfJoinError> {
         let plan = self.plan(data, IndexStage::Build { epsilon });
-        let out = execute(&plan, Backend::Device(&self.device))?;
+        let out = execute(&plan, &self.device)?;
         Ok(SelfJoinOutput {
             table: NeighborTable::from_pairs(data.len(), &out.pairs),
             report: out.report,
@@ -177,7 +176,7 @@ impl GpuSelfJoin {
         grid: &GridIndex,
     ) -> Result<SelfJoinOutput, SelfJoinError> {
         let plan = self.plan(data, IndexStage::Prebuilt(grid));
-        let out = execute(&plan, Backend::Device(&self.device))?;
+        let out = execute(&plan, &self.device)?;
         Ok(SelfJoinOutput {
             table: NeighborTable::from_pairs(data.len(), &out.pairs),
             report: out.report,

@@ -47,7 +47,7 @@ use crate::device_grid::DeviceGrid;
 use crate::error::{GridBuildError, SelfJoinError};
 use crate::grid::GridIndex;
 use crate::knn::{gpu_knn_on, KnnHit};
-use crate::plan::{execute, Backend, EstimateStage, IndexStage, JoinPlan, JoinReport};
+use crate::plan::{execute, IndexStage, JoinPlan, JoinReport};
 use crate::result::NeighborTable;
 use crate::selfjoin::SelfJoinConfig;
 use parking_lot::Mutex;
@@ -376,20 +376,13 @@ impl SelfJoinSession {
             .lock()
             .get(&epsilon.to_bits())
             .map(|&(pairs, _)| pairs);
-        let estimate = match cached_count {
-            Some(pairs) => EstimateStage::Precomputed(
-                ((pairs as f64) * self.config.join.batching.safety_factor).ceil() as u64,
-            ),
-            None => EstimateStage::Sample,
-        };
-        let plan = JoinPlan {
+        let mut plan = JoinPlan {
             data: &self.data,
             index: IndexStage::Resident {
                 grid: &resident.grid,
                 snapshot: &snap.dg,
                 hoist: snap.hoist.as_ref(),
             },
-            estimate,
             exec: ExecOptions {
                 query_epsilon: Some(epsilon),
                 ..self.config.join.exec_options()
@@ -397,7 +390,11 @@ impl SelfJoinSession {
             launch: self.config.join.launch,
             batching: self.config.join.batching,
         };
-        let mut out = match execute(&plan, Backend::Device(lease.device())) {
+        if let Some(pairs) = cached_count {
+            let safety = self.config.join.batching.safety_factor;
+            plan = plan.estimated(((pairs as f64) * safety).ceil() as u64);
+        }
+        let mut out = match execute(&plan, lease.device()) {
             Ok(out) => out,
             Err(e) => {
                 if e.is_fault() {

@@ -30,7 +30,7 @@ impl LatencyStats {
     /// Computes stats from an unsorted latency sample.
     ///
     /// Percentiles use the **nearest-rank** convention (see
-    /// [`percentile`]): `pXX` is the smallest observed sample with at
+    /// `percentile`): `pXX` is the smallest observed sample with at
     /// least XX% of the population at or below it — always a real
     /// observation, never an interpolation. Small samples therefore
     /// collapse by design: with `n = 1` every percentile is the lone

@@ -4,7 +4,7 @@
 //!
 //! Everything here is bookkeeping in *modeled* seconds since the service
 //! epoch. The key design decision is that a query's device and virtual
-//! start are fixed **at admission** ([`SchedState::place`]): the job goes
+//! start are fixed **at admission** (`SchedState::place`): the job goes
 //! to the device whose busy horizon ends soonest (LPT over the pool),
 //! starting when both it and the device are ready. Admission therefore
 //! reads exact horizons — there is no separately-estimated "queued
@@ -19,7 +19,7 @@
 //! Fairness is weighted fair queueing over the same virtual clock: each
 //! tenant chains service tags `tag = max(arrival, tenant's last tag) +
 //! projected`, and a batch of simultaneously-submitted requests is
-//! admitted and placed in ascending tag order ([`wfq_order`]) — a tenant
+//! admitted and placed in ascending tag order (`wfq_order`) — a tenant
 //! flooding one burst gets successively later tags, so a light tenant's
 //! query overtakes the flood's backlog. Per-tenant in-flight caps (the
 //! admission half of fair share) live in [`crate::admission`].

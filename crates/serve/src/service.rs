@@ -347,7 +347,7 @@ impl SelfJoinService {
 
     /// Submits a burst of queries atomically: the whole batch is decided
     /// and placed on the virtual timeline under one scheduler lock hold,
-    /// in fair-share tag order ([`scheduler::wfq_order`]) — exactly what
+    /// in fair-share tag order (`scheduler::wfq_order`) — exactly what
     /// a trace replayer wants when many virtual arrivals share one real
     /// instant, and the only point where cross-tenant fairness can
     /// reorder anything (a lone streamed submission is placed the moment

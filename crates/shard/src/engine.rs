@@ -87,7 +87,7 @@ use crate::cost::{
 };
 use crate::partition::{build_cuts, materialize, partition_par, CutTree, Partition, SamplePass};
 use crate::schedule::{argmin_shard_count, lpt_schedule, modeled_makespan, Assignment};
-use grid_join::plan::{execute, Backend, JoinPlan};
+use grid_join::plan::{execute, JoinPlan};
 use grid_join::{
     remap_pairs, GridIndex, HotPath, NeighborTable, Pair, SelfJoinConfig, SelfJoinError,
 };
@@ -569,7 +569,7 @@ impl ShardedSelfJoin {
             let subplan = self
                 .subplan(&shard.data, &grid, costs[s].predicted_pairs)
                 .owned_prefix(shard.owned);
-            let out = execute(&subplan, Backend::Device(self.pool.device(d)))?;
+            let out = execute(&subplan, self.pool.device(d))?;
             let mut pairs = out.pairs;
             remap_pairs(&mut pairs, &shard.global_ids);
             let h2d = out.report.index_bytes + shard.data.len() * shard.data.dim() * 8;

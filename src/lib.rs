@@ -47,8 +47,8 @@ pub use sj_shard as shard;
 pub use superego as baseline_superego;
 
 pub use grid_join::{
-    Backend, GpuSelfJoin, GridIndex, HotPath, JoinPlan, NeighborTable, Pair, ProjectedCost,
-    SelfJoinConfig, SelfJoinError, SelfJoinOutput, SelfJoinSession, SessionConfig, SessionStats,
+    GpuSelfJoin, GridIndex, HotPath, JoinPlan, NeighborTable, Pair, ProjectedCost, SelfJoinConfig,
+    SelfJoinError, SelfJoinOutput, SelfJoinSession, SessionConfig, SessionStats,
 };
 pub use sim_gpu::{Device, DeviceLease, DevicePool, DeviceSpec, MemoryLedger, PoolPressure};
 pub use sj_serve::{
