@@ -27,8 +27,8 @@
 //! * the recovery machinery demonstrably fired: serve-level retries > 0
 //!   and the crashed device is in probation when the stream drains.
 //!
-//! Latencies and throughput are virtual (modeled) seconds. Tables land
-//! in `bench_results/fault_recovery.json`.
+//! Latencies and throughput are virtual (modeled) seconds. A full run's
+//! tables land in `bench_results/fault_recovery.json`.
 
 use grid_join::{GpuSelfJoin, NeighborTable, SelfJoinSession};
 use sim_gpu::{DevicePool, FaultEvent, FaultKind, FaultPlan, StormConfig};
@@ -64,7 +64,9 @@ const GOODPUT_FLOOR: f64 = 0.6;
 
 fn main() {
     let mut args = Args::parse();
-    args.json = true;
+    // The full run's table is committed; a `--quick` smoke run leaves it
+    // alone unless `--json` is passed.
+    args.json |= !args.quick;
 
     let floor = if args.quick { 4_000 } else { 12_000 };
     let n = ((1_000_000.0 * args.scale) as usize).clamp(floor, 1_000_000);

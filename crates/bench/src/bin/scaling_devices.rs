@@ -9,10 +9,10 @@
 //! the speedup over one device. A plain single-device `GpuSelfJoin` row
 //! anchors the comparison; a per-phase prelude/stream breakdown table
 //! (calibrate / partition / upload / kernel / merge, in seconds) and a
-//! per-shard table at the widest count accompany each workload. This
-//! figure's JSON export is always written (the checked-in
+//! per-shard table at the widest count accompany each workload. A full
+//! run always writes this figure's JSON (the checked-in
 //! `bench_results/scaling_devices.json` is regenerated by re-running the
-//! binary).
+//! binary); a `--quick` run writes it only with `--json`.
 //!
 //! Times are the engine's modeled response times (prelude + busiest
 //! device stream — see `sj_shard::engine`): with simulated devices
@@ -77,9 +77,10 @@ const AUDIT_REL_BOUND: f64 = 0.5;
 
 fn main() {
     let mut args = Args::parse();
-    // This figure's JSON is committed to the repository; always export it
-    // so a plain run regenerates the checked-in file.
-    args.json = true;
+    // This figure's JSON is committed to the repository: a full run always
+    // exports it, so a plain run regenerates the checked-in file. A
+    // `--quick` smoke run leaves it alone unless `--json` is passed.
+    args.json |= !args.quick;
     // Surrogates of the paper's 2M-point tier. The scaling experiment
     // needs enough work per shard that it outweighs the fixed per-shard
     // transfer latencies (and enough grid columns per shard for thin

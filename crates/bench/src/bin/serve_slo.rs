@@ -267,22 +267,24 @@ fn main() {
         sj_obs::json::parse(&full).expect("chrome trace must be valid JSON");
         let full_path = dir.join("serve_slo_trace.json");
         std::fs::write(&full_path, &full).expect("write trace");
+        println!(
+            "\ntrace: {} ({} spans) — load in chrome://tracing",
+            full_path.display(),
+            records.len()
+        );
         // A small committed sample: the complete span trees of the first
         // few admitted queries, so the repo carries a loadable example
-        // without megabytes of trace.
+        // without megabytes of trace. A `--quick` smoke run validates it
+        // but leaves the committed file alone.
         let sample = sample_trees(&records, 3);
         sj_obs::validate(&sample).expect("sample trees stay connected");
         let sample_json = sj_obs::chrome_trace(&sample);
         sj_obs::json::parse(&sample_json).expect("trace sample must be valid JSON");
-        let sample_path = dir.join("trace_sample.json");
-        std::fs::write(&sample_path, &sample_json).expect("write trace sample");
-        println!(
-            "\ntrace: {} ({} spans) / sample: {} ({} spans) — load in chrome://tracing",
-            full_path.display(),
-            records.len(),
-            sample_path.display(),
-            sample.len()
-        );
+        if !args.quick {
+            let sample_path = dir.join("trace_sample.json");
+            std::fs::write(&sample_path, &sample_json).expect("write trace sample");
+            println!("sample: {} ({} spans)", sample_path.display(), sample.len());
+        }
     }
 
     // Calibration audit: admission's projected cost vs the measured

@@ -13,7 +13,8 @@
 //!   precomputed estimate, an [`ExecOptions::ownership`] window so the
 //!   kernels of either hot path drop ghost-keyed pairs at emit time),
 //!   executed on the scheduled device; the engine lifts the pairs to
-//!   global ids and merges by concatenation — the ownership windows are
+//!   global ids and builds the table from the per-device pair segments
+//!   ([`crate::NeighborTable::from_segments`]) — the ownership windows are
 //!   disjoint, so no dedup pass is needed.
 //! * [`crate::SelfJoinSession`] — `Resident` index: the session pins the
 //!   dataset, caches the built [`GridIndex`] plus per-device

@@ -37,33 +37,52 @@ pub struct NeighborTable {
 
 impl NeighborTable {
     /// Builds the table from result pairs for a dataset of `num_points`
-    /// points. Pairs need not be sorted; each adjacency list ends up
-    /// sorted ascending (deterministic regardless of producer schedule).
+    /// points: the one-segment case of [`Self::from_segments`].
     ///
     /// # Panics
     ///
     /// Panics if any pair references a point id `>= num_points`.
     pub fn from_pairs(num_points: usize, pairs: &[Pair]) -> Self {
+        Self::from_segments(num_points, &[pairs])
+    }
+
+    /// Builds the table from result pairs held in several segments (the
+    /// sharded engine passes one per device) for a dataset of
+    /// `num_points` points, without concatenating them: a key count over
+    /// every segment, one prefix sum, a scatter of every segment into the
+    /// rows, then a sort per row. Pairs need not be sorted, and a key's
+    /// pairs may span segments; each adjacency list ends up sorted
+    /// ascending, so the table does not depend on how the pairs were
+    /// split or in which order they were produced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any pair references a point id `>= num_points`.
+    pub fn from_segments(num_points: usize, segments: &[&[Pair]]) -> Self {
         let mut counts = vec![0usize; num_points + 1];
-        for p in pairs {
-            assert!(
-                (p.key as usize) < num_points && (p.value as usize) < num_points,
-                "pair ({}, {}) out of range {num_points}",
-                p.key,
-                p.value
-            );
-            counts[p.key as usize + 1] += 1;
+        for segment in segments {
+            for p in *segment {
+                assert!(
+                    (p.key as usize) < num_points && (p.value as usize) < num_points,
+                    "pair ({}, {}) out of range {num_points}",
+                    p.key,
+                    p.value
+                );
+                counts[p.key as usize + 1] += 1;
+            }
         }
         for i in 1..counts.len() {
             counts[i] += counts[i - 1];
         }
         let offsets = counts.clone();
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0u32; pairs.len()];
-        for p in pairs {
-            let k = p.key as usize;
-            neighbors[cursor[k]] = p.value;
-            cursor[k] += 1;
+        let mut cursor = counts;
+        let mut neighbors = vec![0u32; offsets[num_points]];
+        for segment in segments {
+            for p in *segment {
+                let k = p.key as usize;
+                neighbors[cursor[k]] = p.value;
+                cursor[k] += 1;
+            }
         }
         for w in offsets.windows(2) {
             neighbors[w[0]..w[1]].sort_unstable();
@@ -281,5 +300,30 @@ mod tests {
         let t1 = NeighborTable::from_pairs(3, &p1);
         let t2 = NeighborTable::from_pairs(3, &p2);
         assert_eq!(t1, t2);
+    }
+
+    #[test]
+    fn segments_build_the_table_of_their_concatenation() {
+        // Keys spread over several segments (key 0 in all three), an
+        // empty segment in the middle, and unsorted rows.
+        let pairs = [
+            Pair::new(0, 3),
+            Pair::new(2, 1),
+            Pair::new(0, 1),
+            Pair::new(3, 0),
+            Pair::new(1, 2),
+            Pair::new(0, 2),
+            Pair::new(1, 0),
+            Pair::new(2, 0),
+        ];
+        let whole = NeighborTable::from_pairs(4, &pairs);
+        for cut in [(0, 0), (2, 5), (3, 3), (1, 7), (8, 8)] {
+            let segments = [&pairs[..cut.0], &pairs[cut.0..cut.1], &pairs[cut.1..]];
+            assert_eq!(NeighborTable::from_segments(4, &segments), whole, "{cut:?}");
+        }
+        assert_eq!(
+            NeighborTable::from_segments(4, &[]),
+            NeighborTable::from_pairs(4, &[])
+        );
     }
 }

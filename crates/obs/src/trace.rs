@@ -295,14 +295,6 @@ impl SpanGuard {
         }
     }
 
-    /// Attaches a lazily-computed label — the closure only runs when the
-    /// span is live, so format costs stay off the disabled path.
-    pub fn label_with(&mut self, key: &'static str, value: impl FnOnce() -> LabelValue) {
-        if let Some(a) = &mut self.0 {
-            a.rec.labels.push((key, value()));
-        }
-    }
-
     /// Sets the modeled interval explicitly (virtual seconds), and moves
     /// the thread's modeled cursor to its end.
     pub fn set_modeled(&mut self, start_secs: f64, dur_secs: f64) {

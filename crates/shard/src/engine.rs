@@ -9,9 +9,10 @@
 //! fused sample pass → calibration ∥ speculative cut-tree builds →
 //! choose shard count (modeled-response argmin) → materialize the chosen
 //! partition → LPT scheduling → one executor task per device (rayon)
-//! running its queue of subplans (shard grid build + join) through
-//! [`grid_join::plan::execute`] and lifting the pairs to global ids →
-//! concatenating merge into the global [`NeighborTable`].
+//! draining its queue of subplans (shard grid build + join) through
+//! [`grid_join::plan::execute`], lifting the pairs to global ids and
+//! returning its runs and one pair segment → the global
+//! [`NeighborTable`], built from the device segments.
 //!
 //! ## The parallel prelude
 //!
@@ -62,10 +63,12 @@
 //! Both hot paths honour the window, so [`HotPath`] selects only the
 //! kernel. Ghost pairs are never materialized or downloaded, and since
 //! the ownership windows of different shards cover disjoint global id
-//! sets, the merge degenerates to concatenation. Every build counts the
-//! merged table's duplicate pairs ([`NeighborTable::duplicate_pairs`])
-//! into [`ShardedReport::duplicates_merged`], which disjoint windows
-//! keep at 0.
+//! sets, the device segments are already the union: the merge builds the
+//! table from them ([`NeighborTable::from_segments`]) without
+//! concatenating or deduplicating. Every build counts the merged table's
+//! duplicate pairs ([`NeighborTable::duplicate_pairs`]) into
+//! [`ShardedReport::duplicates_merged`], which disjoint windows keep at
+//! 0.
 //!
 //! ## Timing model
 //!
@@ -75,28 +78,35 @@
 //! shard's grid build — from the bytes they stream at the host-core rate
 //! (`sim_gpu::host_core_time`). The simulated devices therefore execute
 //! concurrently on the host's cores without disturbing each other's
-//! modeled time. Each device's modeled stream accumulates independently,
-//! and the engine's modeled response time takes the **maximum** over
-//! devices — the busiest device bounds completion, just as a real
-//! multi-GPU driver would observe. The same seed gives the same modeled
-//! report on any host, at any load.
+//! modeled time.
+//!
+//! One function prices every device stream:
+//! [`crate::schedule::stream_end`] pipelines each shard's host grid build
+//! with the device work of the shard before it. The chooser's projection
+//! ([`modeled_makespan`]) applies it to predicted stages, and the
+//! executed streams apply it to the stages each device's drain returns —
+//! a shard re-executed after a fault joins the end of its new device's
+//! stream. The engine's modeled response time is the prelude plus the
+//! **maximum** stream end over devices — the busiest device bounds
+//! completion, just as a real multi-GPU driver would observe. The merge
+//! (the table built from the device segments) is host work outside the
+//! modeled total, reported as [`ShardedReport::merge_time`]. The same
+//! seed gives the same modeled report on any host, at any load.
 
 use crate::cost::{
     calibrate_from_sample, modeled_partition_cost, project_partition, project_scaled,
     projection_bytes, CostModel, ShardCost,
 };
 use crate::partition::{build_cuts, materialize, partition_par, CutTree, Partition, SamplePass};
-use crate::schedule::{argmin_shard_count, lpt_schedule, modeled_makespan, Assignment};
+use crate::schedule::{argmin_shard_count, lpt_schedule, modeled_makespan, stream_end, Assignment};
 use grid_join::plan::{execute, JoinPlan};
 use grid_join::{
     remap_pairs, GridIndex, HotPath, NeighborTable, Pair, SelfJoinConfig, SelfJoinError,
 };
-use parking_lot::Mutex;
 use rayon::prelude::*;
-use sim_gpu::{host_core_time, DevicePool, DeviceTally, PoolProfiler};
+use sim_gpu::{host_core_time, DeviceFault, DevicePool, DeviceTally};
 use sj_datasets::Dataset;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Chooser verdict: the winning shard count, its projected partition
@@ -111,6 +121,35 @@ type ChosenShards = (usize, Duration, Duration, Vec<(usize, Duration)>);
 /// one, plus one round of transient flake on the survivor.
 fn max_reexec_rounds(ndev: usize) -> usize {
     ndev + 1
+}
+
+/// One successful shard execution, as its device's drain returns it.
+struct ShardRun {
+    report: ShardRunReport,
+    /// `(modeled grid build, modeled device pipeline)`: the shard's stage
+    /// pair on its device stream (see [`stream_end`]).
+    stage: (Duration, Duration),
+    tally: DeviceTally,
+    /// Host wall time of the shard's grid build.
+    index_build: Duration,
+}
+
+/// What one device's drain of a shard queue produced.
+#[derive(Default)]
+struct Drained {
+    /// The shards that ran to completion, in execution order.
+    runs: Vec<ShardRun>,
+    /// Their globally-remapped pairs, shard after shard.
+    pairs: Vec<Pair>,
+    /// Shards whose attempt faulted.
+    failed: Vec<usize>,
+    /// The faults seen, in order.
+    faults: Vec<DeviceFault>,
+}
+
+/// Modeled end of the device stream that ran `runs`, in order.
+fn stream(runs: &[ShardRun]) -> Duration {
+    stream_end(runs.iter().map(|r| r.stage))
 }
 
 /// Configuration of the sharded engine.
@@ -178,8 +217,9 @@ pub struct ShardedReport {
     pub cut_dims: Vec<usize>,
     /// Per-shard execution records, in shard order.
     pub shards: Vec<ShardRunReport>,
-    /// Per-device aggregated usage (kernel launches, modeled busy time,
-    /// transfer bytes incl. the ghost share), in device order.
+    /// Per-device usage (kernel launches, modeled busy time, transfer
+    /// bytes incl. the ghost share), in device order: the fold of the
+    /// device's successful shard runs, re-executions included.
     pub devices: Vec<DeviceTally>,
     /// Predicted per-device load the scheduler balanced.
     pub predicted_load: Vec<u64>,
@@ -222,8 +262,10 @@ pub struct ShardedReport {
     /// executed partition (what the cost-model audit compares against
     /// [`Self::measured_stream`]).
     pub projected_stream: Duration,
-    /// The executed run's busiest device stream, priced from its counted
-    /// bytes — the outcome the audit compares the projection with.
+    /// The executed run's busiest device stream: the largest
+    /// [`crate::schedule::stream_end`] over the shards each device ran,
+    /// priced from their counted bytes — the outcome the audit compares
+    /// the projection with.
     pub measured_stream: Duration,
     /// Wall time of the per-shard host index builds (summed across
     /// device tasks; they overlap in wall time). The modeled streams
@@ -232,8 +274,8 @@ pub struct ShardedReport {
     pub index_build_time: Duration,
     /// Wall time of the parallel execution phase.
     pub execute_time: Duration,
-    /// Wall time of the merge: the global table build over the
-    /// concatenated shard pairs plus the duplicate count.
+    /// Wall time of the merge: the global table build from the device
+    /// pair segments plus the duplicate count.
     pub merge_time: Duration,
     /// End-to-end host wall time.
     pub total: Duration,
@@ -316,13 +358,6 @@ impl ShardedSelfJoin {
     /// Fixes the total shard count (disables the makespan chooser).
     pub fn with_shards(mut self, num_shards: usize) -> Self {
         self.config.num_shards = Some(num_shards);
-        self
-    }
-
-    /// Overrides the per-shard join configuration (hot path, UNICOMP,
-    /// launch geometry, batching tunables).
-    pub fn with_join_config(mut self, join: SelfJoinConfig) -> Self {
-        self.config.join = join;
         self
     }
 
@@ -515,30 +550,17 @@ impl ShardedSelfJoin {
         };
 
         // Parallel execution: one rayon task per device drains its queue
-        // — building each shard's grid, then running the subplan — and
-        // streams globally-remapped pairs into the shared merge
-        // accumulator. Devices run concurrently (see module docs).
+        // and returns what it ran (see `Drained`); nothing is shared
+        // between the tasks. Devices run concurrently (see module docs),
+        // and their streams start on the modeled clock after the prelude.
         let t2 = Instant::now();
-        let profiler = PoolProfiler::new(ndev);
-        let merged: Mutex<Vec<Pair>> = Mutex::new(Vec::new());
-        let shard_reports: Mutex<Vec<Option<ShardRunReport>>> =
-            Mutex::new(vec![None; part.shards.len()]);
-        let index_build: Mutex<Duration> = Mutex::new(Duration::ZERO);
-        let streams: Mutex<Vec<Duration>> = Mutex::new(vec![Duration::ZERO; ndev]);
-        let device_faults = AtomicU64::new(0);
-        let failed_shards: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let last_fault: Mutex<Option<SelfJoinError>> = Mutex::new(None);
-        // Device streams start on the modeled clock after the (now
-        // lane-parallel) prelude.
         let prelude_secs = modeled_start + prelude_time.as_secs_f64();
 
-        // One shard's full pipeline on one device — grid build, subplan
-        // rewrite, batched execution, accounting, merge append. Shared by
-        // the primary per-device pass and the fault re-execution rounds;
-        // pairs reach the merge only on success, so a failed attempt
-        // contributes nothing and a re-run can never duplicate. Returns
-        // `(modeled grid build, device modeled time)`.
-        let run_shard = |d: usize, s: usize| -> Result<(Duration, Duration), SelfJoinError> {
+        // One shard's full pipeline on device `d`: grid build, subplan
+        // rewrite, batched execution, accounting. Returns the run and its
+        // globally-remapped pairs, so a failed attempt contributes
+        // nothing and a re-run can never duplicate.
+        let run_shard = |d: usize, s: usize| -> Result<(ShardRun, Vec<Pair>), SelfJoinError> {
             let shard = &part.shards[s];
             let mut shspan = sj_obs::Span::enter("shard.shard");
             shspan.label("shard", s);
@@ -553,7 +575,7 @@ impl ShardedSelfJoin {
             // geometry; index at its ε.
             let tg = Instant::now();
             let grid = GridIndex::build(&shard.data, part.epsilon)?;
-            *index_build.lock() += tg.elapsed();
+            let index_build = tg.elapsed();
             let grid_build =
                 host_core_time(GridIndex::build_bytes(shard.data.len(), shard.data.dim()));
             // The shard's host grid build occupies the stream
@@ -578,109 +600,107 @@ impl ShardedSelfJoin {
             // in both the coordinates and the index).
             let ghost_h2d =
                 ((h2d as f64 * shard.ghosts() as f64) / shard.data.len().max(1) as f64) as usize;
-            profiler.record(
-                d,
-                &DeviceTally {
+            // The host grid build is charged to the device stream that
+            // consumes it, matching the single-device modeled_total
+            // convention.
+            let modeled = grid_build + out.report.modeled_total;
+            if !shard_cursor.is_nan() {
+                shspan.set_modeled(shard_cursor, modeled.as_secs_f64());
+            }
+            let run = ShardRun {
+                report: ShardRunReport {
+                    shard: s,
+                    device: d,
+                    owned: shard.owned,
+                    ghosts: shard.ghosts(),
+                    predicted_cost: costs[s].cost(),
+                    actual_pairs: pairs.len() as u64,
+                    batches: out.report.batching.batches,
+                    ghost_h2d_bytes: ghost_h2d,
+                    modeled,
+                    modeled_upload: out.report.batching.timeline.h2d_busy,
+                    modeled_kernel: out.report.batching.modeled_estimate_time
+                        + out.report.batching.modeled_hoist_time
+                        + out.report.batching.modeled_kernel_time,
+                    wall: out.report.total,
+                },
+                stage: (grid_build, out.report.modeled_total),
+                tally: DeviceTally {
                     items: 1,
                     launches: out.report.batching.batches,
                     wall: out.report.device_pipeline,
-                    // The host grid build is charged to the
-                    // device stream that consumes it, matching
-                    // the single-device modeled_total convention.
-                    busy: grid_build + out.report.modeled_total,
+                    busy: modeled,
                     h2d_bytes: h2d,
                     ghost_h2d_bytes: ghost_h2d,
                     d2h_bytes: out.report.batching.actual_pairs as usize
                         * std::mem::size_of::<Pair>(),
                 },
-            );
-            shard_reports.lock()[s] = Some(ShardRunReport {
-                shard: s,
-                device: d,
-                owned: shard.owned,
-                ghosts: shard.ghosts(),
-                predicted_cost: costs[s].cost(),
-                actual_pairs: pairs.len() as u64,
-                batches: out.report.batching.batches,
-                ghost_h2d_bytes: ghost_h2d,
-                modeled: grid_build + out.report.modeled_total,
-                modeled_upload: out.report.batching.timeline.h2d_busy,
-                modeled_kernel: out.report.batching.modeled_estimate_time
-                    + out.report.batching.modeled_hoist_time
-                    + out.report.batching.modeled_kernel_time,
-                wall: out.report.total,
-            });
-            if !shard_cursor.is_nan() {
-                shspan.set_modeled(
-                    shard_cursor,
-                    (grid_build + out.report.modeled_total).as_secs_f64(),
-                );
-            }
-            merged.lock().append(&mut pairs);
-            Ok((grid_build, out.report.modeled_total))
+                index_build,
+            };
+            Ok((run, pairs))
         };
 
-        let device_runs: Vec<Result<(), SelfJoinError>> = (0..ndev)
+        // Drains `queue` on device `d`. A transient fault fails only its
+        // shard; a crash stops the drain and fails the rest of the queue,
+        // which moves to the survivors. Any other error aborts the join.
+        let drain = |d: usize, queue: &[usize]| -> Result<Drained, SelfJoinError> {
+            let mut out = Drained::default();
+            for (qi, &s) in queue.iter().enumerate() {
+                match run_shard(d, s) {
+                    Ok((run, mut pairs)) => {
+                        out.pairs.append(&mut pairs);
+                        out.runs.push(run);
+                    }
+                    Err(SelfJoinError::Fault(f)) => {
+                        out.faults.push(f);
+                        if f.is_crash() {
+                            out.failed.extend_from_slice(&queue[qi..]);
+                            break;
+                        }
+                        out.failed.push(s);
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(out)
+        };
+
+        let primary: Vec<Result<Drained, SelfJoinError>> = (0..ndev)
             .into_par_iter()
-            .map(|d| -> Result<(), SelfJoinError> {
+            .map(|d| {
                 let mut dspan = sj_obs::Span::child_of(root_id, "shard.device");
                 dspan.label("device", d);
                 dspan.label("queue", assignment.queues[d].len());
                 if dspan.id() != 0 {
                     sj_obs::trace::set_modeled_cursor(prelude_secs);
                 }
-                // Modeled device-stream clock: the executor thread's host
-                // work (grid builds) and the device's modeled work
-                // pipeline exactly as `modeled_makespan` prices them.
-                let mut host_t = Duration::ZERO;
-                let mut dev_t = Duration::ZERO;
-                for (qi, &s) in assignment.queues[d].iter().enumerate() {
-                    match run_shard(d, s) {
-                        Ok((grid_build, modeled)) => {
-                            host_t += grid_build;
-                            dev_t = host_t.max(dev_t) + modeled;
-                        }
-                        Err(SelfJoinError::Fault(f)) => {
-                            device_faults.fetch_add(1, Ordering::Relaxed);
-                            *last_fault.lock() = Some(SelfJoinError::Fault(f));
-                            let mut failed = failed_shards.lock();
-                            if f.is_crash() {
-                                // The device is down: its entire remaining
-                                // queue moves to the survivors.
-                                failed.extend(assignment.queues[d][qi..].iter().copied());
-                                drop(failed);
-                                break;
-                            }
-                            // Transient: only this shard failed; the rest
-                            // of the queue keeps running here.
-                            failed.push(s);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                dspan.set_modeled(prelude_secs, dev_t.as_secs_f64());
-                streams.lock()[d] = dev_t;
-                Ok(())
+                let out = drain(d, &assignment.queues[d])?;
+                dspan.set_modeled(prelude_secs, stream(&out.runs).as_secs_f64());
+                Ok(out)
             })
             .collect();
-        for r in device_runs {
-            r?;
+        // Per device: the shards it ran, in execution order, and their
+        // pairs — one segment of the merged table.
+        let mut runs: Vec<Vec<ShardRun>> = Vec::with_capacity(ndev);
+        let mut segments: Vec<Vec<Pair>> = Vec::with_capacity(ndev);
+        let mut failed = Vec::new();
+        let mut faults = Vec::new();
+        for out in primary {
+            let out = out?;
+            runs.push(out.runs);
+            segments.push(out.pairs);
+            failed.extend(out.failed);
+            faults.extend(out.faults);
         }
 
         // Re-execution rounds: every failed shard re-runs on the
         // least-loaded *surviving* stream, bounded by `max_reexec_rounds`
         // — enough for a crash cascade that downs all devices but one.
-        // The ownership windows make each re-run bit-identical to what
-        // the failed device would have produced, so exactness is
-        // untouched; only the stream makespan (and thus the modeled
-        // response time) grows.
-        let mut streams = streams.into_inner();
-        let mut failed = {
-            let mut f = failed_shards.into_inner();
-            f.sort_unstable();
-            f.dedup();
-            f
-        };
+        // The re-run joins the end of that device's stream. The ownership
+        // windows make each re-run bit-identical to what the failed
+        // device would have produced, so exactness is untouched; only the
+        // stream makespan (and thus the modeled response time) grows.
+        failed.sort_unstable();
         let mut reexecuted = 0usize;
         let mut round = 0usize;
         while !failed.is_empty() {
@@ -691,34 +711,25 @@ impl ShardedSelfJoin {
             if round > max_reexec_rounds(ndev) || survivors.is_empty() {
                 // Out of retry budget (or out of devices): surface the
                 // fault rather than loop forever on a dying pool.
-                return Err(last_fault
-                    .into_inner()
-                    .expect("a shard only fails via a fault"));
+                let fault = faults.last().expect("a shard only fails via a fault");
+                return Err(SelfJoinError::Fault(*fault));
             }
             let mut rspan = sj_obs::Span::enter("fault.reexec");
             rspan.label("round", round);
             rspan.label("shards", failed.len());
-            let mut still_failed = Vec::new();
-            for s in failed.drain(..) {
+            for s in std::mem::take(&mut failed) {
                 let d = survivors
                     .iter()
                     .copied()
-                    .min_by_key(|&i| streams[i])
+                    .min_by_key(|&i| stream(&runs[i]))
                     .expect("survivors is non-empty");
-                match run_shard(d, s) {
-                    Ok((grid_build, modeled)) => {
-                        streams[d] += grid_build + modeled;
-                        reexecuted += 1;
-                    }
-                    Err(SelfJoinError::Fault(f)) => {
-                        device_faults.fetch_add(1, Ordering::Relaxed);
-                        *last_fault.lock() = Some(SelfJoinError::Fault(f));
-                        still_failed.push(s);
-                    }
-                    Err(e) => return Err(e),
-                }
+                let mut out = drain(d, &[s])?;
+                reexecuted += out.runs.len();
+                runs[d].append(&mut out.runs);
+                segments[d].append(&mut out.pairs);
+                failed.extend(out.failed);
+                faults.extend(out.faults);
             }
-            failed = still_failed;
         }
         if reexecuted > 0 {
             sj_obs::registry()
@@ -728,27 +739,34 @@ impl ShardedSelfJoin {
         let execute_time = t2.elapsed();
 
         // Merge: the per-shard ownership windows cover disjoint global id
-        // sets, so concatenation is already the union. The duplicate
+        // sets, so the device segments together are already the union
+        // and the table is built from them as they are. The duplicate
         // count checks that invariant in every build.
         let t3 = Instant::now();
-        let table = NeighborTable::from_pairs(data.len(), &merged.into_inner());
+        let segment_refs: Vec<&[Pair]> = segments.iter().map(Vec::as_slice).collect();
+        let table = NeighborTable::from_segments(data.len(), &segment_refs);
         let duplicates_merged = table.duplicate_pairs();
+        drop(segments);
         let merge_time = t3.elapsed();
 
-        let devices = profiler.snapshot();
         // Response-time convention matches the single-device
         // `JoinReport::modeled_total` (grid build + estimate + pipelined
-        // device timeline): the serial prelude (calibration, chooser,
-        // partition) plus the busiest device *stream* — per stream, grid
-        // builds (host) pipeline with modeled device work exactly as the
-        // chooser priced them. Host-side table construction is excluded
-        // there and the host-side merge is excluded here (reported as
-        // `merge_time`).
+        // device timeline): the prelude plus the busiest device stream,
+        // each priced by `stream_end` from the shards it ran. Host-side
+        // table construction is excluded there and the merge is excluded
+        // here (reported as `merge_time`).
+        let streams: Vec<Duration> = runs.iter().map(|r| stream(r)).collect();
         let stream_makespan = streams.iter().copied().max().unwrap_or(Duration::ZERO);
         let modeled_total = prelude_time + stream_makespan;
-        let index_build_time = index_build.into_inner();
-        let shards: Vec<ShardRunReport> =
-            shard_reports.into_inner().into_iter().flatten().collect();
+        let mut devices = vec![DeviceTally::default(); ndev];
+        let mut index_build_time = Duration::ZERO;
+        let mut shards: Vec<ShardRunReport> = Vec::with_capacity(part.shards.len());
+        for run in runs.into_iter().flatten() {
+            devices[run.report.device].merge(&run.tally);
+            index_build_time += run.index_build;
+            shards.push(run.report);
+        }
+        shards.sort_unstable_by_key(|r| r.shard);
 
         // Cost-model audit: the scheduler's projected makespan vs the
         // measured busiest-stream makespan of the run it scheduled.
@@ -802,7 +820,7 @@ impl ShardedSelfJoin {
                 total: t0.elapsed(),
                 modeled_total,
                 duplicates_merged,
-                device_faults: device_faults.into_inner(),
+                device_faults: faults.len() as u64,
                 reexecuted_shards: reexecuted,
             },
         })
@@ -1025,6 +1043,33 @@ mod tests {
         assert!(m > 0.0 && p > 0.0);
         let err = (p - m) / m;
         assert!(err.abs() <= 0.5, "relative error {err:+.2} outside ±50%");
+    }
+
+    #[test]
+    fn run_and_projection_share_one_stream_function() {
+        // The executed streams are priced by the rule the projection
+        // uses: rebuilding the LPT queues from the shards' predicted
+        // costs and pricing each shard's executed stages with
+        // `modeled_makespan` gives the measured stream exactly.
+        let data = uniform(2, 6000, 47);
+        let out = ShardedSelfJoin::titan_x(4)
+            .with_shards(8)
+            .run(&data, 2.0)
+            .unwrap();
+        let r = &out.report;
+        assert!(r.shards.len() > 4, "want queues of several shards");
+        let costs: Vec<u64> = r.shards.iter().map(|s| s.predicted_cost).collect();
+        let assignment = lpt_schedule(&costs, 4);
+        let stages: Vec<(Duration, Duration)> = r
+            .shards
+            .iter()
+            .map(|s| {
+                assert_eq!(assignment.device_of(s.shard), Some(s.device));
+                let host = host_core_time(GridIndex::build_bytes(s.owned + s.ghosts, 2));
+                (host, s.modeled - host)
+            })
+            .collect();
+        assert_eq!(r.measured_stream, modeled_makespan(&assignment, &stages));
     }
 
     #[test]

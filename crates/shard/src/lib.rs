@@ -20,15 +20,17 @@
 //!   priced like executed work, so the scheduler — and the shard-count
 //!   chooser — see *cost*, not point count.
 //! * [`schedule`] — longest-processing-time assignment of shards to
-//!   devices by projected cost, and [`modeled_makespan`], the busiest-
-//!   device bound the engine minimizes when choosing how many shards to
-//!   cut at all.
+//!   devices by projected cost, [`stream_end`], the one rule that prices
+//!   a device stream (projected or executed), and [`modeled_makespan`],
+//!   the busiest-device bound the engine minimizes when choosing how many
+//!   shards to cut at all.
 //! * [`engine`] — [`ShardedSelfJoin`]: prices each candidate shard
 //!   count's own cut tree over the calibration sample, materializes the
 //!   modeled-response argmin, then runs one executor task per device.
 //!   Ownership is **fused into the kernels** of both hot paths as an
 //!   emit-time window over each shard's owned-prefix ids, so ghost-keyed
-//!   pairs are never materialized and the merge is pure concatenation.
+//!   pairs are never materialized and the merge builds the table straight
+//!   from the per-device pair segments, with nothing to deduplicate.
 //!
 //! ```
 //! use sj_shard::ShardedSelfJoin;
@@ -62,7 +64,7 @@
 //!    pairs at emit time — one comparison before the result-buffer
 //!    reservation, no ghost pair ever materialized. Hence each directed
 //!    pair `(p, q)` is reported by exactly one shard — the owner of `p` —
-//!    and the merge is plain concatenation (every run counts the merged
+//!    and the merge needs no deduplication (every run counts the merged
 //!    table's duplicates and reports the count, which stays 0).
 //!
 //! Together: the union of per-shard results equals the single-device
@@ -79,4 +81,4 @@ pub use cost::{
 };
 pub use engine::{ShardRunReport, ShardedConfig, ShardedOutput, ShardedReport, ShardedSelfJoin};
 pub use partition::{build_cuts, materialize, sample_pass, CutTree, Partition, SamplePass, Shard};
-pub use schedule::{argmin_shard_count, lpt_schedule, modeled_makespan, Assignment};
+pub use schedule::{argmin_shard_count, lpt_schedule, modeled_makespan, stream_end, Assignment};

@@ -32,17 +32,18 @@
 //!    path of a `lanes`-way fan-out (a subtree's children split the
 //!    remaining lane budget; a budget of one serializes). Execution is
 //!    sequential — on the simulated-device host every "lane" is a host
-//!    thread the engine charges, not spawns, exactly like the chunked
-//!    passes below — which also keeps the cut tree bit-identical for
-//!    every lane count.
-//! 3. [`materialize`] — the two full-data passes (ownership/ghost
-//!    classification, owned-prefix gather) plus the ghost-tail copy,
-//!    each executed as independent contiguous chunks, one per host lane,
-//!    and charged at the slowest lane of each pass.
+//!    thread the engine charges, not spawns, exactly like the
+//!    materialize charge below — which also keeps the cut tree
+//!    bit-identical for every lane count.
+//! 3. [`materialize`] — one pass per stage over the full data:
+//!    ownership/ghost classification, then the shard buffers (owned
+//!    prefix, ghost tail). The charge is that of contiguous chunks, one
+//!    per host lane: the slowest lane of each stage (classify, ghost-tail
+//!    copy, gather), computed from the counts the passes record.
 //!
 //! [`partition_par`] composes the three stages; [`Partition::build_time`]
 //! charges the sample pass's slowest lane, the recursion's critical path
-//! and the slowest lane of each materialize pass — the same host-parallel
+//! and the slowest lane of each materialize stage — the same host-parallel
 //! convention the engine applies to its per-device streams. Every charge
 //! is modeled, not measured: a lane's (or a region's) charge is the bytes
 //! it streams, priced at the host-core rate
@@ -54,6 +55,7 @@
 use grid_join::error::GridBuildError;
 use sim_gpu::host_core_time;
 use sj_datasets::Dataset;
+use std::ops::Range;
 use std::time::Duration;
 
 /// Relative widening of the ε halo band guarding against floating-point
@@ -121,8 +123,8 @@ pub struct Partition {
     pub shards: Vec<Shard>,
     /// Modeled build time, priced from streamed bytes. From
     /// [`partition_par`]: the sample pass's slowest lane + the recursion's
-    /// lane-budgeted critical path + the slowest lane of each chunked
-    /// materialize pass. From [`materialize`]: the materialize passes only
+    /// lane-budgeted critical path + the slowest lane of each materialize
+    /// stage. From [`materialize`]: the materialize passes only
     /// (the caller owns the sample and recursion stages and their
     /// accounting).
     pub build_time: Duration,
@@ -219,7 +221,6 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
     let lanes = lanes.clamp(1, n);
     span.label("lanes", lanes);
     let flat = data.coords();
-    let csize = n.div_ceil(lanes);
     let sstride = n.div_ceil(SPLIT_SAMPLE_CAP);
     let mut dmin = vec![f64::INFINITY; dim];
     let mut dmax = vec![f64::NEG_INFINITY; dim];
@@ -230,7 +231,7 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
     let row_bytes = 8 * dim as u64;
     let mut slowest = 0u64;
     for lane in 0..lanes {
-        let (start, end) = (lane * csize, ((lane + 1) * csize).min(n));
+        let Range { start, end } = lane_range(n, lanes, lane);
         let sampled_before = ids.len();
         let mut lspan = sj_obs::Span::enter("shard.partition.lane");
         lspan.label("pass", "sample");
@@ -265,6 +266,14 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
         cols,
         modeled: host_core_time(slowest),
     })
+}
+
+/// The ids of lane `l` when `n` points are cut into `lanes` contiguous
+/// chunks of `⌈n / lanes⌉`. Both ends are clamped to `n`, so trailing
+/// lanes may be empty: 5 points over 4 lanes are chunks of 2, 2, 1 and 0.
+fn lane_range(n: usize, lanes: usize, l: usize) -> Range<usize> {
+    let len = n.div_ceil(lanes);
+    (l * len).min(n)..((l + 1) * len).min(n)
 }
 
 // Bytes one lane of each materialize pass streams (`row` = the bytes of
@@ -383,8 +392,8 @@ impl CutTree {
 /// children split its remaining lane budget (⌈b/2⌉ / ⌊b/2⌋) and are
 /// charged `max(left, right)` while the budget exceeds one, `left +
 /// right` after. Execution is sequential — the lanes are the *simulated*
-/// host threads the engine accounts, exactly like [`materialize`]'s
-/// chunked passes — so the tree (cuts, leaves, node order) is
+/// host threads the engine accounts, exactly like [`materialize`]'s lane
+/// charges — so the tree (cuts, leaves, node order) is
 /// bit-identical for every lane count; only [`CutTree::build_time`]
 /// changes.
 pub fn build_cuts(
@@ -509,17 +518,19 @@ pub fn partition_par(
     Ok(part)
 }
 
-/// Executes the full-data passes of a settled cut tree: ownership/ghost
-/// classification, ghost-tail copies and the owned-prefix gather, each as
-/// `lanes` independent contiguous chunks with disjoint outputs.
+/// Executes the full-data passes of a settled cut tree: one pass
+/// classifies every point (owner, ghost copies), one fills the shard
+/// buffers (owned prefix, then ghost tail).
 ///
-/// The returned [`Partition::build_time`] charges the slowest lane of
-/// each pass *only* — the caller composes the sample and recursion
-/// stages' accounting (see [`partition_par`]). A single-leaf tree
-/// degenerates to one ghost-free whole-dataset shard. The tree may come
-/// from another point set's sample — the shard-count chooser applies each
-/// candidate's tree to the calibration sample — in which case a leaf may
-/// own no points.
+/// The returned [`Partition::build_time`] charges what `lanes`
+/// contiguous chunks of the points would stream on their critical path
+/// (the slowest lane of each stage, computed from the counts the passes
+/// record), and *only* the materialize stages — the caller composes the
+/// sample and recursion stages' accounting (see [`partition_par`]). A
+/// single-leaf tree degenerates to one ghost-free whole-dataset shard.
+/// The tree may come from another point set's sample — the shard-count
+/// chooser applies each candidate's tree to the calibration sample — in
+/// which case a leaf may own no points.
 pub fn materialize(
     data: &Dataset,
     cuts: &CutTree,
@@ -544,20 +555,11 @@ pub fn materialize(
     let n = data.len();
     let lanes = lanes.clamp(1, n);
     span.label("lanes", lanes);
-    let csize = n.div_ceil(lanes);
-    let chunks: Vec<(usize, usize)> = (0..lanes)
-        .map(|c| (c * csize, ((c + 1) * csize).min(n)))
-        .collect();
     let leaves = &cuts.leaves;
-    let nodes = &cuts.nodes;
-    let tree_root = cuts.root;
     let nshards = leaves.len();
-    // Modeled build bytes: the slowest lane of each pass.
-    let row = 8 * dim as u64;
-    let mut critical = 0u64;
 
     // Halo-band geometry per shard, flattened `[s * dim + j]` so the hot
-    // passes below chase no per-shard Vec pointers: the widened
+    // pass below chases no per-shard Vec pointers: the widened
     // (ghost-membership) box, the shrunk interior box, and the adjacency
     // list used to prune the per-point band tests.
     let halo = epsilon * (1.0 + HALO_SLACK);
@@ -591,159 +593,97 @@ pub fn materialize(
         })
         .collect();
 
-    // Pass 1 (chunked): classify every point. The cut-tree walk
-    // (branchless child select) yields the owner, recorded in a per-point
-    // owner array (each lane writes its own slice) and per-lane per-shard
-    // counts; a point strictly farther than the halo from every face of
+    // Pass 1: classify every point, in id order. The cut-tree walk yields
+    // the owner; a point strictly farther than the halo from every face of
     // its own box cannot lie in any other shard's halo (disjoint axis-
     // aligned boxes always have a separating axis), and away from the cut
     // surfaces that is almost every point — one box test retires it.
     // Boundary-band points test only the adjacent shards, and ghosts are
-    // gathered right here (they are the rare case). Leaf count is capped
-    // by the sample size, so owners fit u16.
-    struct LaneOut {
-        counts: Vec<u32>,
-        ghost_ids: Vec<Vec<u32>>,
-        ghost_coords: Vec<Vec<f64>>,
-    }
+    // gathered right here (they are the rare case), counted against the
+    // lane that holds them for the charge. Leaf count is capped by the
+    // sample size, so owners fit u16.
+    let lane_len = lane_range(n, lanes, 0).len();
     let mut owners = vec![0u16; n];
-    let mut lane_outs: Vec<LaneOut> = Vec::with_capacity(lanes);
-    let mut slowest = 0u64;
-    for (lane, &(start, end)) in chunks.iter().enumerate() {
-        let mut lspan = sj_obs::Span::enter("shard.partition.lane");
-        lspan.label("pass", "classify");
-        lspan.label("lane", lane);
-        let mut out = LaneOut {
-            counts: vec![0u32; nshards],
-            ghost_ids: vec![Vec::new(); nshards],
-            ghost_coords: vec![Vec::new(); nshards],
-        };
-        for (i, p) in flat[start * dim..end * dim].chunks_exact(dim).enumerate() {
-            let g = start + i;
-            let t = {
-                let mut link = tree_root;
-                loop {
-                    if link & LEAF_BIT != 0 {
-                        break (link & !LEAF_BIT) as usize;
-                    }
-                    let node = &nodes[link as usize];
-                    link = node.kids[(p[node.dim as usize] >= node.b) as usize];
-                }
-            };
-            owners[g] = t as u16;
-            out.counts[t] += 1;
-            let interior = p
-                .iter()
-                .zip(&ilo[t * dim..t * dim + dim])
-                .zip(&ihi[t * dim..t * dim + dim])
-                .all(|((&x, &l), &h)| x > l && x < h);
-            if interior {
-                continue;
-            }
-            for &s in &takers[t] {
-                let s = s as usize;
-                let in_band = p
-                    .iter()
-                    .zip(&wlo[s * dim..s * dim + dim])
-                    .zip(&whi[s * dim..s * dim + dim])
-                    .all(|((&x, &l), &h)| x >= l && x <= h);
-                if in_band {
-                    out.ghost_ids[s].push(g as u32);
-                    out.ghost_coords[s].extend_from_slice(p);
-                }
-            }
-        }
-        let gathered: usize = out.ghost_ids.iter().map(Vec::len).sum();
-        slowest = slowest.max(classify_bytes((end - start) as u64, gathered as u64, row));
-        lane_outs.push(out);
-    }
-    critical += slowest;
-
-    // Exact-size shard buffers from the lane counts: owned points first
-    // (each (lane, shard) pair gets a disjoint scatter window, in lane
-    // order, so ids stay ascending), then the ghost tail copied from the
-    // per-lane gathers. Zeroed allocation is calloc — pages are faulted
-    // by the fill pass either way.
     let mut owned_of = vec![0usize; nshards];
-    let mut ghosts_of = vec![0usize; nshards];
-    for out in &lane_outs {
-        for (s, (o, g)) in owned_of.iter_mut().zip(&mut ghosts_of).enumerate() {
-            *o += out.counts[s] as usize;
-            *g += out.ghost_ids[s].len();
+    let mut ghost_ids: Vec<Vec<u32>> = vec![Vec::new(); nshards];
+    let mut ghost_coords: Vec<Vec<f64>> = vec![Vec::new(); nshards];
+    let mut lane_ghosts = vec![0u64; lanes];
+    for (g, p) in flat.chunks_exact(dim).enumerate() {
+        let t = cuts.leaf_of(p);
+        owners[g] = t as u16;
+        owned_of[t] += 1;
+        let interior = p
+            .iter()
+            .zip(&ilo[t * dim..t * dim + dim])
+            .zip(&ihi[t * dim..t * dim + dim])
+            .all(|((&x, &l), &h)| x > l && x < h);
+        if interior {
+            continue;
         }
-    }
-    let mut ids_buf: Vec<Vec<u32>> = (0..nshards)
-        .map(|s| vec![0u32; owned_of[s] + ghosts_of[s]])
-        .collect();
-    let mut coords_buf: Vec<Vec<f64>> = (0..nshards)
-        .map(|s| vec![0.0f64; (owned_of[s] + ghosts_of[s]) * dim])
-        .collect();
-    // Per-lane scatter cursors, and the ghost tails (small — the halo
-    // bands hold a few percent of the points).
-    let mut cursors: Vec<Vec<usize>> = Vec::with_capacity(lanes);
-    let mut next = vec![0usize; nshards];
-    for out in &lane_outs {
-        cursors.push(next.clone());
-        for (nx, &c) in next.iter_mut().zip(&out.counts) {
-            *nx += c as usize;
-        }
-    }
-    // Ghost tails, chunked by *shard* (round-robin over lanes): each
-    // shard's tail is a disjoint buffer region, so lanes can copy their
-    // shards' tails independently.
-    let mut slowest = 0u64;
-    for lane in 0..lanes.min(nshards) {
-        let mut lspan = sj_obs::Span::enter("shard.partition.lane");
-        lspan.label("pass", "ghost_tails");
-        lspan.label("lane", lane);
-        let mut copied = 0usize;
-        for s in (lane..nshards).step_by(lanes) {
-            copied += ghosts_of[s];
-            let mut cur = owned_of[s];
-            for out in &lane_outs {
-                let len = out.ghost_ids[s].len();
-                ids_buf[s][cur..cur + len].copy_from_slice(&out.ghost_ids[s]);
-                coords_buf[s][cur * dim..(cur + len) * dim].copy_from_slice(&out.ghost_coords[s]);
-                cur += len;
+        for &s in &takers[t] {
+            let s = s as usize;
+            let in_band = p
+                .iter()
+                .zip(&wlo[s * dim..s * dim + dim])
+                .zip(&whi[s * dim..s * dim + dim])
+                .all(|((&x, &l), &h)| x >= l && x <= h);
+            if in_band {
+                ghost_ids[s].push(g as u32);
+                ghost_coords[s].extend_from_slice(p);
+                lane_ghosts[g / lane_len] += 1;
             }
         }
-        slowest = slowest.max(tail_bytes(copied as u64, row));
     }
-    critical += slowest;
-    drop(lane_outs);
 
-    // Pass 2 (chunked): gather the owned prefixes. Each lane re-streams
-    // its rows and scatters them into its own windows of the shard
-    // buffers — sequential writes per shard, no merge step afterwards.
-    let mut slowest = 0u64;
-    for (c, &(start, end)) in chunks.iter().enumerate() {
-        let mut lspan = sj_obs::Span::enter("shard.partition.lane");
-        lspan.label("pass", "gather");
-        lspan.label("lane", c);
-        let cur = &mut cursors[c];
-        for (i, p) in flat[start * dim..end * dim].chunks_exact(dim).enumerate() {
-            let g = start + i;
-            let s = owners[g] as usize;
-            ids_buf[s][cur[s]] = g as u32;
-            coords_buf[s][cur[s] * dim..cur[s] * dim + dim].copy_from_slice(p);
-            cur[s] += 1;
-        }
-        slowest = slowest.max(gather_bytes((end - start) as u64, row));
+    // Pass 2: exact-size shard buffers, owned points first (pushed in id
+    // order), then the shard's ghost tail.
+    let mut ids: Vec<Vec<u32>> = (0..nshards)
+        .map(|s| Vec::with_capacity(owned_of[s] + ghost_ids[s].len()))
+        .collect();
+    let mut coords: Vec<Vec<f64>> = (0..nshards)
+        .map(|s| Vec::with_capacity((owned_of[s] + ghost_ids[s].len()) * dim))
+        .collect();
+    for (g, p) in flat.chunks_exact(dim).enumerate() {
+        let s = owners[g] as usize;
+        ids[s].push(g as u32);
+        coords[s].extend_from_slice(p);
     }
-    critical += slowest;
 
-    let shards: Vec<Shard> = ids_buf
+    // The charge, from the counts: per lane, classification streams the
+    // lane's points and gathers its ghosts; the ghost tails are copied by
+    // shard, round-robin over lanes; the gather re-streams each lane's
+    // points, the first lane holding the most.
+    let row = 8 * dim as u64;
+    let classify = (0..lanes)
+        .map(|l| classify_bytes(lane_range(n, lanes, l).len() as u64, lane_ghosts[l], row))
+        .max()
+        .unwrap_or(0);
+    let tails = (0..lanes.min(nshards))
+        .map(|l| {
+            let copied = (l..nshards).step_by(lanes).map(|s| ghost_ids[s].len());
+            tail_bytes(copied.sum::<usize>() as u64, row)
+        })
+        .max()
+        .unwrap_or(0);
+    let gather = gather_bytes(lane_len as u64, row);
+
+    let shards: Vec<Shard> = ids
         .into_iter()
-        .zip(coords_buf)
+        .zip(coords)
+        .zip(ghost_ids.into_iter().zip(ghost_coords))
         .zip(leaves)
         .enumerate()
-        .map(|(s, ((ids, coords), leaf))| Shard {
-            id: s,
-            lo: leaf.lo.clone(),
-            hi: leaf.hi.clone(),
-            data: Dataset::from_flat(dim, coords),
-            owned: owned_of[s],
-            global_ids: ids,
+        .map(|(s, (((mut ids, mut coords), (gids, gcoords)), leaf))| {
+            ids.extend_from_slice(&gids);
+            coords.extend_from_slice(&gcoords);
+            Shard {
+                id: s,
+                lo: leaf.lo.clone(),
+                hi: leaf.hi.clone(),
+                data: Dataset::from_flat(dim, coords),
+                owned: owned_of[s],
+                global_ids: ids,
+            }
         })
         .collect();
 
@@ -756,7 +696,7 @@ pub fn materialize(
         cut_dims: cuts.cut_dims.clone(),
         epsilon,
         shards,
-        build_time: host_core_time(critical),
+        build_time: host_core_time(classify + tails + gather),
     })
 }
 

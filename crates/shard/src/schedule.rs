@@ -6,6 +6,8 @@
 //! partitioner over-decomposes (more shards than devices) precisely so
 //! this stage has freedom to balance skewed costs.
 
+use std::time::Duration;
+
 /// The result of scheduling shards onto a device pool.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Assignment {
@@ -57,40 +59,43 @@ pub fn lpt_schedule(costs: &[u64], devices: usize) -> Assignment {
     }
 }
 
-/// Modeled completion time of an assignment — the quantity the
-/// shard-count chooser minimizes. `stages[s]` is shard `s`'s
-/// `(host, device)` stage pair: the host stage (grid build, done by the
-/// executor task's thread) and the modeled device stage (upload + join).
-/// Within a queue the two resources pipeline, exactly like the batching
-/// scheme's transfer/kernel overlap: the host builds shard `i+1`'s grid
-/// while the device crunches shard `i`, so a queue finishes at
+/// Modeled end of one device stream. `stages` are the `(host, device)`
+/// stage pairs of the shards the stream runs, in queue order: the host
+/// stage (grid build, done by the executor task's thread) and the
+/// modeled device stage (upload + join). The two resources pipeline,
+/// exactly like the batching scheme's transfer/kernel overlap: the host
+/// builds shard `i+1`'s grid while the device crunches shard `i`, so the
+/// stream finishes at
 ///
 /// ```text
 /// host_i = Σ_{j≤i} host_j;   dev_i = max(host_i, dev_{i−1}) + device_i
 /// ```
 ///
-/// Queues run concurrently across devices; the busiest queue bounds the
+/// The one stream rule: the chooser's projection ([`modeled_makespan`]),
+/// the executed streams and their re-executed shards are all priced by
+/// it.
+pub fn stream_end(stages: impl IntoIterator<Item = (Duration, Duration)>) -> Duration {
+    let mut host = Duration::ZERO;
+    let mut dev = Duration::ZERO;
+    for (h, d) in stages {
+        host += h;
+        dev = host.max(dev) + d;
+    }
+    dev
+}
+
+/// Modeled completion time of an assignment — the quantity the
+/// shard-count chooser minimizes. `stages[s]` is shard `s`'s
+/// `(host, device)` stage pair; each queue is one [`stream_end`] and
+/// queues run concurrently across devices, so the busiest bounds the
 /// whole. Over-decomposing (more shards than devices) therefore *hides*
 /// grid-build time behind device work — one of the reasons the chooser
 /// often prefers it.
-pub fn modeled_makespan(
-    assign: &Assignment,
-    stages: &[(std::time::Duration, std::time::Duration)],
-) -> std::time::Duration {
-    use std::time::Duration;
+pub fn modeled_makespan(assign: &Assignment, stages: &[(Duration, Duration)]) -> Duration {
     assign
         .queues
         .iter()
-        .map(|q| {
-            let mut host = Duration::ZERO;
-            let mut dev = Duration::ZERO;
-            for &s in q {
-                let (h, d) = stages[s];
-                host += h;
-                dev = host.max(dev) + d;
-            }
-            dev
-        })
+        .map(|q| stream_end(q.iter().map(|&s| stages[s])))
         .max()
         .unwrap_or(Duration::ZERO)
 }
@@ -101,7 +106,7 @@ pub fn modeled_makespan(
 /// shards mean less ghost surface and a smaller partition to build, so
 /// when the model can't tell candidates apart the cheaper-to-make one
 /// wins. Deterministic for any input order; `None` on an empty table.
-pub fn argmin_shard_count(candidates: &[(usize, std::time::Duration)]) -> Option<usize> {
+pub fn argmin_shard_count(candidates: &[(usize, Duration)]) -> Option<usize> {
     candidates
         .iter()
         .min_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)))
@@ -114,7 +119,6 @@ mod tests {
 
     #[test]
     fn makespan_is_the_busiest_queue() {
-        use std::time::Duration;
         // Pure device stages (no host stage): the pipeline degenerates to
         // per-queue sums and the makespan is the busiest queue.
         let stages: Vec<(Duration, Duration)> = [5u64, 3, 8, 1]
@@ -133,7 +137,6 @@ mod tests {
 
     #[test]
     fn makespan_overlaps_host_and_device_stages() {
-        use std::time::Duration;
         let ms = Duration::from_millis;
         // One queue of two identical shards (host 4, device 6): shard 1's
         // grid build (done at t=8) hides entirely under shard 0's device
@@ -145,6 +148,8 @@ mod tests {
         // the last join starts when its grid lands at 8 and ends at 9.
         let stages = vec![(ms(4), ms(1)), (ms(4), ms(1))];
         assert_eq!(modeled_makespan(&a, &stages), ms(9));
+        // A one-queue makespan is that queue's stream end.
+        assert_eq!(stream_end(stages), ms(9));
     }
 
     #[test]
@@ -206,7 +211,6 @@ mod tests {
 
     #[test]
     fn argmin_prefers_smaller_count_on_ties() {
-        use std::time::Duration;
         let ms = Duration::from_millis;
         // Strict minimum wins regardless of position…
         assert_eq!(

@@ -1,13 +1,14 @@
-//! Multi-device pools and per-device usage aggregation.
+//! Multi-device pools and per-device usage tallies.
 //!
 //! The paper's system runs on a single TITAN X; scaling *out* means a host
 //! driving several devices at once. [`DevicePool`] brings up `n` simulated
 //! devices (each with its own global-memory pool, as physical GPUs have),
-//! and [`PoolProfiler`] aggregates per-device usage — launches, modeled
-//! busy time, transfer bytes — the way a multi-GPU profiler attributes
-//! work to each card. The sharded self-join engine (`sj-shard`) uses both:
-//! the pool as its execution substrate, the profiler to compute the
-//! modeled multi-device response time (the busiest device bounds it).
+//! and [`DeviceTally`] is one device's usage — launches, modeled busy
+//! time, transfer bytes — the way a multi-GPU profiler attributes work to
+//! each card. The sharded self-join engine (`sj-shard`) runs on the pool
+//! and reports a tally per device, folded from its shards' runs; its
+//! modeled response time comes from its own stream rule
+//! (`sj_shard::schedule::stream_end`), not from the tallies.
 
 use crate::device::{Device, DeviceSpec};
 use crate::fault::{DeviceHealth, FaultInjector, FaultPlan, HealthConfig, HealthLedger};
@@ -241,22 +242,6 @@ impl DevicePool {
         Self::homogeneous(DeviceSpec::titan_x_pascal(), count)
     }
 
-    /// Builds a pool from an explicit device list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices` is empty.
-    pub fn from_devices(devices: Vec<Device>) -> Self {
-        assert!(!devices.is_empty(), "device pool needs at least one device");
-        Self {
-            leases: Arc::new(Mutex::new(LeaseLedger::new(devices.len()))),
-            memory_ledger: MemoryLedger::new(),
-            health: Arc::new(HealthLedger::new(devices.len(), HealthConfig::default())),
-            injector: Arc::new(OnceLock::new()),
-            devices,
-        }
-    }
-
     /// Arms a [`FaultPlan`] on this pool: from here on, every device
     /// operation (snapshot upload, kernel-launch sequence) counts against
     /// the plan's schedule, crash events move devices into probation in
@@ -485,57 +470,6 @@ impl DeviceTally {
         self.h2d_bytes += other.h2d_bytes;
         self.ghost_h2d_bytes += other.ghost_h2d_bytes;
         self.d2h_bytes += other.d2h_bytes;
-    }
-}
-
-/// Thread-safe per-device usage accumulator (the pool's "nvprof").
-///
-/// Executor threads record each completed work item against the device
-/// that ran it; the snapshot yields per-device totals plus the modeled
-/// response-time bound `max_d busy_d` — with devices running concurrently,
-/// the busiest device determines when the workload completes.
-#[derive(Debug)]
-pub struct PoolProfiler {
-    tallies: Mutex<Vec<DeviceTally>>,
-}
-
-impl PoolProfiler {
-    /// Creates a profiler for a pool of `device_count` devices.
-    pub fn new(device_count: usize) -> Self {
-        Self {
-            tallies: Mutex::new(vec![DeviceTally::default(); device_count]),
-        }
-    }
-
-    /// Records a completed work item against device `device`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` is out of range for the pool.
-    pub fn record(&self, device: usize, tally: &DeviceTally) {
-        self.tallies.lock()[device].merge(tally);
-    }
-
-    /// Per-device totals in device-index order.
-    pub fn snapshot(&self) -> Vec<DeviceTally> {
-        self.tallies.lock().clone()
-    }
-
-    /// Modeled completion time of the recorded workload: devices execute
-    /// their queues concurrently, so the busiest device bounds the total.
-    pub fn makespan(&self) -> Duration {
-        self.tallies
-            .lock()
-            .iter()
-            .map(|t| t.busy)
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// Sum of modeled busy time across devices (what a single device would
-    /// have to execute serially — the numerator of the scaling speedup).
-    pub fn total_busy(&self) -> Duration {
-        self.tallies.lock().iter().map(|t| t.busy).sum()
     }
 }
 
@@ -804,44 +738,6 @@ mod tests {
         assert_eq!(pool.device(0).used_bytes(), 80);
         drop(buf);
         assert_eq!(pool.device(0).used_bytes(), 0);
-    }
-
-    #[test]
-    fn profiler_attributes_and_bounds() {
-        let prof = PoolProfiler::new(2);
-        prof.record(
-            0,
-            &DeviceTally {
-                items: 1,
-                launches: 3,
-                busy: Duration::from_millis(30),
-                ..DeviceTally::default()
-            },
-        );
-        prof.record(
-            1,
-            &DeviceTally {
-                items: 2,
-                launches: 5,
-                busy: Duration::from_millis(50),
-                ..DeviceTally::default()
-            },
-        );
-        prof.record(
-            0,
-            &DeviceTally {
-                items: 1,
-                busy: Duration::from_millis(10),
-                ..DeviceTally::default()
-            },
-        );
-        let snap = prof.snapshot();
-        assert_eq!(snap[0].items, 2);
-        assert_eq!(snap[0].launches, 3);
-        assert_eq!(snap[0].busy, Duration::from_millis(40));
-        assert_eq!(snap[1].items, 2);
-        assert_eq!(prof.makespan(), Duration::from_millis(50));
-        assert_eq!(prof.total_busy(), Duration::from_millis(90));
     }
 
     #[test]

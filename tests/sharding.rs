@@ -234,6 +234,44 @@ proptest! {
     }
 }
 
+/// Small inputs on many lanes: whenever `(lanes − 1)·⌈n/lanes⌉ > n` the
+/// trailing lanes hold no points, and the partition must still equal the
+/// one-lane partition exactly.
+#[test]
+fn small_inputs_partition_alike_on_any_lane_count() {
+    for n in 1..=40 {
+        let data = uniform(2, n, n as u64);
+        for k in [2, 8] {
+            let serial = partition::partition_par(&data, 5.0, k, 1).unwrap();
+            for lanes in 1..=16 {
+                let par = partition::partition_par(&data, 5.0, k, lanes).unwrap();
+                assert_eq!(par.cut_dims, serial.cut_dims, "n {n} k {k} lanes {lanes}");
+                assert_eq!(par.shards.len(), serial.shards.len());
+                for (a, b) in par.shards.iter().zip(&serial.shards) {
+                    assert_eq!((&a.lo, &a.hi), (&b.lo, &b.hi), "n {n} k {k} lanes {lanes}");
+                    assert_eq!(a.owned, b.owned, "n {n} k {k} lanes {lanes}");
+                    assert_eq!(a.global_ids, b.global_ids, "n {n} k {k} lanes {lanes}");
+                }
+            }
+        }
+    }
+}
+
+/// The engine runs one lane per device, so small inputs on large pools
+/// leave lanes empty too: every pool of up to 8 devices must still join
+/// up to 16 points exactly.
+#[test]
+fn small_inputs_join_exactly_on_any_pool() {
+    for n in 1..=16 {
+        let data = uniform(2, n, 3);
+        let single = GpuSelfJoin::default_device().run(&data, 5.0).unwrap();
+        for devices in 1..=8 {
+            let out = ShardedSelfJoin::titan_x(devices).run(&data, 5.0).unwrap();
+            assert_eq!(out.table, single.table, "n {n} devices {devices}");
+        }
+    }
+}
+
 /// Satellite pin: both hot paths run the fused ownership window and the
 /// engine concatenates shard results — the merged table must hold no
 /// duplicate even at aggressive shard counts, on uniform and skewed data
