@@ -43,7 +43,10 @@
 //! with the *new* true access stream.
 
 use crate::device_grid::DeviceGrid;
-use crate::kernels::{kernel_registers, traced_clipped_ranges, traced_partition_point};
+use crate::kernels::{
+    dispatch_dim, dist_sq, kernel_registers, read_row, traced_clipped_ranges,
+    traced_partition_point, DimThread,
+};
 use crate::linearize::{delinearize, linearize, MAX_DIM};
 use crate::result::{Ownership, Pair};
 use crate::unicomp::DimRange;
@@ -607,19 +610,24 @@ impl Kernel for CellMajorSelfJoinKernel<'_> {
 
     #[inline(always)] // keeps the launch's per-block byte counter in a register
     fn thread<T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>) {
+        dispatch_dim(self.grid.dim, self, ctx);
+    }
+}
+
+impl DimThread for CellMajorSelfJoinKernel<'_> {
+    #[inline(always)]
+    fn thread_dim<const D: usize, T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>) {
         if ctx.global_id >= self.slot_count {
             return;
         }
         let slot = self.slot_offset + ctx.global_id;
         let grid = self.grid;
-        let dim = grid.dim;
         let eps_sq = self.eps_sq;
 
         // Home cell and query point: the slot→cell read replaces the
         // per-thread cell computation + mask clip + own-cell search.
         let h = ctx.read(&self.plan.cell_of_slot, slot) as usize;
-        let mut p = [0.0f64; MAX_DIM];
-        p[..dim].copy_from_slice(ctx.read_range(&grid.reordered, slot * dim, dim));
+        let p: [f64; D] = *read_row(ctx, &grid.reordered, slot);
         let qid = ctx.read(&grid.a, slot);
         let owns_query = self.ownership.is_none_or(|o| o.keeps(qid));
         if !self.plan.unicomp && !owns_query {
@@ -642,8 +650,7 @@ impl Kernel for CellMajorSelfJoinKernel<'_> {
             // whole-thread skip.
             let own = ctx.read(&grid.g, h);
             for s in (slot as u32 + 1)..own.end {
-                let q = ctx.read_range(&grid.reordered, s as usize * dim, dim);
-                if dist_sq(&p[..dim], q) <= eps_sq {
+                if dist_sq(&p, read_row(ctx, &grid.reordered, s as usize)) <= eps_sq {
                     let cand = ctx.read(&grid.a, s as usize);
                     if owns_query {
                         stage.push(ctx, self.results, Pair::new(qid, cand));
@@ -658,8 +665,7 @@ impl Kernel for CellMajorSelfJoinKernel<'_> {
                 let nh = ctx.read(&self.plan.nbr_cells, k) as usize;
                 let r = ctx.read(&grid.g, nh);
                 for s in r.begin..r.end {
-                    let q = ctx.read_range(&grid.reordered, s as usize * dim, dim);
-                    if dist_sq(&p[..dim], q) <= eps_sq {
+                    if dist_sq(&p, read_row(ctx, &grid.reordered, s as usize)) <= eps_sq {
                         let cand = ctx.read(&grid.a, s as usize);
                         if owns_query {
                             stage.push(ctx, self.results, Pair::new(qid, cand));
@@ -680,8 +686,7 @@ impl Kernel for CellMajorSelfJoinKernel<'_> {
                     if s as usize == slot {
                         continue;
                     }
-                    let q = ctx.read_range(&grid.reordered, s as usize * dim, dim);
-                    if dist_sq(&p[..dim], q) <= eps_sq {
+                    if dist_sq(&p, read_row(ctx, &grid.reordered, s as usize)) <= eps_sq {
                         let cand = ctx.read(&grid.a, s as usize);
                         stage.push(ctx, self.results, Pair::new(qid, cand));
                     }
@@ -690,17 +695,6 @@ impl Kernel for CellMajorSelfJoinKernel<'_> {
         }
         stage.flush(ctx, self.results);
     }
-}
-
-/// Squared Euclidean distance between two register/cache-resident slices.
-#[inline]
-fn dist_sq(p: &[f64], q: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for j in 0..p.len() {
-        let d = p[j] - q[j];
-        acc += d * d;
-    }
-    acc
 }
 
 #[cfg(test)]

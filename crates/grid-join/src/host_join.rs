@@ -32,9 +32,10 @@ pub fn host_self_join(data: &Dataset, grid: &GridIndex) -> NeighborTable {
 /// Parallel host self-join: the same scan, rayon over query chunks.
 pub fn host_self_join_parallel(data: &Dataset, grid: &GridIndex) -> NeighborTable {
     let n = data.len();
-    // ~8 chunks per thread for load balance; `div_ceil` keeps the chunk
-    // size ≥ 1 for any `n`, and the cap bounds per-chunk scratch growth
-    // on huge inputs.
+    // ~8 chunks per thread, dealt to the workers as they free up, so a
+    // chunk of dense cells does not hold back the rest; `div_ceil` keeps
+    // the chunk size ≥ 1 for any `n`, and the cap bounds each chunk's
+    // pair buffer on huge inputs.
     let threads = rayon::current_num_threads().max(1);
     let chunk = n.div_ceil(threads * 8).clamp(1, 1 << 16);
     let pairs: Vec<Pair> = (0..n.div_ceil(chunk))

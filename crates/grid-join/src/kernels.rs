@@ -20,6 +20,15 @@
 //! probes, `G`/`A` reads, result stores) is routed through the thread
 //! context so the profiled mode drives the L1 cache simulator with the
 //! kernel's true access stream.
+//!
+//! The distance-testing kernels (these two and
+//! [`crate::cell_major::CellMajorSelfJoinKernel`]) are compiled once per
+//! point dimension, as a CUDA kernel templated on it would be: each thread
+//! dispatches once on the grid's dimension (`dispatch_dim`) to a body
+//! generic over `const D`, whose query point is a `[f64; D]` and whose
+//! candidate rows are `&[f64; D]`. The body traces the same accesses and
+//! sums each distance in the same order as a loop over a runtime
+//! dimension, so traced bytes and answers do not depend on it.
 
 use crate::cell_major::for_each_adjacent_cell;
 use crate::device_grid::DeviceGrid;
@@ -139,31 +148,55 @@ pub(crate) fn traced_find_cell<T: Tracer>(
     }
 }
 
-/// Loads a point into "registers" (a stack array) with one wide access.
-#[inline]
-fn load_point<T: Tracer>(
-    ctx: &mut ThreadCtx<'_, T>,
-    grid: &DeviceGrid,
-    pid: usize,
-) -> [f64; MAX_DIM] {
-    let mut out = [0.0; MAX_DIM];
-    let src = ctx.read_range(&grid.coords, pid * grid.dim, grid.dim);
-    out[..grid.dim].copy_from_slice(src);
-    out
+/// A kernel thread body compiled for one point dimension `D`; the kernel's
+/// [`Kernel::thread`] runs it through [`dispatch_dim`].
+pub(crate) trait DimThread {
+    /// The thread body for a grid of dimension `D`.
+    fn thread_dim<const D: usize, T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>);
 }
 
-/// Squared Euclidean distance between a register-resident point and a
-/// device-resident candidate (one wide load).
-#[inline]
-fn traced_dist_sq<T: Tracer>(
+// `dispatch_dim` has one arm per supported dimension.
+const _: () = assert!(MAX_DIM == 8);
+
+/// Runs `body`'s thread compiled for dimension `dim`: the one runtime
+/// branch on the dimension a distance-testing thread takes.
+#[inline(always)]
+pub(crate) fn dispatch_dim<B: DimThread, T: Tracer>(
+    dim: usize,
+    body: &B,
     ctx: &mut ThreadCtx<'_, T>,
-    grid: &DeviceGrid,
-    p: &[f64],
-    cand: usize,
-) -> f64 {
-    let q = ctx.read_range(&grid.coords, cand * grid.dim, grid.dim);
+) {
+    match dim {
+        1 => body.thread_dim::<1, T>(ctx),
+        2 => body.thread_dim::<2, T>(ctx),
+        3 => body.thread_dim::<3, T>(ctx),
+        4 => body.thread_dim::<4, T>(ctx),
+        5 => body.thread_dim::<5, T>(ctx),
+        6 => body.thread_dim::<6, T>(ctx),
+        7 => body.thread_dim::<7, T>(ctx),
+        8 => body.thread_dim::<8, T>(ctx),
+        _ => unreachable!("a grid has 1..={MAX_DIM} dimensions, not {dim}"),
+    }
+}
+
+/// Row `row` of a `D`-strided coordinate buffer, read with one wide traced
+/// access (a point load into "registers", or a candidate's coordinates).
+#[inline(always)]
+pub(crate) fn read_row<'b, const D: usize, T: Tracer>(
+    ctx: &mut ThreadCtx<'_, T>,
+    coords: &'b DeviceBuffer<f64>,
+    row: usize,
+) -> &'b [f64; D] {
+    ctx.read_range(coords, row * D, D)
+        .try_into()
+        .expect("a range of D coordinates is a row")
+}
+
+/// Squared Euclidean distance, summed in dimension order.
+#[inline(always)]
+pub(crate) fn dist_sq<const D: usize>(p: &[f64; D], q: &[f64; D]) -> f64 {
     let mut acc = 0.0;
-    for j in 0..grid.dim {
+    for j in 0..D {
         let d = p[j] - q[j];
         acc += d * d;
     }
@@ -175,11 +208,11 @@ fn traced_dist_sq<T: Tracer>(
 /// (self-pairs excluded by the caller's filter).
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn scan_cell<T: Tracer, F: FnMut(&mut ThreadCtx<'_, T>, u32)>(
+fn scan_cell<const D: usize, T: Tracer, F: FnMut(&mut ThreadCtx<'_, T>, u32)>(
     ctx: &mut ThreadCtx<'_, T>,
     grid: &DeviceGrid,
     h: usize,
-    p: &[f64],
+    p: &[f64; D],
     eps_sq: f64,
     filter_min_exclusive: Option<u32>,
     skip_id: Option<u32>,
@@ -196,7 +229,7 @@ fn scan_cell<T: Tracer, F: FnMut(&mut ThreadCtx<'_, T>, u32)>(
         if skip_id == Some(cand) {
             continue;
         }
-        if traced_dist_sq(ctx, grid, p, cand as usize) <= eps_sq {
+        if dist_sq(p, read_row(ctx, &grid.coords, cand as usize)) <= eps_sq {
             emit(ctx, cand);
         }
     }
@@ -265,6 +298,13 @@ impl Kernel for SelfJoinKernel<'_> {
 
     #[inline(always)] // keeps the launch's per-block byte counter in a register
     fn thread<T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>) {
+        dispatch_dim(self.grid.dim, self, ctx);
+    }
+}
+
+impl DimThread for SelfJoinKernel<'_> {
+    #[inline(always)]
+    fn thread_dim<const D: usize, T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>) {
         if ctx.global_id >= self.query_count {
             return;
         }
@@ -281,14 +321,14 @@ impl Kernel for SelfJoinKernel<'_> {
             return;
         }
         let grid = self.grid;
-        let dim = grid.dim;
+        let dim = D;
         let eps_sq = self.eps_sq;
 
         // Load the query point and compute its cell (registers).
-        let p = load_point(ctx, grid, q);
+        let p: [f64; D] = *read_row(ctx, &grid.coords, q);
         let mut cell = [0u32; MAX_DIM];
         cell_coords(
-            &p[..dim],
+            &p,
             &grid.gmin[..dim],
             grid.epsilon,
             &grid.cells_per_dim[..dim],
@@ -308,7 +348,7 @@ impl Kernel for SelfJoinKernel<'_> {
                         ctx,
                         grid,
                         h,
-                        &p[..dim],
+                        &p,
                         eps_sq,
                         None,
                         Some(qid),
@@ -329,7 +369,7 @@ impl Kernel for SelfJoinKernel<'_> {
                 ctx,
                 grid,
                 own,
-                &p[..dim],
+                &p,
                 eps_sq,
                 Some(qid),
                 None,
@@ -347,23 +387,14 @@ impl Kernel for SelfJoinKernel<'_> {
             for_each_unicomp(dim, &cell[..dim], &filtered[..dim], |coords| {
                 let lin = linearize(coords, &grid.cells_per_dim[..dim]);
                 if let Some(h) = traced_find_cell(ctx, grid, lin) {
-                    scan_cell(
-                        ctx,
-                        grid,
-                        h,
-                        &p[..dim],
-                        eps_sq,
-                        None,
-                        None,
-                        &mut |ctx, cand| {
-                            if owns_query {
-                                push_pair(ctx, self.results, qid, cand);
-                            }
-                            if owns(cand) {
-                                push_pair(ctx, self.results, cand, qid);
-                            }
-                        },
-                    );
+                    scan_cell(ctx, grid, h, &p, eps_sq, None, None, &mut |ctx, cand| {
+                        if owns_query {
+                            push_pair(ctx, self.results, qid, cand);
+                        }
+                        if owns(cand) {
+                            push_pair(ctx, self.results, cand, qid);
+                        }
+                    });
                 }
             });
         }
@@ -399,19 +430,26 @@ impl Kernel for CountKernel<'_> {
 
     #[inline(always)] // keeps the launch's per-block byte counter in a register
     fn thread<T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>) {
+        dispatch_dim(self.grid.dim, self, ctx);
+    }
+}
+
+impl DimThread for CountKernel<'_> {
+    #[inline(always)]
+    fn thread_dim<const D: usize, T: Tracer>(&self, ctx: &mut ThreadCtx<'_, T>) {
         if ctx.global_id >= self.sample_ids.len() {
             return;
         }
         let qid = ctx.read(self.sample_ids, ctx.global_id);
         let q = qid as usize;
         let grid = self.grid;
-        let dim = grid.dim;
+        let dim = D;
         let eps_sq = self.eps_sq;
 
-        let p = load_point(ctx, grid, q);
+        let p: [f64; D] = *read_row(ctx, &grid.coords, q);
         let mut cell = [0u32; MAX_DIM];
         cell_coords(
-            &p[..dim],
+            &p,
             &grid.gmin[..dim],
             grid.epsilon,
             &grid.cells_per_dim[..dim],
@@ -420,18 +458,9 @@ impl Kernel for CountKernel<'_> {
         let filtered = traced_clipped_ranges(ctx, grid, &cell[..dim]);
         let mut count = 0u32;
         for_each_adjacent_cell(ctx, grid, &filtered[..dim], |ctx, h| {
-            scan_cell(
-                ctx,
-                grid,
-                h,
-                &p[..dim],
-                eps_sq,
-                None,
-                Some(qid),
-                &mut |_, _| {
-                    count += 1;
-                },
-            );
+            scan_cell(ctx, grid, h, &p, eps_sq, None, Some(qid), &mut |_, _| {
+                count += 1;
+            });
         });
         ctx.trace_atomic(self.counts.cursor_addr(), 8);
         if let Some(addr) = self.counts.push(count) {

@@ -188,6 +188,7 @@ impl GpuSelfJoin {
 mod tests {
     use super::*;
     use crate::host_join::host_self_join;
+    use crate::linearize::MAX_DIM;
     use sj_datasets::synthetic::{clustered, uniform};
     use std::time::Duration;
 
@@ -288,5 +289,93 @@ mod tests {
         let out = GpuSelfJoin::default_device().run(&data, 2.0).unwrap();
         assert!(out.table.is_symmetric());
         assert!(out.table.is_irreflexive());
+    }
+    /// Every supported dimension runs its own compiled kernel bodies, so
+    /// each is checked: both hot paths, UNICOMP on and off, equal the
+    /// host join, and the modeled estimate, hoist and kernel times stay
+    /// the nanoseconds recorded when every dimension shared one
+    /// runtime-dimension loop. The recorded values are the same in debug
+    /// and release builds.
+    #[test]
+    fn every_dimension_matches_host_join_on_a_pinned_modeled_clock() {
+        const EPS: [f64; MAX_DIM] = [1.0, 8.0, 15.0, 22.0, 28.0, 35.0, 40.0, 45.0];
+        // Per dimension, for (cell-major, per-thread) × (UNICOMP on, off):
+        // [modeled estimate, hoist, kernel] ns.
+        const PINNED: [[[u64; 3]; 4]; MAX_DIM] = [
+            [
+                [7568, 784, 4577],
+                [7568, 1112, 6637],
+                [7568, 0, 9664],
+                [7568, 0, 12711],
+            ],
+            [
+                [19757, 2225, 8428],
+                [19757, 3742, 14354],
+                [19757, 0, 17357],
+                [19757, 0, 28266],
+            ],
+            [
+                [34924, 7080, 12154],
+                [34924, 12481, 22445],
+                [34924, 0, 29585],
+                [34924, 0, 53321],
+            ],
+            [
+                [68007, 16138, 22509],
+                [68007, 30708, 43517],
+                [68007, 0, 59107],
+                [68007, 0, 120373],
+            ],
+            [
+                [107606, 31360, 35251],
+                [107606, 56388, 68428],
+                [107606, 0, 126866],
+                [107606, 0, 229448],
+            ],
+            [
+                [209433, 41996, 76326],
+                [209433, 80511, 150645],
+                [209433, 0, 199413],
+                [209433, 0, 398515],
+            ],
+            [
+                [294525, 81989, 97748],
+                [294525, 167804, 193778],
+                [294525, 0, 390762],
+                [294525, 0, 843648],
+            ],
+            [
+                [626002, 144726, 203138],
+                [626002, 333063, 406194],
+                [626002, 0, 921966],
+                [626002, 0, 2315360],
+            ],
+        ];
+        for dim in 1..=MAX_DIM {
+            let data = uniform(dim, 600, 70 + dim as u64);
+            let eps = EPS[dim - 1];
+            let expected = host_self_join(&data, &GridIndex::build(&data, eps).unwrap());
+            assert!(expected.total_pairs() > 0, "dim {dim}");
+            let runs = [HotPath::CellMajor, HotPath::PerThread]
+                .into_iter()
+                .flat_map(|path| [(path, true), (path, false)]);
+            for ((path, unicomp), pinned) in runs.zip(PINNED[dim - 1]) {
+                let out = GpuSelfJoin::default_device()
+                    .unicomp(unicomp)
+                    .hot_path(path)
+                    .run(&data, eps)
+                    .unwrap();
+                let case = format!("dim {dim}, {path:?}, unicomp={unicomp}");
+                assert_eq!(out.table, expected, "{case}");
+                let b = &out.report.batching;
+                let clock = [
+                    b.modeled_estimate_time,
+                    b.modeled_hoist_time,
+                    b.modeled_kernel_time,
+                ]
+                .map(|d| d.as_nanos() as u64);
+                assert_eq!(clock, pinned, "{case}");
+            }
+        }
     }
 }

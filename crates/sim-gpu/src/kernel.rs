@@ -3,9 +3,13 @@
 //! A [`Kernel`] is written exactly like the paper's CUDA kernels: a
 //! `thread` body parameterized by a global thread id, launched over a grid
 //! of fixed-size thread blocks. The engine executes whole blocks as
-//! parallel tasks on the host thread pool (rayon), which preserves the
-//! SIMT programming model — one logical thread per data element, atomics
-//! for result aggregation — while running on CPU cores.
+//! parallel tasks on the host's cores (rayon), dealt to the workers as
+//! they free up, as a GPU hands each block to whichever SM frees up
+//! first, so blocks of unequal work do not leave a core idle behind a
+//! fixed share. That preserves the SIMT programming model — one logical
+//! thread per data element, atomics for result aggregation — while
+//! running on CPU cores. Which worker runs a block changes no count: a
+//! launch's traced bytes are the sum over its blocks.
 //!
 //! Every global-memory access in a kernel body goes through the
 //! [`ThreadCtx`], which is generic over a [`Tracer`]. The fast path counts
@@ -180,9 +184,10 @@ pub struct LaunchStats {
 
 /// Executes `kernel` over `total_threads` logical threads in fast mode.
 ///
-/// Blocks are independent parallel tasks, mirroring how a GPU schedules
-/// blocks onto SMs in any order. Within a block, threads run sequentially
-/// (a valid SIMT interleaving since the paper's kernels have no intra-block
+/// Blocks are independent parallel tasks, dealt to the host's workers as
+/// they free up, mirroring how a GPU schedules blocks onto SMs in any
+/// order. Within a block, threads run sequentially (a valid SIMT
+/// interleaving since the paper's kernels have no intra-block
 /// synchronization).
 pub fn launch<K: Kernel>(
     device: &Device,
