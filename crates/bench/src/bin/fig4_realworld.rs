@@ -5,16 +5,14 @@
 //! SuperEGO on most; brute force is flat in ε and worst except at the
 //! largest ε of small datasets.
 
-use sj_bench::cache::SweepCache;
 use sj_bench::cli::Args;
 use sj_bench::sweep::print_response_time_panel;
 use sj_datasets::catalog::Catalog;
 
 fn main() {
     let args = Args::parse();
-    let mut cache = SweepCache::open(args.scale, !args.no_cache);
     let catalog = Catalog::new();
     for spec in catalog.real_world() {
-        print_response_time_panel("fig4_realworld", spec, &args, &mut cache);
+        print_response_time_panel("fig4_realworld", spec, &args);
     }
 }

@@ -4,7 +4,6 @@
 //! gains on the small low-D workloads, largest on 4–6-D where R-tree
 //! index search degrades fastest).
 
-use sj_bench::cache::SweepCache;
 use sj_bench::cli::Args;
 use sj_bench::runner::Algo;
 use sj_bench::sweep::{seconds_of, sweep_dataset, BrutePolicy};
@@ -13,7 +12,6 @@ use sj_datasets::catalog::Catalog;
 
 fn main() {
     let args = Args::parse();
-    let mut cache = SweepCache::open(args.scale, !args.no_cache);
     let catalog = Catalog::new();
     let algos = [Algo::CpuRtree, Algo::GpuUnicomp];
 
@@ -21,7 +19,7 @@ fn main() {
     let mut all_speedups = Vec::new();
     let mut per_dim: std::collections::BTreeMap<usize, Vec<f64>> = Default::default();
     for spec in catalog.specs() {
-        let points = sweep_dataset(spec, &args, &mut cache, &algos, BrutePolicy::Skip);
+        let points = sweep_dataset(spec, &args, &algos, BrutePolicy::Skip);
         for p in &points {
             let rtree = seconds_of(p, Algo::CpuRtree).expect("measured");
             let gpu = seconds_of(p, Algo::GpuUnicomp).expect("measured");

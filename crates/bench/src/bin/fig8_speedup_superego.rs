@@ -2,7 +2,6 @@
 //! SUPEREGO for every dataset and ε (paper averages: 2.38× overall, ~2×
 //! on the real-world datasets, with only a handful of losses).
 
-use sj_bench::cache::SweepCache;
 use sj_bench::cli::Args;
 use sj_bench::runner::Algo;
 use sj_bench::sweep::{seconds_of, sweep_dataset, BrutePolicy};
@@ -11,7 +10,6 @@ use sj_datasets::catalog::{Catalog, Family};
 
 fn main() {
     let args = Args::parse();
-    let mut cache = SweepCache::open(args.scale, !args.no_cache);
     let catalog = Catalog::new();
     let algos = [Algo::SuperEgo, Algo::GpuUnicomp];
 
@@ -20,7 +18,7 @@ fn main() {
     let mut real = Vec::new();
     let mut losses = 0usize;
     for spec in catalog.specs() {
-        let points = sweep_dataset(spec, &args, &mut cache, &algos, BrutePolicy::Skip);
+        let points = sweep_dataset(spec, &args, &algos, BrutePolicy::Skip);
         for p in &points {
             let ego = seconds_of(p, Algo::SuperEgo).expect("measured");
             let gpu = seconds_of(p, Algo::GpuUnicomp).expect("measured");

@@ -6,19 +6,18 @@
 //! on 2-D real-world data, and ≥ 2 on the 5-/6-D synthetic datasets where
 //! the paper measures improved cache utilization (Table II).
 
-use sj_bench::cache::SweepCache;
 use sj_bench::cli::Args;
 use sj_bench::runner::Algo;
 use sj_bench::sweep::{seconds_of, sweep_dataset, BrutePolicy};
 use sj_bench::table::{emit_table, mean};
 use sj_datasets::catalog::{Catalog, DatasetSpec};
 
-fn panel(title: &str, specs: &[&DatasetSpec], args: &Args, cache: &mut SweepCache) {
+fn panel(title: &str, specs: &[&DatasetSpec], args: &Args) {
     let algos = [Algo::Gpu, Algo::GpuUnicomp];
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
     for spec in specs {
-        let points = sweep_dataset(spec, args, cache, &algos, BrutePolicy::Skip);
+        let points = sweep_dataset(spec, args, &algos, BrutePolicy::Skip);
         for p in &points {
             let without = seconds_of(p, Algo::Gpu).expect("measured");
             let with = seconds_of(p, Algo::GpuUnicomp).expect("measured");
@@ -43,7 +42,6 @@ fn panel(title: &str, specs: &[&DatasetSpec], args: &Args, cache: &mut SweepCach
 
 fn main() {
     let args = Args::parse();
-    let mut cache = SweepCache::open(args.scale, !args.no_cache);
     let catalog = Catalog::new();
 
     let real: Vec<&DatasetSpec> = catalog.real_world().collect();
@@ -54,20 +52,9 @@ fn main() {
         ),
         &real,
         &args,
-        &mut cache,
     );
     let syn2m: Vec<&DatasetSpec> = catalog.synthetic_tier("2M").collect();
-    panel(
-        "Figure 9b: UNICOMP ratio, Syn- 2M tier",
-        &syn2m,
-        &args,
-        &mut cache,
-    );
+    panel("Figure 9b: UNICOMP ratio, Syn- 2M tier", &syn2m, &args);
     let syn10m: Vec<&DatasetSpec> = catalog.synthetic_tier("10M").collect();
-    panel(
-        "Figure 9c: UNICOMP ratio, Syn- 10M tier",
-        &syn10m,
-        &args,
-        &mut cache,
-    );
+    panel("Figure 9c: UNICOMP ratio, Syn- 10M tier", &syn10m, &args);
 }

@@ -7,12 +7,11 @@ pub struct Args {
     /// Dataset scale factor in `(0, 1]` (fraction of the paper's point
     /// counts; ε is stretched to preserve selectivity).
     pub scale: f64,
-    /// Trials per measurement (the paper averages 3).
+    /// Best-of trials per wall-clock measurement (the paper averages 3);
+    /// modeled times are deterministic and run once.
     pub trials: usize,
     /// Quick mode: fewer ε points and a smaller scale, for smoke runs.
     pub quick: bool,
-    /// Skip reading/writing the CSV cache.
-    pub no_cache: bool,
     /// Also write every printed table as JSON under `bench_results/`
     /// (see [`crate::table::emit_table`]).
     pub json: bool,
@@ -27,7 +26,6 @@ impl Default for Args {
             scale: 0.002,
             trials: 1,
             quick: false,
-            no_cache: false,
             json: false,
             trace: false,
         }
@@ -35,8 +33,9 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses `--scale F`, `--trials N`, `--quick`, `--no-cache` from the
-    /// process arguments; later flags win. Unknown flags abort with usage.
+    /// Parses `--scale F`, `--trials N`, `--quick`, `--json`, `--trace`
+    /// from the process arguments; later flags win. Unknown flags abort
+    /// with usage.
     pub fn parse() -> Self {
         Self::from_iter(std::env::args().skip(1))
     }
@@ -67,7 +66,6 @@ impl Args {
                     }
                 }
                 "--quick" => out.quick = true,
-                "--no-cache" => out.no_cache = true,
                 "--json" => out.json = true,
                 "--trace" => out.trace = true,
                 "--help" | "-h" => usage(""),
@@ -86,12 +84,11 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: <figure-binary> [--scale F] [--trials N] [--quick] [--no-cache] [--json]\n\
+        "usage: <figure-binary> [--scale F] [--trials N] [--quick] [--json] [--trace]\n\
          \n\
          --scale F    fraction of the paper's dataset sizes, 0 < F <= 1 (default 0.002)\n\
-         --trials N   trials per measurement, best-of (default 1; paper used 3)\n\
+         --trials N   best-of trials per wall-clock measurement (default 1; paper used 3)\n\
          --quick      smoke mode: caps scale at 0.0005\n\
-         --no-cache   ignore bench_results/ CSV cache\n\
          --json       also write printed tables to bench_results/<figure>.json\n\
          --trace      record sj_obs spans and export a Chrome trace to bench_results/"
     );
@@ -116,10 +113,9 @@ mod tests {
 
     #[test]
     fn flags_parse() {
-        let a = parse(&["--scale", "0.01", "--trials", "3", "--no-cache"]);
+        let a = parse(&["--scale", "0.01", "--trials", "3"]);
         assert_eq!(a.scale, 0.01);
         assert_eq!(a.trials, 3);
-        assert!(a.no_cache);
         assert!(!a.json);
     }
 

@@ -7,8 +7,6 @@
 //! * [`runner`] — runs the five evaluated algorithms (GPU brute force,
 //!   CPU-RTREE, Super-EGO, GPU-SJ, GPU-SJ + UNICOMP) on a dataset/ε and
 //!   cross-validates their result counts.
-//! * [`cache`] — CSV result cache under `bench_results/`, so the derived
-//!   figures (7, 8, 9) can reuse the sweeps measured for figures 4–6.
 //! * [`table`] — fixed-width table printing in the layout of the paper's
 //!   figures.
 //!
@@ -19,7 +17,6 @@
 //! wins and by how much — at laptop-friendly sizes. Pass `--scale 1.0` for
 //! paper-scale runs on serious hardware.
 
-pub mod cache;
 pub mod cli;
 pub mod runner;
 pub mod sweep;
@@ -29,9 +26,9 @@ pub use cli::Args;
 pub use runner::{run_algorithms, Algo, Measurement};
 
 /// The figure binaries' output directory (`bench_results/`), created on
-/// first use. Every writer — the JSON table export, the CSV sweep cache —
-/// resolves its paths through this, so a binary can never fail on a
-/// missing directory regardless of which output paths a run exercises.
+/// first use. Every writer resolves its paths through this, so a binary
+/// can never fail on a missing directory regardless of which output
+/// paths a run exercises.
 pub fn output_dir() -> std::path::PathBuf {
     let dir = std::path::PathBuf::from("bench_results");
     let _ = std::fs::create_dir_all(&dir);

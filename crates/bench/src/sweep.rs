@@ -1,6 +1,5 @@
 //! Shared ε-sweep driver used by the response-time and derived figures.
 
-use crate::cache::SweepCache;
 use crate::cli::Args;
 use crate::runner::{run_algorithms, Algo, Measurement};
 use sj_datasets::catalog::DatasetSpec;
@@ -26,54 +25,37 @@ pub struct SweepPoint {
     pub results: Vec<Measurement>,
 }
 
-/// Runs (or loads from cache) the full ε sweep of one dataset.
+/// Measures the full ε sweep of one dataset. Every point is measured
+/// afresh, so every row is cross-checked by [`run_algorithms`].
 pub fn sweep_dataset(
     spec: &DatasetSpec,
     args: &Args,
-    cache: &mut SweepCache,
     algos: &[Algo],
     brute: BrutePolicy,
 ) -> Vec<SweepPoint> {
-    let paper_eps = spec.paper_epsilons;
-    let actual_eps = spec.scaled_epsilons(args.scale);
-    // Generate lazily: only if at least one measurement is missing.
-    let mut data = None;
-    let mut out = Vec::with_capacity(paper_eps.len());
-    for (i, (&pe, &ae)) in paper_eps.iter().zip(&actual_eps).enumerate() {
-        let mut wanted: Vec<Algo> = algos.to_vec();
-        if brute == BrutePolicy::FirstEpsOnly && i == 0 && !wanted.contains(&Algo::GpuBrute) {
-            wanted.insert(0, Algo::GpuBrute);
-        }
-        wanted.retain(|a| brute != BrutePolicy::Skip || *a != Algo::GpuBrute);
-
-        let missing: Vec<Algo> = wanted
-            .iter()
-            .copied()
-            .filter(|&a| cache.get(spec.name, pe, a).is_none())
-            .collect();
-        if !missing.is_empty() {
-            let d = data.get_or_insert_with(|| spec.generate(args.scale));
-            eprintln!(
-                "  measuring {} eps={pe} ({} pts, actual eps {ae:.4}): {:?}",
-                spec.name,
-                d.len(),
-                missing.iter().map(|a| a.id()).collect::<Vec<_>>()
-            );
-            for m in run_algorithms(d, ae, &missing, args.trials) {
-                cache.put(spec.name, pe, m);
+    let data = spec.generate(args.scale);
+    spec.paper_epsilons
+        .iter()
+        .zip(spec.scaled_epsilons(args.scale))
+        .enumerate()
+        .map(|(i, (&pe, ae))| {
+            let mut wanted: Vec<Algo> = algos.to_vec();
+            if brute == BrutePolicy::FirstEpsOnly && i == 0 && !wanted.contains(&Algo::GpuBrute) {
+                wanted.insert(0, Algo::GpuBrute);
             }
-        }
-        let results: Vec<Measurement> = wanted
-            .iter()
-            .map(|&a| cache.get(spec.name, pe, a).expect("just measured"))
-            .collect();
-        out.push(SweepPoint {
-            paper_eps: pe,
-            actual_eps: ae,
-            results,
-        });
-    }
-    out
+            wanted.retain(|a| brute != BrutePolicy::Skip || *a != Algo::GpuBrute);
+            eprintln!(
+                "  measuring {} eps={pe} ({} pts, actual eps {ae:.4}): {wanted:?}",
+                spec.name,
+                data.len(),
+            );
+            SweepPoint {
+                paper_eps: pe,
+                actual_eps: ae,
+                results: run_algorithms(&data, ae, &wanted, args.trials),
+            }
+        })
+        .collect()
 }
 
 /// The four indexed algorithms (everything except brute force).
@@ -87,14 +69,9 @@ pub fn seconds_of(p: &SweepPoint, algo: Algo) -> Option<f64> {
 /// Runs and prints one response-time panel (a dataset of Figures 4–6):
 /// rows are ε values, columns the five algorithms. `figure` names the
 /// JSON export written when `--json` is on.
-pub fn print_response_time_panel(
-    figure: &str,
-    spec: &DatasetSpec,
-    args: &Args,
-    cache: &mut SweepCache,
-) {
+pub fn print_response_time_panel(figure: &str, spec: &DatasetSpec, args: &Args) {
     use crate::table::{emit_table, fmt_secs};
-    let points = sweep_dataset(spec, args, cache, &INDEXED, BrutePolicy::FirstEpsOnly);
+    let points = sweep_dataset(spec, args, &INDEXED, BrutePolicy::FirstEpsOnly);
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
@@ -154,37 +131,27 @@ mod tests {
     }
 
     #[test]
-    fn sweep_fills_cache_and_reuses_it() {
+    fn sweep_runs_brute_once_and_repeats_modeled_times() {
         let args = Args {
             scale: 0.001,
             ..Args::default()
         };
-        let mut cache = SweepCache::open(0.0, false); // in-memory only
         let spec = tiny_spec();
-        let pts = sweep_dataset(
-            &spec,
-            &args,
-            &mut cache,
-            &INDEXED,
-            BrutePolicy::FirstEpsOnly,
-        );
+        let pts = sweep_dataset(&spec, &args, &INDEXED, BrutePolicy::FirstEpsOnly);
         assert_eq!(pts.len(), 5);
         assert_eq!(pts[0].results.len(), 5, "first point includes brute");
-        assert_eq!(pts[1].results.len(), 4);
-        let filled = cache.len();
-        assert_eq!(filled, 4 * 5 + 1);
-        // Second run touches nothing new.
-        let again = sweep_dataset(
-            &spec,
-            &args,
-            &mut cache,
-            &INDEXED,
-            BrutePolicy::FirstEpsOnly,
-        );
-        assert_eq!(cache.len(), filled);
+        assert!(pts[1..].iter().all(|p| p.results.len() == 4));
+        // Nothing is cached: a second sweep measures afresh, and the
+        // modeled GPU times come out the same.
+        let again = sweep_dataset(&spec, &args, &INDEXED, BrutePolicy::FirstEpsOnly);
+        for (p, q) in pts.iter().zip(&again) {
+            for algo in [Algo::Gpu, Algo::GpuUnicomp] {
+                assert_eq!(seconds_of(p, algo), seconds_of(q, algo));
+            }
+        }
         assert_eq!(
-            seconds_of(&pts[2], Algo::Gpu),
-            seconds_of(&again[2], Algo::Gpu)
+            seconds_of(&pts[0], Algo::GpuBrute),
+            seconds_of(&again[0], Algo::GpuBrute)
         );
     }
 
@@ -194,14 +161,7 @@ mod tests {
             scale: 0.001,
             ..Args::default()
         };
-        let mut cache = SweepCache::open(0.0, false);
-        let pts = sweep_dataset(
-            &tiny_spec(),
-            &args,
-            &mut cache,
-            &[Algo::Gpu],
-            BrutePolicy::Skip,
-        );
+        let pts = sweep_dataset(&tiny_spec(), &args, &[Algo::Gpu], BrutePolicy::Skip);
         assert!(pts.iter().all(|p| p.results.len() == 1));
     }
 }

@@ -3,8 +3,9 @@
 //! The controller never touches a device. Its inputs are cheap reads —
 //! the session's [`ProjectedCost`] (the query's predicted work counts
 //! priced like executed work, see [`grid_join::cost`]), the scheduler's
-//! projected queue wait, and the pool's [`sim_gpu::PoolPressure`] — and
-//! its output is a [`Decision`] made against the configured latency SLO:
+//! projected queue wait and queue depth, and the number of healthy
+//! devices — and its output is a [`Decision`] made against the
+//! configured latency SLO:
 //!
 //! * projected completion within the SLO → **admit**;
 //! * within `slo × delay_factor` → **admit, flagged delayed** (the query
@@ -14,7 +15,6 @@
 //!   the backlog is projected to have drained enough.
 
 use grid_join::ProjectedCost;
-use sim_gpu::PoolPressure;
 use std::time::Duration;
 
 /// Admission-controller knobs (see the [module docs](self)).
@@ -32,8 +32,8 @@ pub struct AdmissionConfig {
     /// Per-tenant cap on in-flight queries (queued + running); the
     /// fair-share bound a flooding tenant hits first.
     pub tenant_max_inflight: usize,
-    /// Hard bound on the pool's queued-work depth
-    /// ([`PoolPressure::queued`]), a backstop against unbounded queues
+    /// Hard bound on the scheduler's queue depth (admitted queries no
+    /// worker has picked up yet), a backstop against unbounded queues
     /// when cost projections run low.
     pub max_queue_depth: usize,
 }
@@ -68,14 +68,16 @@ pub enum Decision {
 
 /// Decides one query's fate. `projected_wait` is the scheduler's estimate
 /// of time-to-dispatch at the query's arrival; `tenant_inflight` the
-/// submitting tenant's queued + running count; `pressure` the pool's load
-/// picture at submission.
+/// submitting tenant's queued + running count; `queued` the scheduler's
+/// queue depth and `healthy` the number of devices not in probation, both
+/// at submission.
 pub fn decide(
     cfg: &AdmissionConfig,
     projected_wait: Duration,
     cost: &ProjectedCost,
     tenant_inflight: usize,
-    pressure: &PoolPressure,
+    queued: usize,
+    healthy: usize,
 ) -> Decision {
     if !cfg.enabled {
         return Decision::Admit { delayed: false };
@@ -90,7 +92,7 @@ pub fn decide(
         // the client when capacity is actually expected to exist.
         let drain = cost
             .modeled
-            .mul_f64((pressure.queued as f64 + 1.0) / pressure.healthy.max(1) as f64);
+            .mul_f64((queued as f64 + 1.0) / healthy.max(1) as f64);
         over.max(drain).max(cost.modeled)
     };
     if tenant_inflight >= cfg.tenant_max_inflight {
@@ -98,7 +100,7 @@ pub fn decide(
             retry_after: retry_hint(),
         };
     }
-    if pressure.queued >= cfg.max_queue_depth {
+    if queued >= cfg.max_queue_depth {
         return Decision::Reject {
             retry_after: retry_hint(),
         };
@@ -127,14 +129,6 @@ mod tests {
         }
     }
 
-    fn idle_pressure() -> PoolPressure {
-        PoolPressure {
-            active: vec![0, 0],
-            queued: 0,
-            healthy: 2,
-        }
-    }
-
     fn cfg() -> AdmissionConfig {
         AdmissionConfig {
             slo: Duration::from_millis(100),
@@ -144,37 +138,19 @@ mod tests {
 
     #[test]
     fn within_slo_admits() {
-        let d = decide(
-            &cfg(),
-            Duration::from_millis(50),
-            &cost(40),
-            0,
-            &idle_pressure(),
-        );
+        let d = decide(&cfg(), Duration::from_millis(50), &cost(40), 0, 0, 2);
         assert_eq!(d, Decision::Admit { delayed: false });
     }
 
     #[test]
     fn delay_window_flags_delayed() {
-        let d = decide(
-            &cfg(),
-            Duration::from_millis(90),
-            &cost(40),
-            0,
-            &idle_pressure(),
-        );
+        let d = decide(&cfg(), Duration::from_millis(90), &cost(40), 0, 0, 2);
         assert_eq!(d, Decision::Admit { delayed: true });
     }
 
     #[test]
     fn beyond_window_rejects_with_retry_hint() {
-        let d = decide(
-            &cfg(),
-            Duration::from_millis(400),
-            &cost(40),
-            0,
-            &idle_pressure(),
-        );
+        let d = decide(&cfg(), Duration::from_millis(400), &cost(40), 0, 0, 2);
         match d {
             Decision::Reject { retry_after } => {
                 assert_eq!(retry_after, Duration::from_millis(340));
@@ -187,7 +163,7 @@ mod tests {
     fn tenant_cap_rejects_even_when_idle() {
         let mut c = cfg();
         c.tenant_max_inflight = 2;
-        let d = decide(&c, Duration::ZERO, &cost(1), 2, &idle_pressure());
+        let d = decide(&c, Duration::ZERO, &cost(1), 2, 0, 2);
         assert!(matches!(d, Decision::Reject { .. }));
     }
 
@@ -195,12 +171,7 @@ mod tests {
     fn queue_depth_bound_rejects() {
         let mut c = cfg();
         c.max_queue_depth = 3;
-        let deep = PoolPressure {
-            active: vec![1, 1],
-            queued: 3,
-            healthy: 2,
-        };
-        let d = decide(&c, Duration::ZERO, &cost(1), 0, &deep);
+        let d = decide(&c, Duration::ZERO, &cost(1), 0, 3, 2);
         assert!(matches!(d, Decision::Reject { .. }));
     }
 
@@ -210,12 +181,7 @@ mod tests {
         c.max_queue_depth = 4;
         // 16 queued jobs draining through 1 healthy device of 2: the
         // hint must cover the projected drain, not one query's cost.
-        let deep = PoolPressure {
-            active: vec![4, 0],
-            queued: 16,
-            healthy: 1,
-        };
-        let d = decide(&c, Duration::ZERO, &cost(10), 0, &deep);
+        let d = decide(&c, Duration::ZERO, &cost(10), 0, 16, 1);
         match d {
             Decision::Reject { retry_after } => {
                 assert_eq!(retry_after, Duration::from_millis(170));
@@ -223,13 +189,7 @@ mod tests {
             other => panic!("expected reject, got {other:?}"),
         }
         // Same backlog with both devices healthy drains twice as fast.
-        let d = decide(
-            &c,
-            Duration::ZERO,
-            &cost(10),
-            0,
-            &PoolPressure { healthy: 2, ..deep },
-        );
+        let d = decide(&c, Duration::ZERO, &cost(10), 0, 16, 2);
         match d {
             Decision::Reject { retry_after } => {
                 assert_eq!(retry_after, Duration::from_millis(85));
@@ -244,12 +204,7 @@ mod tests {
             enabled: false,
             ..cfg()
         };
-        let deep = PoolPressure {
-            active: vec![9, 9],
-            queued: 10_000,
-            healthy: 2,
-        };
-        let d = decide(&c, Duration::from_secs(60), &cost(500), 999, &deep);
+        let d = decide(&c, Duration::from_secs(60), &cost(500), 999, 10_000, 2);
         assert_eq!(d, Decision::Admit { delayed: false });
     }
 }

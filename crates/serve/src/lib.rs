@@ -8,18 +8,18 @@
 //! worker thread per pool device, with three control loops between the
 //! submit call and the kernels:
 //!
-//! 1. **Admission** ([`admission`]) — every query's projected cost is its
-//!    predicted work counts priced like executed work
-//!    ([`grid_join::ProjectedCost`], [`grid_join::cost`]), and the pool's
-//!    backlog from [`sim_gpu::DevicePool::pressure`] and the scheduler's
-//!    per-device busy horizon. Queries whose projected completion would
-//!    break the configured latency SLO are *delayed* (admitted past the
-//!    SLO up to a configurable factor) or *rejected* with
-//!    [`ServeError::Overloaded`] carrying a `retry_after` hint.
-//! 2. **Scheduling** ([`scheduler`]) — admitted queries wait in a
-//!    deadline-ordered queue with per-tenant fair-share caps; each device
-//!    worker picks the earliest-deadline query whose tenant is under its
-//!    cap, so one flooding tenant cannot starve the rest.
+//! 1. **Admission** ([`admission`]) — a query's projected cost (its
+//!    predicted work counts priced like executed work,
+//!    [`grid_join::ProjectedCost`], [`grid_join::cost`]) plus its wait for
+//!    the soonest-free healthy device must meet the configured latency
+//!    SLO, or the query is *delayed* (admitted past the SLO up to a
+//!    configurable factor) or *rejected* with [`ServeError::Overloaded`]
+//!    and a `retry_after` hint. Tenant in-flight caps and a queue-depth
+//!    bound reject too.
+//! 2. **Scheduling** ([`scheduler`]) — admission fixes each query's
+//!    device and virtual start (the healthy device that frees soonest); a
+//!    burst is admitted in weighted-fair-queueing tag order, so a light
+//!    tenant overtakes a flooding one; workers pop in virtual-start order.
 //! 3. **Eviction** — sessions register every device snapshot with the
 //!    pool's [`sim_gpu::MemoryLedger`]; with
 //!    [`ServiceConfig::snapshot_budget`] set, uploading a new snapshot

@@ -25,7 +25,6 @@
 //! admission half of fair share) live in [`crate::admission`].
 
 use crate::service::TicketShared;
-use sim_gpu::QueuedWork;
 use std::sync::{Condvar, Mutex};
 
 /// One admitted query, placed on the virtual timeline and awaiting
@@ -57,8 +56,6 @@ pub(crate) struct Job {
     pub delayed: bool,
     /// Completion slot the submitter waits on.
     pub ticket: TicketShared,
-    /// Pool backlog token; dropped at dispatch.
-    pub queued: Option<QueuedWork>,
     /// Root `serve.query` span id for this query's trace tree, 0 when
     /// tracing was disabled at admission. Workers parent their queue/run
     /// spans under it so the tree stays connected across threads.
@@ -70,7 +67,8 @@ pub(crate) struct Job {
 
 /// Mutable scheduler state, all under one lock.
 pub(crate) struct SchedState {
-    /// Placed, not-yet-executed jobs.
+    /// Placed, not-yet-executed jobs; its length is the queue depth
+    /// admission bounds.
     pub queue: Vec<Job>,
     /// Per-device busy horizon in virtual seconds.
     pub busy_until: Vec<f64>,
@@ -164,9 +162,7 @@ impl SchedState {
                     .expect("starts are finite")
             })
             .map(|(i, _)| i)?;
-        let mut job = self.queue.swap_remove(best);
-        job.queued = None; // release the pool backlog token at dispatch
-        Some(job)
+        Some(self.queue.swap_remove(best))
     }
 }
 
@@ -279,7 +275,6 @@ mod tests {
             attempts: 0,
             delayed: false,
             ticket: new_ticket(),
-            queued: None,
             span: 0,
             admit_ns: 0,
         }

@@ -8,10 +8,10 @@
 //! device). A submitted query flows: intern tenant → look up the
 //! dataset's resident [`SelfJoinSession`] → project its cost
 //! ([`SelfJoinSession::projected_cost`]) → admission decision against
-//! the scheduler's busy horizons and the pool's pressure → virtual
-//! placement → an executor runs it through `session.query_on` (exact
-//! answer, resident snapshots, transparent re-upload after eviction) →
-//! the submitter's [`QueryTicket`] resolves.
+//! the scheduler's busy horizons, its queue depth and the pool's health
+//! mask → virtual placement → an executor runs it through
+//! `session.query_on` (exact answer, resident snapshots, transparent
+//! re-upload after eviction) → the submitter's [`QueryTicket`] resolves.
 //!
 //! Time is virtual: arrivals are seconds since the service epoch
 //! (callers replaying an open-loop trace pass them explicitly; live
@@ -386,18 +386,12 @@ impl SelfJoinService {
             preps.iter().map(|_| None).collect();
         {
             let mut st = lock_clean(&self.inner.sched.state);
-            // The pool's load picture is sampled under the scheduler lock
-            // (admissions from other threads are serialized by it, so the
-            // queued count cannot go stale mid-batch), and each admission
-            // in this batch bumps it locally so the queue-depth backstop
-            // sees its own batch too — a cold 10k-request batch must not
-            // slip past `max_queue_depth` on a stale zero.
-            let mut pressure = self.inner.pool.pressure();
-            // Health is sampled with the pressure: placement and the
-            // projected waits admission reads both skip devices in
-            // probation, so a downed device's horizon cannot admit (or
-            // stall) anything while it heals.
+            // Health is sampled once per batch: placement, the projected
+            // waits and the healthy-device count admission reads all skip
+            // devices in probation, so a downed device's horizon cannot
+            // admit (or stall) anything while it heals.
             let healthy = self.inner.pool.health_mask();
+            let healthy_devices = healthy.iter().filter(|&&h| h).count();
             let now = lock_clean(&self.inner.epoch).elapsed().as_secs_f64();
             // Resolve prep errors first; build the fair-ordering items
             // for the rest.
@@ -435,12 +429,16 @@ impl SelfJoinService {
                     continue;
                 }
                 let wait = Duration::from_secs_f64(st.projected_wait(item.arrival, &healthy));
+                // The queue depth is read live under the scheduler lock,
+                // so it counts this batch's own admissions too — a cold
+                // 10k-request batch cannot slip past `max_queue_depth`.
                 let decision = admission::decide(
                     &self.inner.config.admission,
                     wait,
                     &prep.cost,
                     st.tenant_inflight[prep.tenant],
-                    &pressure,
+                    st.queue.len(),
+                    healthy_devices,
                 );
                 outcomes[*i] = Some(match decision {
                     Decision::Admit { delayed } => {
@@ -488,12 +486,10 @@ impl SelfJoinService {
                             attempts: 0,
                             delayed,
                             ticket: Arc::clone(&ticket),
-                            queued: Some(self.inner.pool.queue_work()),
                             span: span_id,
                             admit_ns,
                         });
                         st.tenant_inflight[prep.tenant] += 1;
-                        pressure.queued += 1;
                         admits.push((prep.tenant, item.arrival, delayed));
                         Ok(QueryTicket { inner: ticket })
                     }
@@ -791,7 +787,6 @@ fn run_job(inner: &Arc<Inner>, mut job: Job) {
         // query's deadline.
         if let Err(e) = &result {
             if e.is_fault() && (job.attempts as usize) < inner.pool.len() {
-                inner.pool.tick_health();
                 let healthy = inner.pool.health_mask();
                 let mut st = lock_clean(&inner.sched.state);
                 // Return the unused reservation on the faulted device;
@@ -799,12 +794,13 @@ fn run_job(inner: &Arc<Inner>, mut job: Job) {
                 // overwrite.
                 st.busy_until[device] = (st.busy_until[device] - job.projected).max(0.0);
                 let wait = st.projected_wait(job.arrival, &healthy);
+                // This worker re-runs the job at once, so it counts as
+                // running, not queued.
                 if job.arrival + wait + job.projected <= job.deadline {
                     let (nd, nstart) = st.place(job.arrival, job.projected, &healthy);
                     job.device = nd;
                     job.start = nstart;
                     job.attempts += 1;
-                    job.queued = Some(inner.pool.queue_work());
                     drop(st);
                     let mut span = sj_obs::Span::enter("fault.retry");
                     span.label("seq", job.seq);
@@ -1105,6 +1101,40 @@ mod tests {
         assert!(admitted > 0);
         for ticket in outcomes.into_iter().flatten() {
             ticket.wait().unwrap();
+        }
+    }
+
+    #[test]
+    fn queue_depth_frees_as_workers_dispatch() {
+        // The depth bound counts queries no worker has picked up yet, so
+        // it frees as workers dispatch: once a bounded batch has run, the
+        // next batch is admitted up to the bound again.
+        let service = SelfJoinService::new(
+            DevicePool::titan_x(1),
+            ServiceConfig {
+                admission: AdmissionConfig {
+                    slo: Duration::from_secs(60),
+                    max_queue_depth: 8,
+                    tenant_max_inflight: usize::MAX,
+                    ..AdmissionConfig::default()
+                },
+                ..ServiceConfig::default()
+            },
+        );
+        let id = service.register_dataset("d", uniform(2, 300, 124));
+        for round in 0..2 {
+            let reqs: Vec<_> = (0..32)
+                .map(|_| QueryRequest::new("cold", id, 2.0).at(Duration::ZERO))
+                .collect();
+            let outcomes = service.submit_batch(reqs);
+            let admitted = outcomes.iter().filter(|o| o.is_ok()).count();
+            assert!(
+                (1..=8).contains(&admitted),
+                "batch {round}: {admitted} admitted"
+            );
+            for ticket in outcomes.into_iter().flatten() {
+                ticket.wait().unwrap();
+            }
         }
     }
 

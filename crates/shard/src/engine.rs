@@ -705,7 +705,6 @@ impl ShardedSelfJoin {
         let mut round = 0usize;
         while !failed.is_empty() {
             round += 1;
-            self.pool.tick_health();
             let mask = self.pool.health_mask();
             let survivors: Vec<usize> = (0..ndev).filter(|&i| mask[i]).collect();
             if round > max_reexec_rounds(ndev) || survivors.is_empty() {

@@ -11,8 +11,10 @@
 //! device's *operation axis*: the injector counts device operations
 //! (uploads, kernel launches) and fires an event when a device's counter
 //! crosses the event's threshold. Counting operations instead of wall
-//! time keeps runs bit-for-bit reproducible regardless of host speed or
-//! thread interleaving within a device.
+//! time makes the fault *schedule* reproducible regardless of host speed.
+//! A run's *outcome* is not, yet: reinstatement probes are timed on the
+//! wall clock (`Instant::now()`), so when a crashed device heals, and with
+//! it where later work lands and which events fire, depends on the host.
 //!
 //! Three fault kinds model the failure classes the layers above must
 //! survive:
@@ -25,9 +27,9 @@
 //!
 //! Device health lives in a [`HealthLedger`] shared by every clone of a
 //! pool. A crashed device sits in *probation*: reinstatement probes run
-//! with exponential backoff, and after the event's `heal_after_probes`
-//! failed probes the next probe reinstates it (modeling a driver reset /
-//! device reattach completing).
+//! with exponential wall-clock backoff, and after the event's
+//! `heal_after_probes` failed probes the next probe reinstates it
+//! (modeling a device reset or reattach completing).
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -353,9 +355,9 @@ enum HealthState {
 ///      └─────────────────────────────────────┤ backoff ×2, re-probe
 /// ```
 ///
-/// Probes are driven lazily: [`DevicePool::lease`](crate::DevicePool::lease)
-/// and explicit [`DevicePool::tick_health`](crate::DevicePool::tick_health)
-/// calls run every due probe before reading health.
+/// Probes are driven lazily: every
+/// [`DevicePool::health_mask`](crate::DevicePool::health_mask) call
+/// (leasing makes one) runs the due probes before reading health.
 #[derive(Debug)]
 pub struct HealthLedger {
     states: Mutex<Vec<HealthState>>,
@@ -406,15 +408,6 @@ impl HealthLedger {
             .iter()
             .map(|s| matches!(s, HealthState::Healthy))
             .collect()
-    }
-
-    /// Number of healthy devices.
-    pub fn healthy_count(&self) -> usize {
-        self.states
-            .lock()
-            .iter()
-            .filter(|s| matches!(s, HealthState::Healthy))
-            .count()
     }
 
     /// Public health snapshot per device.
@@ -780,7 +773,6 @@ mod tests {
         ));
         health.mark_down(1, 3);
         assert_eq!(health.mask(), vec![true, false]);
-        assert_eq!(health.healthy_count(), 1);
         // Probe not yet due (1h backoff): nothing reinstates.
         assert_eq!(health.probe_due(), 0);
         assert_eq!(

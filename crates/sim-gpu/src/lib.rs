@@ -68,7 +68,7 @@ pub use fault::{
 pub use kernel::{launch, launch_profiled, Kernel, LaunchConfig, LaunchStats, ThreadCtx, Tracer};
 pub use memory::{DeviceBuffer, Evictor, LedgerEntry, MemoryLedger, MemoryPool, OutOfMemory};
 pub use occupancy::{occupancy, KernelResources, OccupancyResult};
-pub use pool::{DeviceLease, DevicePool, DeviceTally, PoolPressure, QueuedWork};
+pub use pool::{DeviceLease, DevicePool, DeviceTally};
 pub use profiler::{KernelMetrics, ProfiledLaunch};
 pub use transfer::{BatchCost, StreamTimeline, TimelineReport, TransferModel};
 pub use work::{launch_work_profiled, WorkProfile, WorkTracer};

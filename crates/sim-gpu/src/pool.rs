@@ -47,15 +47,11 @@ pub struct DevicePool {
 /// Shared lease state: per-device active counts plus a rotation cursor
 /// that breaks ties round-robin, so a *serial* stream of short-lived
 /// leases still spreads across devices (a serving frontend dispatching
-/// query after query) instead of pinning device 0 forever. `queued`
-/// counts admitted-but-undispatched work items (see
-/// [`DevicePool::queue_work`]) so [`DevicePool::pressure`] reflects the
-/// backlog, not just what is executing right now.
+/// query after query) instead of pinning device 0 forever.
 #[derive(Debug)]
 struct LeaseLedger {
     counts: Vec<usize>,
     cursor: usize,
-    queued: usize,
     gauges: PoolGauges,
 }
 
@@ -64,23 +60,19 @@ impl LeaseLedger {
         Self {
             counts: vec![0; count],
             cursor: 0,
-            queued: 0,
             gauges: PoolGauges::register(count),
         }
     }
 
-    /// Publishes the current lease picture to the metrics registry.
-    /// Called at every lease/release/queue transition — gauges track
-    /// pressure *over time*, not just when something polls
-    /// [`DevicePool::pressure`].
-    fn sample(&self, device: Option<usize>) {
-        if let Some(i) = device {
-            self.gauges.active[i].set(self.counts[i] as f64);
-        }
+    /// Publishes device `i`'s lease count and the pool total to the
+    /// metrics registry. Called at every lease and release, so the gauges
+    /// track load *over time*, not just when something polls
+    /// [`DevicePool::active_leases`].
+    fn sample(&self, i: usize) {
+        self.gauges.active[i].set(self.counts[i] as f64);
         self.gauges
             .active_total
             .set(self.counts.iter().sum::<usize>() as f64);
-        self.gauges.queued.set(self.queued as f64);
     }
 }
 
@@ -93,8 +85,6 @@ struct PoolGauges {
     active: Vec<sj_obs::Gauge>,
     /// `sj_pool_active_leases_total{pool}`.
     active_total: sj_obs::Gauge,
-    /// `sj_pool_queued_work{pool}`.
-    queued: sj_obs::Gauge,
 }
 
 impl PoolGauges {
@@ -112,59 +102,6 @@ impl PoolGauges {
                 })
                 .collect(),
             active_total: reg.gauge("sj_pool_active_leases_total", &[("pool", &pool)]),
-            queued: reg.gauge("sj_pool_queued_work", &[("pool", &pool)]),
-        }
-    }
-}
-
-/// Load picture of a pool at one instant: per-device active leases plus
-/// the pool-wide queued-work backlog. The cheap accessor admission
-/// controllers read instead of recomputing load from
-/// [`DevicePool::active_leases`] plus their own bookkeeping.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PoolPressure {
-    /// Active lease count per device, in device-index order.
-    pub active: Vec<usize>,
-    /// Work items admitted to a queue but not yet leased onto a device.
-    pub queued: usize,
-    /// Devices currently healthy (not in probation) — the *surviving*
-    /// capacity admission should divide load over. Equals
-    /// `active.len()` on a fault-free pool.
-    pub healthy: usize,
-}
-
-impl PoolPressure {
-    /// Total outstanding work claims (active + queued).
-    pub fn total(&self) -> usize {
-        self.active.iter().sum::<usize>() + self.queued
-    }
-
-    /// Average outstanding claims per *healthy* device — the scalar an
-    /// admission controller compares against its depth threshold. Dividing
-    /// by surviving rather than nominal capacity makes pressure spike when
-    /// devices crash, which is exactly when admission should tighten.
-    pub fn per_device(&self) -> f64 {
-        self.total() as f64 / self.healthy.max(1) as f64
-    }
-}
-
-/// RAII claim on one slot of the pool's queued-work backlog, created by
-/// [`DevicePool::queue_work`] and released (exactly once) on drop —
-/// schedulers hold one per admitted-but-undispatched query so
-/// [`DevicePool::pressure`] sees the queue depth.
-#[derive(Debug)]
-pub struct QueuedWork {
-    /// Taken on release so a drop can never double-decrement.
-    leases: Option<Arc<Mutex<LeaseLedger>>>,
-}
-
-impl Drop for QueuedWork {
-    fn drop(&mut self) {
-        if let Some(leases) = self.leases.take() {
-            let mut ledger = leases.lock();
-            debug_assert!(ledger.queued > 0, "queued-work underflow");
-            ledger.queued = ledger.queued.saturating_sub(1);
-            ledger.sample(None);
         }
     }
 }
@@ -207,7 +144,7 @@ impl DeviceLease {
             let mut ledger = leases.lock();
             debug_assert!(ledger.counts[self.index] > 0, "lease count underflow");
             ledger.counts[self.index] = ledger.counts[self.index].saturating_sub(1);
-            ledger.sample(Some(self.index));
+            ledger.sample(self.index);
         }
     }
 }
@@ -245,8 +182,8 @@ impl DevicePool {
     /// Arms a [`FaultPlan`] on this pool: from here on, every device
     /// operation (snapshot upload, kernel-launch sequence) counts against
     /// the plan's schedule, crash events move devices into probation in
-    /// the shared [`HealthLedger`], and [`Self::lease`] /
-    /// [`Self::pressure`] reflect only healthy capacity. Operation
+    /// the shared [`HealthLedger`], and [`Self::lease`] and
+    /// [`Self::health_mask`] reflect only healthy capacity. Operation
     /// counters start at zero *now* — arm after warmup to aim a storm at
     /// the measured window.
     ///
@@ -269,13 +206,9 @@ impl DevicePool {
         self.injector.get()
     }
 
-    /// Per-device health ledger (shared across clones).
-    pub fn health(&self) -> &Arc<HealthLedger> {
-        &self.health
-    }
-
     /// Healthy flag per device, in index order, after running any due
-    /// reinstatement probes.
+    /// reinstatement probes. This is the pool's one probing health read:
+    /// leasing, admission and fault re-placement all go through it.
     pub fn health_mask(&self) -> Vec<bool> {
         self.health.probe_due();
         self.health.mask()
@@ -298,12 +231,6 @@ impl DevicePool {
         self.health.mark_down(i, heal_after_probes);
     }
 
-    /// Runs any due reinstatement probes; returns how many devices were
-    /// reinstated. Leasing and pressure reads do this implicitly.
-    pub fn tick_health(&self) -> usize {
-        self.health.probe_due()
-    }
-
     /// Modeled-time inflation factor of device `i` from an open straggler
     /// window (1.0 when no injector is armed or the window closed).
     pub fn slowdown(&self, i: usize) -> f64 {
@@ -322,8 +249,7 @@ impl DevicePool {
     /// rather than deadlock — the caller's first operation surfaces the
     /// fault.
     pub fn lease(&self) -> DeviceLease {
-        self.health.probe_due();
-        let mask = self.health.mask();
+        let mask = self.health_mask();
         let all_down = mask.iter().all(|h| !h);
         let eligible = |i: usize| mask[i] || all_down;
         let mut ledger = self.leases.lock();
@@ -339,7 +265,7 @@ impl DevicePool {
             .expect("some eligible device holds the minimum");
         ledger.counts[index] += 1;
         ledger.cursor = (index + 1) % n;
-        ledger.sample(Some(index));
+        ledger.sample(index);
         DeviceLease {
             device: self.devices[index].clone(),
             index,
@@ -359,41 +285,12 @@ impl DevicePool {
         {
             let mut ledger = self.leases.lock();
             ledger.counts[index] += 1;
-            ledger.sample(Some(index));
+            ledger.sample(index);
         }
         DeviceLease {
             device: self.devices[index].clone(),
             index,
             leases: Some(Arc::clone(&self.leases)),
-        }
-    }
-
-    /// Registers one admitted-but-undispatched work item in the pool's
-    /// backlog count; drop the token when the work is leased onto a
-    /// device (or abandoned). See [`Self::pressure`].
-    pub fn queue_work(&self) -> QueuedWork {
-        {
-            let mut ledger = self.leases.lock();
-            ledger.queued += 1;
-            ledger.sample(None);
-        }
-        QueuedWork {
-            leases: Some(Arc::clone(&self.leases)),
-        }
-    }
-
-    /// The pool's load picture — active leases per device plus the
-    /// queued-work backlog — in one cheap read. Admission controllers use
-    /// this instead of deriving pressure from [`Self::active_leases`] and
-    /// private queue state.
-    pub fn pressure(&self) -> PoolPressure {
-        self.health.probe_due();
-        let healthy = self.health.healthy_count();
-        let ledger = self.leases.lock();
-        PoolPressure {
-            active: ledger.counts.clone(),
-            queued: ledger.queued,
-            healthy,
         }
     }
 
@@ -555,24 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn pressure_counts_active_and_queued() {
-        let pool = DevicePool::homogeneous(DeviceSpec::small_test_device(), 2);
-        let q1 = pool.queue_work();
-        let q2 = pool.queue_work();
-        let lease = pool.lease();
-        let p = pool.pressure();
-        assert_eq!(p.active, vec![1, 0]);
-        assert_eq!(p.queued, 2);
-        assert_eq!(p.total(), 3);
-        assert!((p.per_device() - 1.5).abs() < 1e-12);
-        drop(q1);
-        // A clone sees the same picture.
-        assert_eq!(pool.clone().pressure().queued, 1);
-        drop((q2, lease));
-        assert_eq!(pool.pressure().total(), 0);
-    }
-
-    #[test]
     fn lease_transitions_sample_gauges() {
         use sj_obs::MetricValue;
         let read = |name: &str, labels: &[(&str, &str)]| -> Option<f64> {
@@ -601,30 +480,22 @@ mod tests {
                 .collect()
         };
         let pool = DevicePool::homogeneous(DeviceSpec::small_test_device(), 2);
-        // A distinctive signature — three pinned leases on device 1 plus
-        // two queued items — identifies this pool's series among any
-        // other pools live in the test process.
+        // A distinctive signature — three pinned leases on device 1 —
+        // identifies this pool's series among any other pools live in
+        // the test process.
         let a = pool.lease_device(1);
         let b = pool.lease_device(1);
         let c = pool.lease_device(1);
-        let q1 = pool.queue_work();
-        let q2 = pool.queue_work();
         let candidates = pools_with("sj_pool_active_leases_total", 3.0);
         let id = candidates
             .into_iter()
-            .find(|id| {
-                read("sj_pool_active_leases", &[("pool", id), ("device", "1")]) == Some(3.0)
-                    && read("sj_pool_queued_work", &[("pool", id)]) == Some(2.0)
-            })
-            .expect("gauges sampled at lease/queue time");
+            .find(|id| read("sj_pool_active_leases", &[("pool", id), ("device", "1")]) == Some(3.0))
+            .expect("gauges sampled at lease time");
         let labels: &[(&str, &str)] = &[("pool", &id)];
-        drop(q1);
-        assert_eq!(read("sj_pool_queued_work", labels), Some(1.0));
         drop((a, b));
         assert_eq!(read("sj_pool_active_leases_total", labels), Some(1.0));
-        drop((c, q2));
+        drop(c);
         assert_eq!(read("sj_pool_active_leases_total", labels), Some(0.0));
-        assert_eq!(read("sj_pool_queued_work", labels), Some(0.0));
         assert_eq!(
             read("sj_pool_active_leases", &[("pool", &id), ("device", "1")]),
             Some(0.0)
@@ -648,12 +519,7 @@ mod tests {
         for _ in 0..6 {
             assert_ne!(pool.lease().index(), 1);
         }
-        let p = pool.pressure();
-        assert_eq!(p.healthy, 2);
-        // Per-device pressure divides by surviving capacity: one active
-        // lease over two healthy devices.
-        let _held = pool.lease();
-        assert!((pool.pressure().per_device() - 0.5).abs() < 1e-12);
+        assert_eq!(pool.health_mask(), vec![true, false, true]);
     }
 
     #[test]
@@ -664,15 +530,14 @@ mod tests {
         // heal_after_probes = 0 with the default ~200µs backoff: the
         // first due probe reinstates it.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.tick_health() == 0 {
+        while pool.health_mask() != vec![true, true] {
             assert!(
                 std::time::Instant::now() < deadline,
                 "probe never reinstated the device"
             );
             std::thread::yield_now();
         }
-        assert_eq!(pool.health_mask(), vec![true, true]);
-        assert_eq!(pool.pressure().healthy, 2);
+        assert!(pool.is_healthy(1));
     }
 
     #[test]
@@ -684,21 +549,20 @@ mod tests {
         // deadlocking; callers surface the fault on first use.
         let lease = pool.lease();
         assert!(lease.index() < 2);
-        assert_eq!(pool.pressure().healthy, 0);
+        assert_eq!(pool.health_mask(), vec![false, false]);
     }
 
     #[test]
     fn lease_outlives_pool_and_releases_cleanly() {
         // Release-after-pool-drain ordering: every pool clone is dropped
-        // while leases and queued-work tokens are still live. The ledger
-        // is kept alive by the tokens' own Arcs, so late releases must
-        // neither panic nor corrupt shared state.
+        // while leases are still live. The ledger is kept alive by the
+        // leases' own Arcs, so late releases must neither panic nor
+        // corrupt shared state.
         let pool = DevicePool::homogeneous(DeviceSpec::small_test_device(), 2);
         let clone = pool.clone();
         let lease_a = pool.lease();
         let lease_b = clone.lease();
-        let queued = pool.queue_work();
-        assert_eq!(pool.pressure().total(), 3);
+        assert_eq!(pool.active_leases(), vec![1, 1]);
         drop(pool);
         drop(clone);
         // The devices (and their memory pools) stay usable through the
@@ -707,7 +571,6 @@ mod tests {
         assert_eq!(lease_a.device().used_bytes(), 64);
         drop(buf);
         drop(lease_b);
-        drop(queued);
         lease_a.release();
     }
 
