@@ -17,12 +17,13 @@
 //! * **L1 hit** — the cache simulator's hit rate for one profiled launch
 //!   of the join kernel (the paper's Table II methodology).
 //!
-//! Every table is also written to `bench_results/kernel_hotpath.json` so
-//! the perf trajectory is tracked from this PR on. The run *asserts* the
-//! acceptance bars: the cell-major path (kernels plus hoist) is never
-//! slower on modeled time; on syn-6D the hoist's modeled time is at most
-//! [`HOIST_BAR`] of the join kernels'; and (full runs) the cell-major path
-//! is ≥ 1.3× faster in wall-clock on the syn-2M surrogate.
+//! Every table is also written to `bench_results/kernel_hotpath.json`, a
+//! local file that `.gitignore` keeps out of the repository. The run
+//! *asserts* the acceptance bars: the cell-major path (kernels plus
+//! hoist) is never slower on modeled time; on syn-6D the hoist's modeled
+//! time is at most [`HOIST_BAR`] of the join kernels'; and (full runs)
+//! the cell-major path is ≥ 1.3× faster in wall-clock on the syn-2M
+//! surrogate.
 //!
 //! Note: `--trials` is floored at 3 — the asserted wall-clock ratio is
 //! too noisy at best-of-1 (the modeled columns are the same every trial).

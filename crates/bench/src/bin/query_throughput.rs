@@ -14,8 +14,9 @@
 //!   entry point costs.
 //! * **session** — one [`SelfJoinSession`] per pool: the built index,
 //!   device snapshots and hoisted cell-major plan stay resident; in-band
-//!   queries pay only estimate + kernels, and the pool lease rotation
-//!   spreads the stream across devices.
+//!   queries pay only estimate + kernels, and the pool's rotation over
+//!   its healthy devices ([`DevicePool::next_healthy`]) spreads the
+//!   stream across devices.
 //!
 //! Modeled QPS is `queries / makespan`, with the makespan the busiest
 //! device's accumulated modeled response time (the same convention as
@@ -113,12 +114,12 @@ fn main() {
             let rebuild_makespan = busy.iter().cloned().fold(0.0, f64::max);
             let rebuild_qps = QUERIES as f64 / rebuild_makespan;
 
-            // Resident session over the pool: the lease rotation spreads
-            // the stream; residency amortizes build + upload + hoist. The
-            // reuse floor is sized to the stream: the deepest post-spike
-            // wander is 0.57/1.2 = 0.475 of the spike's build, so a 0.45
-            // floor lets the spike cost one rebuild instead of a cascade
-            // (operators tune the band to their traffic's ε spread).
+            // Resident session over the pool: the pool's device rotation
+            // spreads the stream; residency amortizes build + upload +
+            // hoist. The reuse floor is sized to the stream: the deepest
+            // post-spike wander is 0.57/1.2 = 0.475 of the spike's build,
+            // so a 0.45 floor lets the spike cost one rebuild instead of a
+            // cascade (operators tune the band to their traffic's ε spread).
             let session = SelfJoinSession::new(data.clone(), DevicePool::titan_x(devices))
                 .with_config(SessionConfig {
                     reuse_floor: 0.45,

@@ -132,11 +132,9 @@ pub fn host_knn(data: &Dataset, grid: &GridIndex, q: usize, k: usize) -> Vec<(f6
                 break;
             }
         }
-        let mut any_cell = false;
         for_each_ring_cell(dim, &cell[..dim], grid.cells_per_dim(), ring, |coords| {
             let lin = linearize(coords, grid.cells_per_dim());
             if let Some(h) = grid.find_cell(lin) {
-                any_cell = true;
                 for &cand in grid.cell_points(h) {
                     if cand as usize != q {
                         best.push(euclidean_sq(p, data.point(cand as usize)), cand);
@@ -144,7 +142,6 @@ pub fn host_knn(data: &Dataset, grid: &GridIndex, q: usize, k: usize) -> Vec<(f6
                 }
             }
         });
-        let _ = any_cell;
     }
     best.into_sorted()
 }

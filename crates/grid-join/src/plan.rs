@@ -70,7 +70,7 @@ pub enum IndexStage<'a> {
     /// when a hoisted plan is supplied — the cell-major hoisting pass;
     /// whoever established residency charged those one-time costs.
     ///
-    /// Must execute on the device holding `snapshot` (sessions lease the
+    /// Must execute on the device holding `snapshot` (sessions pick the
     /// device themselves).
     Resident {
         /// The resident host index (`snapshot` mirrors it).

@@ -31,14 +31,14 @@
 //!
 //! ## Concurrency
 //!
-//! Sessions are `Send + Sync`; queries take `&self`. Each query leases
-//! the least-loaded pool device ([`DevicePool::lease`]) so concurrent
-//! sessions — or concurrent queries on one session — spread across
-//! devices. Result correctness is untouched by interleaving: every query
-//! runs against an immutable `Arc`'d index generation, and a concurrent
-//! rebuild simply installs a new generation while in-flight queries
-//! finish on the old one (device memory is freed when the last query
-//! drops its `Arc`).
+//! Sessions are `Send + Sync`; queries take `&self`. An unpinned query
+//! runs on the pool's next healthy device ([`DevicePool::next_healthy`]),
+//! so a stream of queries — from one session or from several sharing the
+//! pool — rotates across devices. Result correctness is untouched by
+//! interleaving: every query runs against an immutable `Arc`'d index
+//! generation, and a concurrent rebuild simply installs a new generation
+//! while in-flight queries finish on the old one (device memory is freed
+//! when the last query drops its `Arc`).
 
 use crate::batching::{batch_split, sample_stride, ExecOptions};
 use crate::cell_major::{CellMajorPlan, HotPath};
@@ -51,15 +51,14 @@ use crate::plan::{execute, IndexStage, JoinPlan, JoinReport};
 use crate::result::NeighborTable;
 use crate::selfjoin::SelfJoinConfig;
 use parking_lot::Mutex;
-use sim_gpu::{host_core_time, Device, DeviceLease, DevicePool, Evictor, LedgerEntry};
+use sim_gpu::{host_core_time, DevicePool, Evictor, LedgerEntry};
 use sj_datasets::Dataset;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Process-wide session id source — the owner tag sessions register their
-/// snapshots under in the pool's [`sim_gpu::MemoryLedger`].
+/// Process-wide session id source (see [`SelfJoinSession::id`]).
 static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Configuration of a resident session.
@@ -265,7 +264,7 @@ impl SelfJoinSession {
         &self.data
     }
 
-    /// The device pool queries lease from.
+    /// The device pool queries run on.
     pub fn pool(&self) -> &DevicePool {
         &self.pool
     }
@@ -275,8 +274,8 @@ impl SelfJoinSession {
         &self.config
     }
 
-    /// Process-unique session id — the owner tag this session's snapshots
-    /// carry in the pool's [`sim_gpu::MemoryLedger`].
+    /// Process-unique session id — the `session` label of this session's
+    /// `session.query` and `session.upload` trace spans.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -316,9 +315,10 @@ impl SelfJoinSession {
     /// whether the resident index was reused or rebuilt.
     ///
     /// Device faults are absorbed here: on an injected crash or transient
-    /// failure the query retries on a fresh lease (the pool skips devices
-    /// in probation), up to one attempt past the pool size, so callers of
-    /// the unpinned path see faults only when every device is failing.
+    /// failure the query retries on the pool's next healthy device (picks
+    /// skip devices in probation), up to one attempt past the pool size,
+    /// so callers of the unpinned path see faults only when every device
+    /// is failing.
     pub fn query(&self, epsilon: f64) -> Result<SessionQueryOutput, SelfJoinError> {
         let attempts = self.pool.len() + 1;
         let mut last = None;
@@ -328,7 +328,7 @@ impl SelfJoinSession {
                     .counter("sj_session_fault_retries_total", &[])
                     .inc();
             }
-            match self.query_with(epsilon, self.pool.lease()) {
+            match self.query_on(epsilon, self.pool.next_healthy()) {
                 Err(e) if e.is_fault() => last = Some(e),
                 other => return other,
             }
@@ -344,18 +344,11 @@ impl SelfJoinSession {
         epsilon: f64,
         device_index: usize,
     ) -> Result<SessionQueryOutput, SelfJoinError> {
-        self.query_with(epsilon, self.pool.lease_device(device_index))
-    }
-
-    fn query_with(
-        &self,
-        epsilon: f64,
-        lease: DeviceLease,
-    ) -> Result<SessionQueryOutput, SelfJoinError> {
+        let device = self.pool.device(device_index);
         let mut span = sj_obs::Span::enter("session.query");
         span.label("session", self.id);
         span.label("epsilon", epsilon);
-        span.label("device", lease.index());
+        span.label("device", device_index);
         let (resident, reused, build_wall) = self.resident_for(epsilon)?;
         let build_modeled = if reused {
             Duration::ZERO
@@ -364,7 +357,7 @@ impl SelfJoinSession {
         };
         span.label("decision", if reused { "reuse" } else { "rebuild" });
         let t_touch = Instant::now();
-        let (snap, first_touch) = self.snapshot_on(&resident, lease.device(), lease.index())?;
+        let (snap, first_touch) = self.snapshot_on(&resident, device_index)?;
         let touch_wall = t_touch.elapsed();
         snap.ledger_entry.touch();
 
@@ -394,7 +387,7 @@ impl SelfJoinSession {
             let safety = self.config.join.batching.safety_factor;
             plan = plan.estimated(((pairs as f64) * safety).ceil() as u64);
         }
-        let mut out = match execute(&plan, lease.device()) {
+        let mut out = match execute(&plan, device) {
             Ok(out) => out,
             Err(e) => {
                 if e.is_fault() {
@@ -403,7 +396,7 @@ impl SelfJoinSession {
                     // the snapshot's liveness unproven). Drop the snapshot
                     // so the next query touching the device re-uploads
                     // through the ordinary eviction/re-upload path.
-                    self.invalidate_snapshot(&resident, lease.index());
+                    self.invalidate_snapshot(&resident, device_index);
                 }
                 return Err(e);
             }
@@ -439,7 +432,7 @@ impl SelfJoinSession {
             table: NeighborTable::from_pairs(self.data.len(), &out.pairs),
             report: out.report,
             reused_index: reused,
-            device: lease.index(),
+            device: device_index,
         })
     }
 
@@ -463,15 +456,15 @@ impl SelfJoinSession {
                 (resident, false)
             }
         };
-        let lease = self.pool.lease();
-        let (snap, _first_touch) = self.snapshot_on(&resident, lease.device(), lease.index())?;
+        let device_index = self.pool.next_healthy();
+        let (snap, _first_touch) = self.snapshot_on(&resident, device_index)?;
         snap.ledger_entry.touch();
-        let hits = gpu_knn_on(lease.device(), &snap.dg, k)?;
+        let hits = gpu_knn_on(self.pool.device(device_index), &snap.dg, k)?;
         self.state.lock().stats.knn_queries += 1;
         Ok(SessionKnnOutput {
             hits,
             reused_index: reused,
-            device: lease.index(),
+            device: device_index,
         })
     }
 
@@ -513,17 +506,17 @@ impl SelfJoinSession {
         Ok((resident, false, build_wall))
     }
 
-    /// Returns `device`'s snapshot of this generation, uploading (and
-    /// hoisting, on the cell-major path) on first touch — making room in
-    /// the pool's snapshot ledger first, and registering the new snapshot
-    /// with it so LRU eviction can reclaim it later. Returns
-    /// `(snapshot, first_touch)`.
+    /// Returns pool device `device_index`'s snapshot of this generation,
+    /// uploading (and hoisting, on the cell-major path) on first touch —
+    /// making room in the pool's snapshot ledger first, and registering
+    /// the new snapshot with it so LRU eviction can reclaim it later.
+    /// Returns `(snapshot, first_touch)`.
     fn snapshot_on(
         &self,
         resident: &Arc<Resident>,
-        device: &Device,
         device_index: usize,
     ) -> Result<(Arc<DeviceSnapshot>, bool), SelfJoinError> {
+        let device = self.pool.device(device_index);
         if let Some(snap) = resident.snapshots.lock().get(&device_index) {
             return Ok((Arc::clone(snap), false));
         }
@@ -580,7 +573,7 @@ impl SelfJoinSession {
             };
             try_evict_snapshot(&resident, device_index, &evictions)
         });
-        let ledger_entry = ledger.register(self.id, device_index, resident_bytes, evict);
+        let ledger_entry = ledger.register(resident_bytes, evict);
         let snap = Arc::new(DeviceSnapshot {
             dg,
             hoist,
@@ -844,7 +837,7 @@ mod tests {
         for _ in 0..6 {
             devices_seen.insert(session.query(eps).unwrap().device);
         }
-        // Leases alternate across both devices; each uploaded exactly once.
+        // Picks alternate across both devices; each uploaded exactly once.
         assert_eq!(devices_seen.len(), 2);
         let stats = session.stats();
         assert_eq!(stats.snapshot_uploads, 2);
@@ -854,7 +847,7 @@ mod tests {
     #[test]
     fn knn_reuses_the_resident_snapshot() {
         let data = uniform(2, 500, 77);
-        let device = Device::new(sim_gpu::DeviceSpec::titan_x_pascal());
+        let device = sim_gpu::Device::new(sim_gpu::DeviceSpec::titan_x_pascal());
         let session = SelfJoinSession::new(data.clone(), DevicePool::titan_x(1));
         let eps = 5.0;
         session.query(eps).unwrap();
@@ -989,7 +982,6 @@ mod tests {
         assert_eq!(pool.device(0).used_bytes(), 0);
         let fresh = GpuSelfJoin::default_device().run(&data, 2.0).unwrap();
         assert_eq!(out.table, fresh.table);
-        assert_eq!(pool.active_leases(), vec![0, 0, 0], "lease returned");
     }
 
     /// The workloads the projection tests price (about 16 neighbors per
@@ -1124,5 +1116,36 @@ mod tests {
         assert_eq!(out.device, 0);
         assert_eq!(out.table, fresh.table);
         assert!(!pool.is_healthy(1));
+    }
+
+    #[test]
+    fn unpinned_queries_return_to_a_device_once_it_heals() {
+        use sim_gpu::{FaultEvent, FaultKind, FaultPlan};
+        let data = uniform(2, 700, 94);
+        let pool = DevicePool::titan_x(2);
+        // Device 1 crashes on its first op and heals on the second health
+        // read after it (one failed probe, then the healing one).
+        pool.inject_faults(&FaultPlan::new(vec![FaultEvent {
+            device: 1,
+            after_ops: 1,
+            kind: FaultKind::Crash {
+                heal_after_probes: 1,
+            },
+        }]));
+        let session = SelfJoinSession::new(data.clone(), pool.clone());
+        let eps = 2.0;
+        let fresh = GpuSelfJoin::default_device().run(&data, eps).unwrap();
+        // Query 1 runs on device 0. Query 2 picks device 1, which
+        // crashes; its retry's pick probes device 1 once (a failure) and
+        // lands on device 0. Query 3's pick probes again and heals it.
+        let devices: Vec<usize> = (0..3)
+            .map(|_| {
+                let out = session.query(eps).unwrap();
+                assert_eq!(out.table, fresh.table);
+                out.device
+            })
+            .collect();
+        assert_eq!(devices, vec![0, 0, 1]);
+        assert!(pool.is_healthy(1));
     }
 }

@@ -212,7 +212,7 @@ impl Device {
 
     /// Installs the pool's armed fault injector on this device. Called by
     /// [`crate::DevicePool::inject_faults`]; every clone of the device
-    /// (leases, snapshots, sessions) shares the installed handle.
+    /// (snapshots, sessions) shares the installed handle.
     ///
     /// # Panics
     ///

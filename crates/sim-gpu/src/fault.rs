@@ -11,25 +11,27 @@
 //! device's *operation axis*: the injector counts device operations
 //! (uploads, kernel launches) and fires an event when a device's counter
 //! crosses the event's threshold. Counting operations instead of wall
-//! time makes the fault *schedule* reproducible regardless of host speed.
-//! A run's *outcome* is not, yet: reinstatement probes are timed on the
-//! wall clock (`Instant::now()`), so when a crashed device heals, and with
-//! it where later work lands and which events fire, depends on the host.
+//! time makes the fault *schedule* reproducible regardless of host speed,
+//! and no clock decides recovery either: a crashed device heals after a
+//! set number of health reads (below). What still keeps a concurrent
+//! run's *outcome* from replaying is thread timing: which worker reaches
+//! a device's operation counter, or a health read, first.
 //!
 //! Three fault kinds model the failure classes the layers above must
 //! survive:
 //!
 //! | kind | effect | recovery path |
 //! |---|---|---|
-//! | [`FaultKind::Crash`] | device marked down; every op fails until reinstated | pool probation probes (exponential backoff) |
+//! | [`FaultKind::Crash`] | device marked down; every op fails until reinstated | pool probation probes, one per health read |
 //! | [`FaultKind::Transient`] | exactly one op fails; device stays healthy | caller retries (same or another device) |
 //! | [`FaultKind::Straggler`] | modeled time inflated by a factor for a window of ops | none needed — results stay exact, only latency degrades |
 //!
-//! Device health lives in a [`HealthLedger`] shared by every clone of a
-//! pool. A crashed device sits in *probation*: reinstatement probes run
-//! with exponential wall-clock backoff, and after the event's
-//! `heal_after_probes` failed probes the next probe reinstates it
-//! (modeling a device reset or reattach completing).
+//! Device health lives in a `HealthLedger` shared by every clone of a
+//! pool. A crashed device sits in *probation*: every
+//! [`DevicePool::health_mask`](crate::DevicePool::health_mask) read probes
+//! it once, and after the event's `heal_after_probes` failed probes the
+//! next probe reinstates it (modeling a device reset or reattach
+//! completing).
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -38,7 +40,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The device-side operation classes the injector can fail.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -299,32 +300,12 @@ impl FaultPlan {
     }
 }
 
-/// Health-probe timing knobs for [`HealthLedger`].
-#[derive(Clone, Copy, Debug)]
-pub struct HealthConfig {
-    /// Wall-clock delay before the first reinstatement probe of a downed
-    /// device; doubles after every failed probe.
-    pub probe_backoff: Duration,
-    /// Ceiling on the probe backoff.
-    pub probe_backoff_max: Duration,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            probe_backoff: Duration::from_micros(200),
-            probe_backoff_max: Duration::from_millis(20),
-        }
-    }
-}
-
 /// Public snapshot of one device's health.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeviceHealth {
     /// Serving normally.
     Healthy,
-    /// Down, in probation: reinstatement probes are running with
-    /// exponential backoff.
+    /// Down, in probation: each health read probes it once.
     Down {
         /// Probes that have already failed.
         failed_probes: u32,
@@ -334,12 +315,7 @@ pub enum DeviceHealth {
 #[derive(Clone, Debug)]
 enum HealthState {
     Healthy,
-    Down {
-        failed_probes: u32,
-        heal_after: u32,
-        next_probe: Instant,
-        backoff: Duration,
-    },
+    Down { failed_probes: u32, heal_after: u32 },
 }
 
 /// Per-device health shared by every clone of a pool.
@@ -347,21 +323,20 @@ enum HealthState {
 /// State machine per device:
 ///
 /// ```text
-///            crash fault / quarantine
+///            crash fault
 ///   Healthy ───────────────────────────▶ Down(probation)
 ///      ▲                                     │
 ///      │   probe #k succeeds                 │ probe #j fails
 ///      │   (k > heal_after_probes)           │ (j ≤ heal_after_probes)
-///      └─────────────────────────────────────┤ backoff ×2, re-probe
+///      └─────────────────────────────────────┤ re-probe at the next read
 /// ```
 ///
-/// Probes are driven lazily: every
-/// [`DevicePool::health_mask`](crate::DevicePool::health_mask) call
-/// (leasing makes one) runs the due probes before reading health.
+/// Probes are driven by reads, not by a clock: every
+/// [`DevicePool::health_mask`](crate::DevicePool::health_mask) call probes
+/// each downed device once before reading health.
 #[derive(Debug)]
-pub struct HealthLedger {
+pub(crate) struct HealthLedger {
     states: Mutex<Vec<HealthState>>,
-    cfg: HealthConfig,
     /// `sj_pool_unhealthy_devices` gauge plus fault/reinstatement counters.
     stats: HealthStats,
 }
@@ -384,34 +359,32 @@ impl HealthStats {
             reinstated: reg.counter("sj_pool_devices_reinstated_total", &[("pool", &pool)]),
         }
     }
+
+    fn set_unhealthy(&self, states: &[HealthState]) {
+        let down = states
+            .iter()
+            .filter(|s| matches!(s, HealthState::Down { .. }))
+            .count();
+        self.unhealthy.set(down as f64);
+    }
 }
 
 impl HealthLedger {
     /// A ledger with every device healthy.
-    pub fn new(devices: usize, cfg: HealthConfig) -> Self {
+    pub(crate) fn new(devices: usize) -> Self {
         Self {
             states: Mutex::new(vec![HealthState::Healthy; devices]),
-            cfg,
             stats: HealthStats::register(),
         }
     }
 
     /// Whether device `i` is currently serving (not in probation).
-    pub fn is_healthy(&self, i: usize) -> bool {
+    pub(crate) fn is_healthy(&self, i: usize) -> bool {
         matches!(self.states.lock()[i], HealthState::Healthy)
     }
 
-    /// Healthy flag per device, in index order.
-    pub fn mask(&self) -> Vec<bool> {
-        self.states
-            .lock()
-            .iter()
-            .map(|s| matches!(s, HealthState::Healthy))
-            .collect()
-    }
-
     /// Public health snapshot per device.
-    pub fn snapshot(&self) -> Vec<DeviceHealth> {
+    pub(crate) fn snapshot(&self) -> Vec<DeviceHealth> {
         self.states
             .lock()
             .iter()
@@ -427,7 +400,7 @@ impl HealthLedger {
     /// Marks device `i` down (into probation). The device reinstates
     /// after `heal_after_probes` failed probes. Idempotent while down —
     /// repeated faults on a downed device don't reset its probe progress.
-    pub fn mark_down(&self, i: usize, heal_after_probes: u32) {
+    pub(crate) fn mark_down(&self, i: usize, heal_after_probes: u32) {
         let mut states = self.states.lock();
         if matches!(states[i], HealthState::Down { .. }) {
             return;
@@ -435,56 +408,41 @@ impl HealthLedger {
         states[i] = HealthState::Down {
             failed_probes: 0,
             heal_after: heal_after_probes,
-            next_probe: Instant::now() + self.cfg.probe_backoff,
-            backoff: self.cfg.probe_backoff,
         };
         self.stats.downed.inc();
-        let down = states
-            .iter()
-            .filter(|s| matches!(s, HealthState::Down { .. }))
-            .count();
-        self.stats.unhealthy.set(down as f64);
+        self.stats.set_unhealthy(&states);
     }
 
-    /// Runs every due reinstatement probe; returns how many devices were
-    /// reinstated. A probe "fails" while the crash's `heal_after_probes`
-    /// budget is unspent (the modeled driver reset hasn't completed) and
-    /// doubles the backoff; the first probe past the budget heals the
-    /// device.
-    pub fn probe_due(&self) -> usize {
-        let now = Instant::now();
-        let mut reinstated = 0;
+    /// Probes every downed device once, then returns the healthy flag per
+    /// device in index order. A probe fails while the crash's
+    /// `heal_after_probes` budget is unspent (the modeled device reset
+    /// hasn't completed); the first probe past the budget heals the device.
+    pub(crate) fn probe(&self) -> Vec<bool> {
         let mut states = self.states.lock();
+        let mut reinstated = 0;
         for state in states.iter_mut() {
             if let HealthState::Down {
                 failed_probes,
                 heal_after,
-                next_probe,
-                backoff,
             } = state
             {
-                while *next_probe <= now {
-                    let _span = sj_obs::Span::enter("fault.probe");
-                    if *failed_probes >= *heal_after {
-                        *state = HealthState::Healthy;
-                        reinstated += 1;
-                        break;
-                    }
+                let _span = sj_obs::Span::enter("fault.probe");
+                if *failed_probes >= *heal_after {
+                    *state = HealthState::Healthy;
+                    reinstated += 1;
+                } else {
                     *failed_probes += 1;
-                    *backoff = (*backoff * 2).min(self.cfg.probe_backoff_max);
-                    *next_probe += *backoff;
                 }
             }
         }
         if reinstated > 0 {
-            self.stats.reinstated.add(reinstated as u64);
-            let down = states
-                .iter()
-                .filter(|s| matches!(s, HealthState::Down { .. }))
-                .count();
-            self.stats.unhealthy.set(down as f64);
+            self.stats.reinstated.add(reinstated);
+            self.stats.set_unhealthy(&states);
         }
-        reinstated
+        states
+            .iter()
+            .map(|s| matches!(s, HealthState::Healthy))
+            .collect()
     }
 }
 
@@ -505,13 +463,13 @@ impl fmt::Debug for DeviceFaultState {
 }
 
 /// The armed runtime of a [`FaultPlan`]: per-device operation counters
-/// plus the shared [`HealthLedger`] crash events mark.
+/// plus the shared `HealthLedger` crash events mark.
 ///
 /// Installed into every device of a pool by
 /// [`crate::DevicePool::inject_faults`]; devices consult it through
 /// [`crate::Device::fault_check`] at their upload/launch boundaries.
 #[derive(Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     state: Mutex<Vec<DeviceFaultState>>,
     health: Arc<HealthLedger>,
     injected: [sj_obs::Counter; 3],
@@ -520,7 +478,7 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Arms `plan` over `devices` devices against the shared `health`
     /// ledger.
-    pub fn new(plan: &FaultPlan, devices: usize, health: Arc<HealthLedger>) -> Arc<Self> {
+    pub(crate) fn new(plan: &FaultPlan, devices: usize, health: Arc<HealthLedger>) -> Arc<Self> {
         let mut state: Vec<DeviceFaultState> = (0..devices)
             .map(|_| DeviceFaultState {
                 ops: 0,
@@ -552,7 +510,7 @@ impl FaultInjector {
     /// Counts one operation on `device` and fires any event whose
     /// threshold it crossed. A downed device fails every operation until
     /// the health ledger reinstates it.
-    pub fn check(&self, device: usize, op: FaultOp) -> Result<(), DeviceFault> {
+    pub(crate) fn check(&self, device: usize, op: FaultOp) -> Result<(), DeviceFault> {
         if !self.health.is_healthy(device) {
             return Err(DeviceFault::Crashed { device });
         }
@@ -588,7 +546,7 @@ impl FaultInjector {
 
     /// Current modeled-time inflation factor of `device` (1.0 when no
     /// straggler window is open).
-    pub fn slowdown(&self, device: usize) -> f64 {
+    pub(crate) fn slowdown(&self, device: usize) -> f64 {
         let state = self.state.lock();
         let s = &state[device];
         if s.ops < s.slow_until {
@@ -597,25 +555,14 @@ impl FaultInjector {
             1.0
         }
     }
-
-    /// Total operations counted on `device` since arming.
-    pub fn ops(&self, device: usize) -> u64 {
-        self.state.lock()[device].ops
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fast_health(devices: usize) -> Arc<HealthLedger> {
-        Arc::new(HealthLedger::new(
-            devices,
-            HealthConfig {
-                probe_backoff: Duration::ZERO,
-                probe_backoff_max: Duration::ZERO,
-            },
-        ))
+    fn health(devices: usize) -> Arc<HealthLedger> {
+        Arc::new(HealthLedger::new(devices))
     }
 
     #[test]
@@ -681,7 +628,7 @@ mod tests {
             after_ops: 2,
             kind: FaultKind::Transient,
         }]);
-        let inj = FaultInjector::new(&plan, 1, fast_health(1));
+        let inj = FaultInjector::new(&plan, 1, health(1));
         assert!(inj.check(0, FaultOp::Launch).is_ok());
         assert_eq!(
             inj.check(0, FaultOp::Upload),
@@ -703,7 +650,7 @@ mod tests {
                 heal_after_probes: 2,
             },
         }]);
-        let health = fast_health(2);
+        let health = health(2);
         let inj = FaultInjector::new(&plan, 2, Arc::clone(&health));
         assert_eq!(
             inj.check(1, FaultOp::Launch),
@@ -716,10 +663,10 @@ mod tests {
             inj.check(1, FaultOp::Upload),
             Err(DeviceFault::Crashed { device: 1 })
         );
-        // Zero-backoff probes run immediately: two fail, the third heals.
-        let reinstated = health.probe_due();
-        assert_eq!(reinstated, 1);
-        assert!(health.is_healthy(1));
+        // Each read probes device 1 once: two probes fail, the third heals.
+        assert_eq!(health.probe(), vec![true, false]);
+        assert_eq!(health.probe(), vec![true, false]);
+        assert_eq!(health.probe(), vec![true, true]);
         assert!(inj.check(1, FaultOp::Launch).is_ok());
     }
 
@@ -733,7 +680,7 @@ mod tests {
                 ops: 2,
             },
         }]);
-        let inj = FaultInjector::new(&plan, 1, fast_health(1));
+        let inj = FaultInjector::new(&plan, 1, health(1));
         assert!((inj.slowdown(0) - 1.0).abs() < 1e-12);
         assert!(
             inj.check(0, FaultOp::Launch).is_ok(),
@@ -748,36 +695,31 @@ mod tests {
 
     #[test]
     fn mark_down_is_idempotent_while_down() {
-        let health = Arc::new(HealthLedger::new(
-            1,
-            HealthConfig {
-                probe_backoff: Duration::from_secs(3600),
-                probe_backoff_max: Duration::from_secs(3600),
-            },
-        ));
+        let health = health(1);
         health.mark_down(0, 5);
+        health.probe();
         let before = health.snapshot();
         health.mark_down(0, 0); // must not reset the heal budget
         assert_eq!(health.snapshot(), before);
-        assert!(!health.is_healthy(0));
+        assert_eq!(health.probe(), vec![false], "budget of 5 still unspent");
     }
 
     #[test]
     fn health_snapshot_reports_probation() {
-        let health = Arc::new(HealthLedger::new(
-            2,
-            HealthConfig {
-                probe_backoff: Duration::from_secs(3600),
-                probe_backoff_max: Duration::from_secs(3600),
-            },
-        ));
+        let health = health(2);
         health.mark_down(1, 3);
-        assert_eq!(health.mask(), vec![true, false]);
-        // Probe not yet due (1h backoff): nothing reinstates.
-        assert_eq!(health.probe_due(), 0);
+        assert_eq!(
+            health.snapshot(),
+            vec![
+                DeviceHealth::Healthy,
+                DeviceHealth::Down { failed_probes: 0 }
+            ]
+        );
+        // One read probes once: the failure is counted, nothing heals.
+        assert_eq!(health.probe(), vec![true, false]);
         assert_eq!(
             health.snapshot()[1],
-            DeviceHealth::Down { failed_probes: 0 }
+            DeviceHealth::Down { failed_probes: 1 }
         );
     }
 }

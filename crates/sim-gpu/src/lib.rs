@@ -25,9 +25,9 @@
 //!   the sharded multi-device engine.
 //! * **Fault injection** — seeded, reproducible schedules of device
 //!   crashes, transient upload/launch failures and straggler slowdowns
-//!   ([`fault`]), with a per-device health ledger (probation +
-//!   exponential-backoff reinstatement probes) the pool consults when
-//!   leasing — the adversarial substrate the layers above prove their
+//!   ([`fault`]), with a per-device health ledger (probation, and one
+//!   reinstatement probe per health read) the pool consults when it picks
+//!   a device — the adversarial substrate the layers above prove their
 //!   failover against.
 //!
 //! Kernels run in two modes sharing one code path: a **fast mode** (a
@@ -62,13 +62,12 @@ pub use append::{AppendBuffer, Reservation};
 pub use cache::{CacheConfig, CacheSim, CacheStats};
 pub use device::{host_core_time, Device, DeviceSpec, HOST_CORE_BYTES_PER_SEC};
 pub use fault::{
-    DeviceFault, DeviceHealth, FaultEvent, FaultInjector, FaultKind, FaultOp, FaultPlan,
-    HealthConfig, HealthLedger, StormConfig,
+    DeviceFault, DeviceHealth, FaultEvent, FaultKind, FaultOp, FaultPlan, StormConfig,
 };
 pub use kernel::{launch, launch_profiled, Kernel, LaunchConfig, LaunchStats, ThreadCtx, Tracer};
 pub use memory::{DeviceBuffer, Evictor, LedgerEntry, MemoryLedger, MemoryPool, OutOfMemory};
 pub use occupancy::{occupancy, KernelResources, OccupancyResult};
-pub use pool::{DeviceLease, DevicePool, DeviceTally};
+pub use pool::{DevicePool, DeviceTally};
 pub use profiler::{KernelMetrics, ProfiledLaunch};
 pub use transfer::{BatchCost, StreamTimeline, TimelineReport, TransferModel};
 pub use work::{launch_work_profiled, WorkProfile, WorkTracer};

@@ -210,8 +210,6 @@ pub type Evictor = Arc<dyn Fn() -> bool + Send + Sync>;
 
 #[derive(Clone)]
 struct LedgerSlot {
-    owner: u64,
-    device: usize,
     bytes: usize,
     /// Recency stamp from the ledger's logical clock (bigger = newer).
     seq: u64,
@@ -335,17 +333,6 @@ impl MemoryLedger {
         self.inner.lock().total
     }
 
-    /// Registered resident bytes on one device.
-    pub fn device_total(&self, device: usize) -> usize {
-        self.inner
-            .lock()
-            .slots
-            .values()
-            .filter(|s| s.device == device)
-            .map(|s| s.bytes)
-            .sum()
-    }
-
     /// Registered entry count.
     pub fn len(&self) -> usize {
         self.inner.lock().slots.len()
@@ -409,26 +396,17 @@ impl MemoryLedger {
         }
     }
 
-    /// Registers `bytes` of resident state owned by `owner` on `device`,
-    /// first making room under the budget. The returned guard unregisters
-    /// the entry exactly once when dropped.
-    pub fn register(&self, owner: u64, device: usize, bytes: usize, evict: Evictor) -> LedgerEntry {
+    /// Registers `bytes` of resident state, first making room under the
+    /// budget; `evict` drops it on the ledger's behalf. The returned guard
+    /// unregisters the entry exactly once when dropped.
+    pub fn register(&self, bytes: usize, evict: Evictor) -> LedgerEntry {
         self.make_room(bytes);
         let mut inner = self.inner.lock();
         let id = inner.next_id;
         inner.next_id += 1;
         inner.clock += 1;
         let seq = inner.clock;
-        inner.slots.insert(
-            id,
-            LedgerSlot {
-                owner,
-                device,
-                bytes,
-                seq,
-                evict,
-            },
-        );
+        inner.slots.insert(id, LedgerSlot { bytes, seq, evict });
         inner.total += bytes;
         inner.metrics.resident_bytes.set(inner.total as f64);
         LedgerEntry {
@@ -453,15 +431,6 @@ impl MemoryLedger {
             inner.total = inner.total.saturating_sub(slot.bytes);
             inner.metrics.resident_bytes.set(inner.total as f64);
         }
-    }
-
-    /// Owners (with their per-owner byte totals) in LRU-first order —
-    /// introspection for service metrics and tests.
-    pub fn owners_lru(&self) -> Vec<(u64, usize)> {
-        let inner = self.inner.lock();
-        let mut slots: Vec<&LedgerSlot> = inner.slots.values().collect();
-        slots.sort_by_key(|s| s.seq);
-        slots.iter().map(|s| (s.owner, s.bytes)).collect()
     }
 }
 
@@ -577,7 +546,6 @@ mod tests {
     /// the evictor clears the slot (dropping the guard → unregistering).
     fn register_slot(
         ledger: &MemoryLedger,
-        owner: u64,
         bytes: usize,
         busy: Arc<std::sync::atomic::AtomicBool>,
     ) -> Arc<PlMutex<Option<LedgerEntry>>> {
@@ -593,7 +561,7 @@ mod tests {
             let taken = slot.lock().take();
             taken.is_some()
         });
-        *slot.lock() = Some(ledger.register(owner, 0, bytes, evict));
+        *slot.lock() = Some(ledger.register(bytes, evict));
         slot
     }
 
@@ -605,11 +573,10 @@ mod tests {
     fn ledger_tracks_registration_and_raii_unregister() {
         let ledger = MemoryLedger::new();
         assert!(ledger.is_empty());
-        let a = register_slot(&ledger, 1, 600, idle());
-        let b = register_slot(&ledger, 2, 400, idle());
+        let a = register_slot(&ledger, 600, idle());
+        let b = register_slot(&ledger, 400, idle());
         assert_eq!(ledger.total(), 1000);
         assert_eq!(ledger.len(), 2);
-        assert_eq!(ledger.device_total(0), 1000);
         a.lock().take();
         assert_eq!(ledger.total(), 400);
         drop(b);
@@ -622,8 +589,8 @@ mod tests {
     fn make_room_evicts_lru_first() {
         let ledger = MemoryLedger::new();
         ledger.set_budget(Some(1000));
-        let a = register_slot(&ledger, 1, 400, idle());
-        let b = register_slot(&ledger, 2, 400, idle());
+        let a = register_slot(&ledger, 400, idle());
+        let b = register_slot(&ledger, 400, idle());
         // Touch a: b becomes the LRU victim.
         a.lock().as_ref().unwrap().touch();
         let freed = ledger.make_room(400);
@@ -638,8 +605,8 @@ mod tests {
     fn register_enforces_budget() {
         let ledger = MemoryLedger::new();
         ledger.set_budget(Some(1000));
-        let a = register_slot(&ledger, 1, 600, idle());
-        let _b = register_slot(&ledger, 2, 600, idle());
+        let a = register_slot(&ledger, 600, idle());
+        let _b = register_slot(&ledger, 600, idle());
         assert!(a.lock().is_none(), "a evicted to fit b");
         assert!(ledger.total() <= 1000);
     }
@@ -650,15 +617,15 @@ mod tests {
         ledger.set_budget(Some(1000));
         let busy_flag = idle();
         busy_flag.store(true, std::sync::atomic::Ordering::SeqCst);
-        let a = register_slot(&ledger, 1, 500, Arc::clone(&busy_flag));
-        let b = register_slot(&ledger, 2, 400, idle());
+        let a = register_slot(&ledger, 500, Arc::clone(&busy_flag));
+        let b = register_slot(&ledger, 400, idle());
         // a is LRU but in use: make_room must take b instead.
         let freed = ledger.make_room(300);
         assert_eq!(freed, 400);
         assert!(a.lock().is_some());
         assert!(b.lock().is_none());
         // Everything busy: make_room gives up without freeing.
-        let c = register_slot(&ledger, 3, 400, Arc::clone(&busy_flag));
+        let c = register_slot(&ledger, 400, Arc::clone(&busy_flag));
         busy_flag.store(true, std::sync::atomic::Ordering::SeqCst);
         assert_eq!(ledger.make_room(10_000), 0);
         assert!(a.lock().is_some());
@@ -668,17 +635,8 @@ mod tests {
     #[test]
     fn unbudgeted_ledger_never_evicts() {
         let ledger = MemoryLedger::new();
-        let a = register_slot(&ledger, 1, 1 << 20, idle());
+        let a = register_slot(&ledger, 1 << 20, idle());
         assert_eq!(ledger.make_room(usize::MAX / 2), 0);
         assert!(a.lock().is_some());
-    }
-
-    #[test]
-    fn owners_lru_orders_by_recency() {
-        let ledger = MemoryLedger::new();
-        let a = register_slot(&ledger, 7, 100, idle());
-        let _b = register_slot(&ledger, 8, 200, idle());
-        a.lock().as_ref().unwrap().touch();
-        assert_eq!(ledger.owners_lru(), vec![(8, 200), (7, 100)]);
     }
 }

@@ -50,7 +50,7 @@ pub use grid_join::{
     GpuSelfJoin, GridIndex, HotPath, JoinPlan, NeighborTable, Pair, ProjectedCost, SelfJoinConfig,
     SelfJoinError, SelfJoinOutput, SelfJoinSession, SessionConfig, SessionStats,
 };
-pub use sim_gpu::{Device, DeviceLease, DevicePool, DeviceSpec, MemoryLedger};
+pub use sim_gpu::{Device, DevicePool, DeviceSpec, MemoryLedger};
 pub use sj_serve::{
     AdmissionConfig, QueryRequest, SelfJoinService, ServeError, ServiceConfig, ServiceMetrics,
 };

@@ -77,7 +77,7 @@ proptest! {
     }
 
     /// (b) Concurrent sessions on a shared `DevicePool` each match their
-    /// serial result — interleaving across leased devices never leaks
+    /// serial result — interleaving across the pool's devices never leaks
     /// between sessions.
     #[test]
     fn concurrent_sessions_match_serial_results(
@@ -120,7 +120,7 @@ proptest! {
             let shrunk = GpuSelfJoin::default_device().run(data, eps * 0.8).unwrap();
             prop_assert_eq!(b, &shrunk.table, "session {} shrunk query", i);
         }
-        // All leases returned; sessions dropped → all memory released.
+        // Sessions dropped → all memory released.
         prop_assert_eq!(pool.total_used_bytes(), 0);
     }
 
