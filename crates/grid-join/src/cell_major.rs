@@ -453,16 +453,6 @@ impl CellMajorPlan {
         self.cell_of_slot.size_bytes() + self.nbr_offsets.size_bytes() + self.nbr_cells.size_bytes()
     }
 
-    /// Upper bound on [`Self::resident_bytes`] for a plan over `grid`,
-    /// computable before the hoisting kernels run: every cell has at most
-    /// `min(3^dim, |B|)` existing neighbor cells in the CSR table.
-    pub fn projected_bytes_upper(grid: &DeviceGrid) -> usize {
-        let nb = grid.b.len();
-        let shell = 3usize.saturating_pow(grid.dim as u32).min(nb.max(1));
-        let u32s = std::mem::size_of::<u32>();
-        grid.num_points * u32s + (nb + 1) * u32s + nb.saturating_mul(shell) * u32s
-    }
-
     /// Builds the plan on the device: two one-thread-per-cell kernel
     /// passes (count, then fill) clip the adjacent ranges and walk `B`
     /// once per pass. The host prefix-sums the counts into CSR offsets and

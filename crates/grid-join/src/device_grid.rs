@@ -78,19 +78,6 @@ impl DeviceGrid {
         })
     }
 
-    /// Exact bytes [`Self::upload`] will charge to the device for this
-    /// data/grid pair — computable *before* allocating, so a budgeted
-    /// caller can make room first (mirrors the buffer list in `upload`).
-    pub fn projected_bytes(data: &Dataset, grid: &GridIndex) -> usize {
-        let m_total: usize = (0..grid.dim()).map(|j| grid.m(j).len()).sum();
-        std::mem::size_of_val(data.coords())
-            + std::mem::size_of_val(grid.reordered_coords())
-            + std::mem::size_of_val(grid.a())
-            + std::mem::size_of_val(grid.b())
-            + std::mem::size_of_val(grid.g())
-            + m_total * std::mem::size_of::<u32>()
-    }
-
     /// Bytes uploaded host→device (for the transfer-overlap model).
     pub fn h2d_bytes(&self) -> usize {
         self.coords.size_bytes()
@@ -136,11 +123,6 @@ mod tests {
             dev.used_bytes(),
             dg.h2d_bytes(),
             "device accounting must match uploaded bytes"
-        );
-        assert_eq!(
-            DeviceGrid::projected_bytes(&data, &grid),
-            dg.h2d_bytes(),
-            "projection must match the actual upload exactly"
         );
     }
 

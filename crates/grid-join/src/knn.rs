@@ -329,12 +329,14 @@ pub fn gpu_knn(
 /// [`gpu_knn`] against an already-resident device snapshot: the ring
 /// search runs at the snapshot's cell width, so any grid over the dataset
 /// serves (cell width only trades rings against per-ring scan size —
-/// results are exact either way).
+/// results are exact either way). The launch is a device operation of the
+/// fault model, so a crashed device fails it.
 pub fn gpu_knn_on(
     device: &Device,
     dg: &DeviceGrid,
     k: usize,
 ) -> Result<Vec<Vec<KnnHit>>, crate::error::SelfJoinError> {
+    device.fault_check(sim_gpu::FaultOp::Launch)?;
     let n = dg.num_points;
     let mut results = AppendBuffer::<KnnHit>::new(device.pool(), n * k)?;
     let kernel = KnnKernel {

@@ -320,15 +320,25 @@ impl SelfJoinSession {
     /// so callers of the unpinned path see faults only when every device
     /// is failing.
     pub fn query(&self, epsilon: f64) -> Result<SessionQueryOutput, SelfJoinError> {
-        let attempts = self.pool.len() + 1;
+        self.on_healthy_device(|device_index| self.query_on(epsilon, device_index))
+    }
+
+    /// Runs `attempt` on the pool's next healthy device, and again on the
+    /// next one after each device fault, up to one attempt past the pool
+    /// size. Returns the first outcome that is not a fault, or the last
+    /// fault.
+    fn on_healthy_device<T>(
+        &self,
+        mut attempt: impl FnMut(usize) -> Result<T, SelfJoinError>,
+    ) -> Result<T, SelfJoinError> {
         let mut last = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
+        for retry in 0..=self.pool.len() {
+            if retry > 0 {
                 sj_obs::registry()
                     .counter("sj_session_fault_retries_total", &[])
                     .inc();
             }
-            match self.query_on(epsilon, self.pool.next_healthy()) {
+            match attempt(self.pool.next_healthy()) {
                 Err(e) if e.is_fault() => last = Some(e),
                 other => return other,
             }
@@ -446,6 +456,9 @@ impl SelfJoinSession {
     /// serves the query (no rebuild thrash when kNN hints interleave
     /// with out-of-band join ε values). `epsilon` is only the cell-width
     /// hint used when nothing is resident yet.
+    ///
+    /// Device faults are absorbed as in [`Self::query`]: a fault drops the
+    /// device's snapshot and the query retries on the next healthy device.
     pub fn knn(&self, epsilon: f64, k: usize) -> Result<SessionKnnOutput, SelfJoinError> {
         // The lock guard must drop before resident_for re-locks.
         let existing = self.state.lock().resident.as_ref().map(Arc::clone);
@@ -456,10 +469,17 @@ impl SelfJoinSession {
                 (resident, false)
             }
         };
-        let device_index = self.pool.next_healthy();
-        let (snap, _first_touch) = self.snapshot_on(&resident, device_index)?;
-        snap.ledger_entry.touch();
-        let hits = gpu_knn_on(self.pool.device(device_index), &snap.dg, k)?;
+        let (hits, device_index) = self.on_healthy_device(|device_index| {
+            let (snap, _first_touch) = self.snapshot_on(&resident, device_index)?;
+            snap.ledger_entry.touch();
+            let device = self.pool.device(device_index);
+            let hits = gpu_knn_on(device, &snap.dg, k).inspect_err(|e| {
+                if e.is_fault() {
+                    self.invalidate_snapshot(&resident, device_index);
+                }
+            })?;
+            Ok((hits, device_index))
+        })?;
         self.state.lock().stats.knn_queries += 1;
         Ok(SessionKnnOutput {
             hits,
@@ -507,10 +527,10 @@ impl SelfJoinSession {
     }
 
     /// Returns pool device `device_index`'s snapshot of this generation,
-    /// uploading (and hoisting, on the cell-major path) on first touch —
-    /// making room in the pool's snapshot ledger first, and registering
-    /// the new snapshot with it so LRU eviction can reclaim it later.
-    /// Returns `(snapshot, first_touch)`.
+    /// uploading (and hoisting, on the cell-major path) on first touch,
+    /// then registering the bytes it allocated with the pool's snapshot
+    /// ledger — which makes room under its budget first, and can evict the
+    /// snapshot later. Returns `(snapshot, first_touch)`.
     fn snapshot_on(
         &self,
         resident: &Arc<Resident>,
@@ -520,19 +540,9 @@ impl SelfJoinSession {
         if let Some(snap) = resident.snapshots.lock().get(&device_index) {
             return Ok((Arc::clone(snap), false));
         }
-        // Budgeted pools evict LRU snapshots (this session's or another's)
-        // *before* the upload allocates, so the budget holds throughout.
-        // The projection is exact for the grid part and an upper bound for
-        // the hoist CSR. The permit serializes concurrent budgeted uploads
-        // pool-wide — without it, two sessions could both fit "the same"
-        // freed space and jointly overshoot the budget.
         let mut uspan = sj_obs::Span::enter("session.upload");
         uspan.label("session", self.id);
         uspan.label("device", device_index);
-        let ledger = self.pool.memory_ledger();
-        let _permit = ledger.budget().map(|_| ledger.upload_permit());
-        let mut projected = DeviceGrid::projected_bytes(&self.data, &resident.grid);
-        ledger.make_room(projected);
         // Upload and hoist OUTSIDE the map lock: a first touch on one
         // device must not stall concurrent queries on devices whose
         // snapshot is already cached (or is being built in parallel). Two
@@ -546,11 +556,6 @@ impl SelfJoinSession {
         let mut resident_bytes = dg.h2d_bytes();
         let hoist = match self.config.join.hot_path {
             HotPath::CellMajor => {
-                // Room for the full snapshot (grid + CSR): the grid part
-                // is allocated but not yet registered, so it must still be
-                // counted against the budget here.
-                projected += CellMajorPlan::projected_bytes_upper(&dg);
-                ledger.make_room(projected);
                 let (plan, stats) = CellMajorPlan::build(
                     device,
                     &dg,
@@ -573,7 +578,7 @@ impl SelfJoinSession {
             };
             try_evict_snapshot(&resident, device_index, &evictions)
         });
-        let ledger_entry = ledger.register(resident_bytes, evict);
+        let ledger_entry = self.pool.memory_ledger().register(resident_bytes, evict);
         let snap = Arc::new(DeviceSnapshot {
             dg,
             hoist,
@@ -597,9 +602,6 @@ impl SelfJoinSession {
             state.stats.snapshot_uploads += 1;
             if reupload {
                 state.stats.snapshot_reuploads += 1;
-                sj_obs::registry()
-                    .counter("sj_session_reuploads_total", &[])
-                    .inc();
             }
         }
         Ok((snap, true))
@@ -626,9 +628,6 @@ impl SelfJoinSession {
         let removed = resident.snapshots.lock().remove(&device_index).is_some();
         if removed {
             self.state.lock().stats.snapshot_invalidations += 1;
-            sj_obs::registry()
-                .counter("sj_session_snapshot_invalidations_total", &[])
-                .inc();
         }
     }
 
@@ -1116,6 +1115,50 @@ mod tests {
         assert_eq!(out.device, 0);
         assert_eq!(out.table, fresh.table);
         assert!(!pool.is_healthy(1));
+    }
+
+    #[test]
+    fn knn_faults_like_query_and_retries_onto_a_healthy_device() {
+        use sim_gpu::{FaultEvent, FaultKind, FaultPlan};
+        let crash_on_next_op = |device| {
+            FaultPlan::new(vec![FaultEvent {
+                device,
+                after_ops: 1,
+                kind: FaultKind::Crash {
+                    heal_after_probes: u32::MAX,
+                },
+            }])
+        };
+        let data = uniform(2, 600, 95);
+        let (eps, k) = (2.0, 5);
+
+        // One device, crashed by another session's join while this
+        // session's snapshot stays resident: kNN is a device operation
+        // too, so it fails like a join does.
+        let pool = DevicePool::titan_x(1);
+        let session = SelfJoinSession::new(data.clone(), pool.clone());
+        session.query(eps).unwrap();
+        pool.inject_faults(&crash_on_next_op(0));
+        let other = SelfJoinSession::new(data.clone(), pool.clone());
+        assert!(other.query(eps).unwrap_err().is_fault());
+        assert!(session.knn(eps, k).unwrap_err().is_fault());
+        assert!(session.query(eps).unwrap_err().is_fault());
+
+        // Two devices: the crash fires on the kNN launch itself, which
+        // drops that device's snapshot and retries on the survivor.
+        let pool = DevicePool::titan_x(2);
+        let session = SelfJoinSession::new(data.clone(), pool.clone());
+        session.query_on(eps, 0).unwrap();
+        session.query_on(eps, 1).unwrap();
+        assert_eq!(pool.next_healthy(), 0, "the kNN picks device 1 first");
+        pool.inject_faults(&crash_on_next_op(1));
+        let out = session.knn(eps, k).unwrap();
+        assert_eq!(out.device, 0);
+        assert_eq!(session.stats().snapshot_invalidations, 1);
+        assert!(!pool.is_healthy(1));
+        let device = sim_gpu::Device::new(sim_gpu::DeviceSpec::titan_x_pascal());
+        let fresh = crate::knn::gpu_knn(&device, &data, eps, k).unwrap();
+        assert_eq!(out.hits, fresh);
     }
 
     #[test]

@@ -19,7 +19,8 @@ pub const SAMPLES: &str = "sj_cost_audit_samples_total";
 /// Signed relative-error histogram name: `(projected − measured) /
 /// measured`, positive = over-projection.
 pub const REL_ERROR: &str = "sj_cost_audit_rel_error";
-/// Absolute relative-error histogram name (magnitude of miscalibration).
+/// Absolute relative-error histogram name (magnitude of miscalibration),
+/// over the non-negative half of [`rel_error_buckets`].
 pub const ABS_REL_ERROR: &str = "sj_cost_audit_abs_rel_error";
 /// Counter of samples dropped for a non-positive or non-finite
 /// measurement.
@@ -55,7 +56,7 @@ pub fn record(model: &'static str, projected_secs: f64, measured_secs: f64) {
         .histogram(REL_ERROR, &labels, &rel_error_buckets())
         .observe(rel);
     registry()
-        .histogram(ABS_REL_ERROR, &labels, &rel_error_buckets())
+        .histogram(ABS_REL_ERROR, &labels, &abs_error_buckets())
         .observe(rel.abs());
     if projected_secs > 0.0 {
         registry()
@@ -63,6 +64,16 @@ pub fn record(model: &'static str, projected_secs: f64, measured_secs: f64) {
             .add((projected_secs / measured_secs).ln());
         registry().counter(LOG_SAMPLES, &labels).inc();
     }
+}
+
+/// Buckets for |relative error|: 0, 1%, …, 8×. Starting at 0 keeps an
+/// exact projection in a bucket whose percentiles read 0, where the signed
+/// buckets would interpolate it from −1%.
+fn abs_error_buckets() -> Vec<f64> {
+    rel_error_buckets()
+        .into_iter()
+        .filter(|&b| b >= 0.0)
+        .collect()
 }
 
 /// Summary of one model's calibration error.
@@ -212,6 +223,21 @@ mod tests {
             .get();
         assert_eq!(invalid, 1);
         assert!(report("audit_no_such_model").is_none());
+    }
+
+    #[test]
+    fn exact_projections_read_zero_error_percentiles() {
+        for _ in 0..10 {
+            record("audit_test_exact", 0.25, 0.25);
+        }
+        let r = report("audit_test_exact").expect("samples recorded");
+        assert_eq!(r.p50_abs_rel_error, 0.0);
+        assert_eq!(r.p95_abs_rel_error, 0.0);
+        assert!(
+            r.summary().contains("|err| mean=0.0% p50=0.0% p95=0.0%"),
+            "{}",
+            r.summary()
+        );
     }
 
     #[test]

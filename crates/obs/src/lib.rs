@@ -16,7 +16,12 @@
 //! * [`metrics`] — a sharded registry of counters, gauges, and
 //!   fixed-bucket histograms with JSON and Prometheus-text exposition.
 //!   Streaming replacements for sort-the-sample statistics; snapshots
-//!   merge associatively.
+//!   merge associatively. The registry is process-wide, so it holds only
+//!   counts no scoped report owns: the cost audit, injected faults,
+//!   devices downed and reinstated, fault retries, worker panics and the
+//!   shard stream balance. A count some struct already reports
+//!   (`ServiceMetrics`, `SessionStats`, `ShardedReport`, `MemoryLedger`,
+//!   `DevicePool::health_snapshot`) is read there and not copied here.
 //! * [`audit`] — cost-model calibration audits: every projected cost
 //!   (admission's `projected_cost`, the shard chooser's
 //!   `modeled_makespan`) paired with its measured outcome and exported
@@ -34,8 +39,8 @@ pub mod trace;
 
 pub use json::Json;
 pub use metrics::{
-    exponential_buckets, latency_buckets, registry, rel_error_buckets, Counter, Gauge, Histogram,
-    HistogramSnapshot, MetricSnapshot, MetricValue, Registry,
+    exponential_buckets, registry, rel_error_buckets, Counter, Gauge, Histogram, HistogramSnapshot,
+    MetricSnapshot, MetricValue, Registry,
 };
 pub use trace::{
     chrome_trace, drain, flame_summary, set_enabled, set_modeled_cursor, validate, LabelValue,

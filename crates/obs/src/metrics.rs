@@ -237,13 +237,6 @@ pub fn exponential_buckets(start: f64, factor: f64, count: usize) -> Vec<f64> {
     out
 }
 
-/// Default buckets for latencies in seconds: 1 µs to ~1000 s, a factor
-/// of 2 apart (31 buckets) — tight enough for streaming percentiles on
-/// the virtual clock, small enough to live per tenant.
-pub fn latency_buckets() -> Vec<f64> {
-    exponential_buckets(1e-6, 2.0, 31)
-}
-
 /// Buckets for *signed relative error* of a cost projection,
 /// `(projected − measured) / measured`: symmetric log-spaced bounds from
 /// ±1% to ±8×, so both the sign of the drift and its magnitude survive

@@ -21,8 +21,8 @@
 //!    burst is admitted in weighted-fair-queueing tag order, so a light
 //!    tenant overtakes a flooding one; workers pop in virtual-start order.
 //! 3. **Eviction** — sessions register every device snapshot with the
-//!    pool's [`sim_gpu::MemoryLedger`]; with
-//!    [`ServiceConfig::snapshot_budget`] set, uploading a new snapshot
+//!    pool's [`sim_gpu::MemoryLedger`]; once the pool's budget is set
+//!    ([`sim_gpu::MemoryLedger::set_budget`]), registering a new snapshot
 //!    first evicts least-recently-used ones (any session's), and an
 //!    evicted session transparently re-uploads on its next touch. Queries
 //!    stay pair-for-pair exact throughout — eviction changes *where* the
@@ -30,9 +30,11 @@
 //!
 //! Latency is accounted on the simulator's virtual clock: a query's
 //! latency is queue wait plus modeled response time, with per-device busy
-//! horizons advancing as workers complete jobs. [`ServiceMetrics`]
-//! exports per-tenant QPS, admit/delay/reject counts and latency
-//! percentiles as JSON.
+//! horizons advancing as workers complete jobs. [`ServiceMetrics`] is the
+//! one report of a service's traffic: per-tenant QPS, admit/delay/reject
+//! and failure counts, latency percentiles and snapshot churn, as JSON.
+//! The process-wide `sj_obs` registry holds only the fault-retry and
+//! worker-panic counters, which have no scoped home.
 
 pub mod admission;
 pub mod metrics;

@@ -45,9 +45,6 @@ pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct ServiceConfig {
     /// Admission-controller knobs (SLO, delay window, caps).
     pub admission: AdmissionConfig,
-    /// Pool-wide budget for resident snapshot bytes; `Some` arms LRU
-    /// eviction in the pool's [`sim_gpu::MemoryLedger`].
-    pub snapshot_budget: Option<usize>,
     /// Configuration for the sessions the service creates per dataset.
     pub session: SessionConfig,
 }
@@ -260,14 +257,11 @@ pub struct SelfJoinService {
 }
 
 impl SelfJoinService {
-    /// Brings the service up over `pool`, spawning one worker per device
-    /// and arming the pool's snapshot ledger with the configured budget.
-    /// A `snapshot_budget` of `None` leaves any budget the operator (or
-    /// another service on the same pool) already armed untouched.
+    /// Brings the service up over `pool`, spawning one worker per device.
+    /// Resident snapshots live under the pool's own snapshot budget
+    /// ([`sim_gpu::MemoryLedger::set_budget`] on
+    /// [`DevicePool::memory_ledger`]).
     pub fn new(pool: DevicePool, config: ServiceConfig) -> Self {
-        if config.snapshot_budget.is_some() {
-            pool.memory_ledger().set_budget(config.snapshot_budget);
-        }
         let inner = Arc::new(Inner {
             sched: Scheduler::new(pool.len()),
             sessions: Mutex::new(Vec::new()),
@@ -508,15 +502,10 @@ impl SelfJoinService {
         }
         self.inner.sched.cv.notify_all();
 
-        // Phase 3 — metrics, outside the scheduler lock. Counters are
-        // double-entried: the per-service `TenantCounters` snapshot and
-        // the process-wide `sj_obs` registry (Prometheus/JSON exposition).
+        // Phase 3 — the service's own counters, outside the scheduler
+        // lock.
         {
-            let mut ms = lock_clean(&self.inner.metrics);
-            let MetricsState {
-                names, counters, ..
-            } = &mut *ms;
-            let reg = sj_obs::registry();
+            let counters = &mut lock_clean(&self.inner.metrics).counters;
             for (tenant, arrival, delayed) in admits {
                 let c = &mut counters[tenant];
                 c.submitted += 1;
@@ -528,20 +517,11 @@ impl SelfJoinService {
                     Some(first) => first.min(arrival),
                     None => arrival,
                 });
-                let labels = [("tenant", names[tenant].as_str())];
-                reg.counter("sj_serve_submitted_total", &labels).inc();
-                reg.counter("sj_serve_admitted_total", &labels).inc();
-                if delayed {
-                    reg.counter("sj_serve_delayed_total", &labels).inc();
-                }
             }
             for tenant in rejects {
                 let c = &mut counters[tenant];
                 c.submitted += 1;
                 c.rejected += 1;
-                let labels = [("tenant", names[tenant].as_str())];
-                reg.counter("sj_serve_submitted_total", &labels).inc();
-                reg.counter("sj_serve_rejected_total", &labels).inc();
             }
         }
         outcomes
@@ -636,12 +616,6 @@ impl std::fmt::Debug for SelfJoinService {
             .field("config", &self.inner.config)
             .finish()
     }
-}
-
-/// Bucket bounds for the streaming latency histogram, computed once.
-fn latency_histogram_bounds() -> &'static [f64] {
-    static BOUNDS: std::sync::OnceLock<Vec<f64>> = std::sync::OnceLock::new();
-    BOUNDS.get_or_init(sj_obs::latency_buckets)
 }
 
 /// Posts [`ServeError::Internal`] if the executor unwinds before
@@ -856,26 +830,14 @@ fn finish_job(
     inner.sched.cv.notify_all();
     let latency = (completion - job.arrival).max(0.0);
     {
-        let mut ms = lock_clean(&inner.metrics);
-        let MetricsState {
-            names, counters, ..
-        } = &mut *ms;
-        let c = &mut counters[job.tenant];
-        let labels = [("tenant", names[job.tenant].as_str())];
-        let reg = sj_obs::registry();
+        let c = &mut lock_clean(&inner.metrics).counters[job.tenant];
         match &result {
             Ok(_) => {
                 c.completed += 1;
                 c.record_latency(latency);
                 c.last_completion = c.last_completion.max(completion);
-                reg.counter("sj_serve_completed_total", &labels).inc();
-                reg.histogram("sj_serve_latency_secs", &labels, latency_histogram_bounds())
-                    .observe(latency);
             }
-            Err(_) => {
-                c.failed += 1;
-                reg.counter("sj_serve_failed_total", &labels).inc();
-            }
+            Err(_) => c.failed += 1,
         }
     }
     let outcome = result.map(|out| ServeOutput {
@@ -1055,26 +1017,6 @@ mod tests {
     }
 
     #[test]
-    fn default_config_preserves_an_operator_armed_budget() {
-        let pool = DevicePool::titan_x(1);
-        pool.memory_ledger().set_budget(Some(1 << 20));
-        // snapshot_budget: None must not disarm the pool's budget…
-        let service = SelfJoinService::new(pool.clone(), ServiceConfig::default());
-        assert_eq!(pool.memory_ledger().budget(), Some(1 << 20));
-        drop(service);
-        // …while an explicit budget overrides it.
-        let service = SelfJoinService::new(
-            pool.clone(),
-            ServiceConfig {
-                snapshot_budget: Some(2 << 20),
-                ..ServiceConfig::default()
-            },
-        );
-        assert_eq!(pool.memory_ledger().budget(), Some(2 << 20));
-        drop(service);
-    }
-
-    #[test]
     fn queue_depth_backstop_sees_its_own_batch() {
         // Under a generous SLO, projected latency admits a whole cold
         // burst; the queue-depth backstop must still bound a single huge
@@ -1226,6 +1168,51 @@ mod tests {
             !service.pool().is_healthy(1),
             "the crashed device must be in probation"
         );
+    }
+
+    #[test]
+    fn crashed_device_heals_and_serves_again() {
+        use sim_gpu::{FaultEvent, FaultKind, FaultPlan};
+        let (service, id) = quick_service(2);
+        let session = service.session(id).unwrap();
+        service.warm(id, &[2.0]).unwrap();
+        let fresh = grid_join::GpuSelfJoin::default_device()
+            .run(session.data(), 2.0)
+            .unwrap();
+        // Device 1 crashes on its first serving op and heals on the second
+        // health read after it (one failed probe, then the healing one).
+        service
+            .pool()
+            .inject_faults(&FaultPlan::new(vec![FaultEvent {
+                device: 1,
+                after_ops: 1,
+                kind: FaultKind::Crash {
+                    heal_after_probes: 1,
+                },
+            }]));
+        // Closed loop: each query is submitted once the last one answered.
+        let devices: Vec<usize> = (0..6u64)
+            .map(|i| {
+                let out = service
+                    .submit(QueryRequest::new("alice", id, 2.0).at(Duration::from_millis(100 * i)))
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                assert_eq!(out.table, fresh.table, "query {i}");
+                out.device
+            })
+            .collect();
+        // Query 2 is placed on device 1, crashes it and retries on device
+        // 0; the retry's health read is the failed probe. Query 3's
+        // submission reads health again, which heals device 1: it takes
+        // work again, re-uploading the snapshot the crash invalidated.
+        assert_eq!(devices, vec![0, 0, 1, 0, 1, 0]);
+        let stats = session.stats();
+        assert_eq!(stats.snapshot_invalidations, 1);
+        assert_eq!(stats.snapshot_reuploads, 1);
+        assert!(service.pool().is_healthy(1));
+        let m = service.metrics();
+        assert_eq!((m.total.completed, m.total.failed), (6, 0));
     }
 
     #[test]

@@ -730,11 +730,6 @@ impl ShardedSelfJoin {
                 faults.extend(out.faults);
             }
         }
-        if reexecuted > 0 {
-            sj_obs::registry()
-                .counter("sj_shard_reexecutions_total", &[])
-                .add(reexecuted as u64);
-        }
         let execute_time = t2.elapsed();
 
         // Merge: the per-shard ownership windows cover disjoint global id
@@ -774,25 +769,19 @@ impl ShardedSelfJoin {
             projected_makespan.as_secs_f64(),
             stream_makespan.as_secs_f64(),
         );
-        // Balance/replication gauges: busiest stream over mean busy
-        // stream (1.0 = perfectly balanced), and halo replication as a
-        // fraction of owned points.
-        {
-            let busy: Vec<f64> = streams
-                .iter()
-                .map(|s| s.as_secs_f64())
-                .filter(|&s| s > 0.0)
-                .collect();
-            if !busy.is_empty() {
-                let mean = busy.iter().sum::<f64>() / busy.len() as f64;
-                let max = busy.iter().cloned().fold(0.0, f64::max);
-                sj_obs::registry()
-                    .gauge("sj_shard_stream_balance", &[])
-                    .set(if mean > 0.0 { max / mean } else { 1.0 });
-            }
+        // Balance gauge: busiest stream over mean busy stream (1.0 =
+        // perfectly balanced).
+        let busy: Vec<f64> = streams
+            .iter()
+            .map(|s| s.as_secs_f64())
+            .filter(|&s| s > 0.0)
+            .collect();
+        if !busy.is_empty() {
+            let mean = busy.iter().sum::<f64>() / busy.len() as f64;
+            let max = busy.iter().cloned().fold(0.0, f64::max);
             sj_obs::registry()
-                .gauge("sj_shard_ghost_fraction", &[])
-                .set(part.ghost_fraction());
+                .gauge("sj_shard_stream_balance", &[])
+                .set(if mean > 0.0 { max / mean } else { 1.0 });
         }
         span.label("shards", shards.len());
         span.set_modeled(modeled_start, modeled_total.as_secs_f64());

@@ -337,13 +337,13 @@ enum HealthState {
 #[derive(Debug)]
 pub(crate) struct HealthLedger {
     states: Mutex<Vec<HealthState>>,
-    /// `sj_pool_unhealthy_devices` gauge plus fault/reinstatement counters.
+    /// Fault and reinstatement counters; which devices are down now is
+    /// read from [`crate::DevicePool::health_snapshot`].
     stats: HealthStats,
 }
 
 #[derive(Debug)]
 struct HealthStats {
-    unhealthy: sj_obs::Gauge,
     downed: sj_obs::Counter,
     reinstated: sj_obs::Counter,
 }
@@ -354,18 +354,9 @@ impl HealthStats {
         let pool = NEXT.fetch_add(1, Ordering::Relaxed).to_string();
         let reg = sj_obs::registry();
         Self {
-            unhealthy: reg.gauge("sj_pool_unhealthy_devices", &[("pool", &pool)]),
             downed: reg.counter("sj_pool_devices_downed_total", &[("pool", &pool)]),
             reinstated: reg.counter("sj_pool_devices_reinstated_total", &[("pool", &pool)]),
         }
-    }
-
-    fn set_unhealthy(&self, states: &[HealthState]) {
-        let down = states
-            .iter()
-            .filter(|s| matches!(s, HealthState::Down { .. }))
-            .count();
-        self.unhealthy.set(down as f64);
     }
 }
 
@@ -410,7 +401,6 @@ impl HealthLedger {
             heal_after: heal_after_probes,
         };
         self.stats.downed.inc();
-        self.stats.set_unhealthy(&states);
     }
 
     /// Probes every downed device once, then returns the healthy flag per
@@ -437,7 +427,6 @@ impl HealthLedger {
         }
         if reinstated > 0 {
             self.stats.reinstated.add(reinstated);
-            self.stats.set_unhealthy(&states);
         }
         states
             .iter()

@@ -203,9 +203,10 @@ impl<T> Drop for DeviceBuffer<T> {
 /// Returns `true` when the owner actually dropped the allocation (device
 /// memory freed synchronously, and the matching [`LedgerEntry`] guard
 /// unregistered the slot before the callback returned); `false` when the
-/// allocation is currently in use and could not be evicted. Called
-/// *without* any ledger lock held, so the callback may freely drop buffers
-/// whose guards re-enter the ledger.
+/// allocation is currently in use and could not be evicted. Called while a
+/// registration makes room, with the ledger's accounting unlocked, so the
+/// callback may freely drop buffers whose guards re-enter the ledger; it
+/// must not itself register with the same ledger.
 pub type Evictor = Arc<dyn Fn() -> bool + Send + Sync>;
 
 #[derive(Clone)]
@@ -223,53 +224,34 @@ struct LedgerInner {
     next_id: u64,
     clock: u64,
     evictions: u64,
-    metrics: LedgerMetrics,
 }
 
-/// Registry series of one ledger, labeled per instance so concurrently
-/// live ledgers don't clobber each other.
-struct LedgerMetrics {
-    /// `sj_ledger_evictions_total{ledger}`.
-    evictions: sj_obs::Counter,
-    /// `sj_ledger_resident_bytes{ledger}`, sampled at register/unregister.
-    resident_bytes: sj_obs::Gauge,
-}
-
-impl LedgerMetrics {
-    fn register() -> Self {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT_LEDGER: AtomicU64 = AtomicU64::new(0);
-        let id = NEXT_LEDGER.fetch_add(1, Ordering::Relaxed).to_string();
-        let reg = sj_obs::registry();
-        Self {
-            evictions: reg.counter("sj_ledger_evictions_total", &[("ledger", &id)]),
-            resident_bytes: reg.gauge("sj_ledger_resident_bytes", &[("ledger", &id)]),
-        }
-    }
-}
-
-/// Pool-wide LRU ledger of resident (cross-query) device allocations.
+/// Pool-wide LRU ledger of resident (cross-query) device allocations,
+/// and the one owner of their budget.
 ///
 /// Device memory itself is accounted per device by [`MemoryPool`]; what
 /// that accounting cannot see is which allocations are *resident state*
 /// (index snapshots a session keeps alive between queries) versus
 /// transient working memory, nor which resident state was touched least
 /// recently. The ledger tracks exactly that: sessions register each device
-/// snapshot with its byte size and an [`Evictor`] callback, touch the
-/// entry on every use, and unregister it (via the RAII [`LedgerEntry`])
-/// when the snapshot drops on its own.
+/// snapshot with the bytes it allocated and an [`Evictor`] callback, touch
+/// the entry on every use, and unregister it (via the RAII
+/// [`LedgerEntry`]) when the snapshot drops on its own.
 ///
-/// With a budget configured ([`Self::set_budget`]), [`Self::make_room`]
-/// evicts least-recently-used entries — by invoking their evictors — until
-/// an incoming registration fits. Entries whose evictor reports "in use"
+/// With a budget configured ([`Self::set_budget`]), [`Self::register`]
+/// first evicts least-recently-used entries — by invoking their evictors —
+/// until the incoming entry fits. Entries whose evictor reports "in use"
 /// are skipped, so an eviction never pulls memory out from under a running
-/// query. Clones share state; a [`crate::DevicePool`] hands out one ledger
-/// shared by every pool clone.
+/// query. The budget bounds *registered* bytes: an owner registers what it
+/// has already allocated, so an allocation in flight counts once it
+/// registers. Clones share state; a [`crate::DevicePool`] hands out one
+/// ledger shared by every pool clone.
 #[derive(Clone)]
 pub struct MemoryLedger {
     inner: Arc<Mutex<LedgerInner>>,
-    /// Serializes budgeted upload sequences (see [`Self::upload_permit`]).
-    upload_lock: Arc<Mutex<()>>,
+    /// Held across one registration's evictions and insert, so two
+    /// concurrent registrations never count the same freed space.
+    register_lock: Arc<Mutex<()>>,
 }
 
 impl Default for MemoryLedger {
@@ -301,24 +283,14 @@ impl MemoryLedger {
                 next_id: 1,
                 clock: 0,
                 evictions: 0,
-                metrics: LedgerMetrics::register(),
             })),
-            upload_lock: Arc::new(Mutex::new(())),
+            register_lock: Arc::new(Mutex::new(())),
         }
-    }
-
-    /// Serializes a budgeted `make_room → allocate → register` sequence:
-    /// hold the returned guard across all three, so two concurrent
-    /// uploaders cannot both count the same freed space against the
-    /// budget and jointly overshoot it. Callers on unbudgeted ledgers
-    /// can skip the permit — there is no invariant to protect.
-    pub fn upload_permit(&self) -> parking_lot::MutexGuard<'_, ()> {
-        self.upload_lock.lock()
     }
 
     /// Sets (or clears) the resident-memory budget in bytes. A new budget
     /// below the current total takes effect at the next
-    /// [`Self::make_room`] or [`Self::register`].
+    /// [`Self::register`].
     pub fn set_budget(&self, budget: Option<usize>) {
         self.inner.lock().budget = budget;
     }
@@ -350,13 +322,9 @@ impl MemoryLedger {
 
     /// Evicts least-recently-used entries until `incoming` more bytes fit
     /// under the budget (no-op without one). Entries that report
-    /// themselves in use are skipped. Returns the bytes actually freed.
-    ///
-    /// Call this *before* allocating the incoming resident state: evictors
-    /// run synchronously, so the freed device memory is available when
-    /// this returns.
-    pub fn make_room(&self, incoming: usize) -> usize {
-        let mut freed = 0usize;
+    /// themselves in use are skipped. Evictors run synchronously, so the
+    /// freed device memory is available when this returns.
+    fn make_room(&self, incoming: usize) {
         // Ids whose evictor declined (in use) — skip them this round so
         // the loop terminates even when everything is busy.
         let mut busy: Vec<u64> = Vec::new();
@@ -364,10 +332,10 @@ impl MemoryLedger {
             let victim: Option<(u64, Evictor)> = {
                 let inner = self.inner.lock();
                 let Some(budget) = inner.budget else {
-                    return freed;
+                    return;
                 };
                 if inner.total.saturating_add(incoming) <= budget {
-                    return freed;
+                    return;
                 }
                 inner
                     .slots
@@ -380,26 +348,25 @@ impl MemoryLedger {
                 // Over budget but nothing evictable: every entry is in
                 // use. The caller proceeds; pressure clears as queries
                 // finish and their snapshots become evictable.
-                return freed;
+                return;
             };
-            let before = self.total();
             // The evictor drops the owner's allocation; its LedgerEntry
             // guard unregisters the slot re-entrantly (no lock held here).
             if evict() {
-                let mut inner = self.inner.lock();
-                inner.evictions += 1;
-                inner.metrics.evictions.inc();
-                freed += before.saturating_sub(inner.total);
+                self.inner.lock().evictions += 1;
             } else {
                 busy.push(id);
             }
         }
     }
 
-    /// Registers `bytes` of resident state, first making room under the
-    /// budget; `evict` drops it on the ledger's behalf. The returned guard
+    /// Registers `bytes` of resident state the caller has already
+    /// allocated, first evicting LRU entries until it fits under the
+    /// budget; `evict` drops it on the ledger's behalf. Making room and
+    /// inserting happen under one registration lock. The returned guard
     /// unregisters the entry exactly once when dropped.
     pub fn register(&self, bytes: usize, evict: Evictor) -> LedgerEntry {
+        let _serial = self.register_lock.lock();
         self.make_room(bytes);
         let mut inner = self.inner.lock();
         let id = inner.next_id;
@@ -408,7 +375,6 @@ impl MemoryLedger {
         let seq = inner.clock;
         inner.slots.insert(id, LedgerSlot { bytes, seq, evict });
         inner.total += bytes;
-        inner.metrics.resident_bytes.set(inner.total as f64);
         LedgerEntry {
             ledger: Some(self.clone()),
             id,
@@ -429,7 +395,6 @@ impl MemoryLedger {
         if let Some(slot) = inner.slots.remove(&id) {
             debug_assert!(inner.total >= slot.bytes, "ledger total underflow");
             inner.total = inner.total.saturating_sub(slot.bytes);
-            inner.metrics.resident_bytes.set(inner.total as f64);
         }
     }
 }
@@ -593,8 +558,7 @@ mod tests {
         let b = register_slot(&ledger, 400, idle());
         // Touch a: b becomes the LRU victim.
         a.lock().as_ref().unwrap().touch();
-        let freed = ledger.make_room(400);
-        assert_eq!(freed, 400);
+        ledger.make_room(400);
         assert!(b.lock().is_none(), "LRU entry b evicted");
         assert!(a.lock().is_some(), "recently touched a survives");
         assert_eq!(ledger.evictions(), 1);
@@ -620,14 +584,15 @@ mod tests {
         let a = register_slot(&ledger, 500, Arc::clone(&busy_flag));
         let b = register_slot(&ledger, 400, idle());
         // a is LRU but in use: make_room must take b instead.
-        let freed = ledger.make_room(300);
-        assert_eq!(freed, 400);
+        ledger.make_room(300);
+        assert_eq!(ledger.total(), 500);
         assert!(a.lock().is_some());
         assert!(b.lock().is_none());
         // Everything busy: make_room gives up without freeing.
         let c = register_slot(&ledger, 400, Arc::clone(&busy_flag));
         busy_flag.store(true, std::sync::atomic::Ordering::SeqCst);
-        assert_eq!(ledger.make_room(10_000), 0);
+        ledger.make_room(10_000);
+        assert_eq!(ledger.total(), 900);
         assert!(a.lock().is_some());
         assert!(c.lock().is_some());
     }
@@ -636,7 +601,8 @@ mod tests {
     fn unbudgeted_ledger_never_evicts() {
         let ledger = MemoryLedger::new();
         let a = register_slot(&ledger, 1 << 20, idle());
-        assert_eq!(ledger.make_room(usize::MAX / 2), 0);
+        ledger.make_room(usize::MAX / 2);
+        assert_eq!(ledger.evictions(), 0);
         assert!(a.lock().is_some());
     }
 }

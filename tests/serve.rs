@@ -82,13 +82,8 @@ fn snapshot_budget_evicts_and_stays_exact() {
     // evict each other.
     let budget = full * 3 / 4;
     let pool = DevicePool::titan_x(1);
-    let service = SelfJoinService::new(
-        pool.clone(),
-        ServiceConfig {
-            snapshot_budget: Some(budget),
-            ..lenient_config()
-        },
-    );
+    pool.memory_ledger().set_budget(Some(budget));
+    let service = SelfJoinService::new(pool.clone(), lenient_config());
     let id_a = service.register_dataset("a", data_a.clone());
     let id_b = service.register_dataset("b", data_b.clone());
     let join = GpuSelfJoin::default_device();
