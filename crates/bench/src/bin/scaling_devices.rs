@@ -52,6 +52,7 @@ use sj_bench::cli::Args;
 use sj_bench::eps_for_selectivity;
 use sj_bench::table::{emit_table, fmt_secs, fmt_speedup};
 use sj_datasets::{sdss, synthetic, Dataset};
+use sj_obs::audit::AuditReport;
 use sj_shard::ShardedSelfJoin;
 
 const DEVICE_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -119,6 +120,10 @@ fn main() {
     } else {
         MONOTONIC_TOLERANCE
     };
+    // The chooser's (projected, measured) pairs of every sharded run:
+    // stream makespans, and partition builds.
+    let mut stream_pairs = Vec::new();
+    let mut partition_pairs = Vec::new();
     for (name, data) in &workloads {
         let eps = eps_for_selectivity(data, 24.0);
 
@@ -150,6 +155,12 @@ fn main() {
             })
             .collect();
         let base = &runs[0].report;
+        for r in runs.iter().map(|out| &out.report) {
+            stream_pairs.push((r.projected_stream, r.measured_stream()));
+            if let Some(projected) = r.projected_partition {
+                partition_pairs.push((projected, r.partition_time - r.sample_time));
+            }
+        }
 
         let mut speedups: Vec<(usize, f64)> = Vec::new();
         let mut phase_rows: Vec<Vec<String>> = Vec::new();
@@ -280,20 +291,18 @@ fn main() {
         100.0 * ghost_frac_syn,
         100.0 * ghost_bar
     );
-    // Calibration audit: the shard engine records every projected LPT
-    // makespan against the measured busiest-stream makespan, plus the
-    // chooser's projected partition-build cost against the measured
-    // build. The geometric-mean drift (unclamped log-ratio track) is the
-    // asserted quantity: the chooser's predicted counts must hold its
-    // projections within ±50% across the whole run.
-    for model in ["shard_chooser", "shard_partition"] {
-        match sj_obs::audit::report(model) {
-            Some(report) => println!("\n{}", report.summary()),
-            None => println!("\ncost audit [{model}]: no samples recorded"),
-        }
-    }
-    let chooser = sj_obs::audit::report("shard_chooser")
+    // Calibration audit: every run's projected LPT makespan against its
+    // measured busiest-stream makespan, plus the chooser's projected
+    // partition-build cost against the measured build. The
+    // geometric-mean drift (unclamped log ratio) is the asserted
+    // quantity: the chooser's predicted counts must hold its projections
+    // within ±50% across the whole run.
+    let chooser = AuditReport::of("shard_chooser", stream_pairs)
         .expect("chooser audit must have samples after a scaling run");
+    let partition = AuditReport::of("shard_partition", partition_pairs)
+        .expect("every run chose its shard count");
+    println!("\n{}", chooser.summary());
+    println!("\n{}", partition.summary());
     let geo = chooser.geo_mean_ratio();
     assert!(
         (1.0 / (1.0 + AUDIT_REL_BOUND)..=1.0 + AUDIT_REL_BOUND).contains(&geo),
@@ -324,7 +333,7 @@ fn phase_row(devices: usize, r: &sj_shard::ShardedReport) -> Vec<String> {
         secs(upload),
         secs(kernel),
         secs(r.merge_time),
-        secs(r.measured_stream),
+        secs(r.measured_stream()),
         secs(r.modeled_total),
     ]
 }

@@ -29,6 +29,7 @@ use sj_bench::cli::Args;
 use sj_bench::eps_for_realized;
 use sj_bench::table::{emit_table, fmt_speedup};
 use sj_datasets::{sdss, synthetic, Dataset};
+use sj_obs::audit::AuditReport;
 use sj_serve::{AdmissionConfig, QueryRequest, SelfJoinService, ServeError, ServiceConfig};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -112,6 +113,9 @@ fn main() {
     let slo = Duration::from_secs_f64(SLO_FACTOR * mean_cost);
 
     let mut rows = Vec::new();
+    // Admission's (projected, measured) pair of every completed query,
+    // audited after the sweep.
+    let mut audit_pairs = Vec::new();
     // The first traced run's spans, exported after the sweep.
     let mut trace_records: Option<Vec<sj_obs::SpanRecord>> = None;
     for devices in [1usize, 2, 4] {
@@ -176,6 +180,7 @@ fn main() {
                     &reference[&(dataset, eps.to_bits())],
                     "served answer diverged from a fresh join (eps {eps:.4})"
                 );
+                audit_pairs.push((out.projected, out.report.modeled_total));
             }
             let m = service.metrics();
             assert_eq!(m.total.failed, 0);
@@ -291,7 +296,7 @@ fn main() {
     // modeled cost of every executed query in this run. Every query
     // repeats an ε the warm pass served, so it is priced at what serving
     // that ε cost: on the geometric mean it must land within ±5%.
-    let audit = sj_obs::audit::report("admission").expect("admitted queries were audited");
+    let audit = AuditReport::of("admission", audit_pairs).expect("admitted queries were audited");
     println!("\n{}", audit.summary());
     assert!(
         (0.95..=1.05).contains(&audit.geo_mean_ratio()),

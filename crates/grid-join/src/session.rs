@@ -96,7 +96,8 @@ pub struct SessionStats {
     pub queries: u64,
     /// kNN queries served.
     pub knn_queries: u64,
-    /// Queries that reused the resident index.
+    /// Self-join queries that reused the resident index (counted once
+    /// per served query, however many device faults it retried through).
     pub index_reuses: u64,
     /// Queries whose result-size estimate came from the exact count of an
     /// earlier same-ε query (the sampling kernel was skipped).
@@ -117,6 +118,9 @@ pub struct SessionStats {
     /// lost with it, and the next query touching the device transparently
     /// re-uploads (counted there as a re-upload).
     pub snapshot_invalidations: u64,
+    /// Attempts that unpinned queries (self-join or kNN) re-ran on the
+    /// pool's next healthy device after a device fault.
+    pub fault_retries: u64,
 }
 
 /// One device's resident copy of the current index generation.
@@ -334,9 +338,7 @@ impl SelfJoinSession {
         let mut last = None;
         for retry in 0..=self.pool.len() {
             if retry > 0 {
-                sj_obs::registry()
-                    .counter("sj_session_fault_retries_total", &[])
-                    .inc();
+                self.state.lock().stats.fault_retries += 1;
             }
             match attempt(self.pool.next_healthy()) {
                 Err(e) if e.is_fault() => last = Some(e),
@@ -434,6 +436,9 @@ impl SelfJoinSession {
         {
             let mut state = self.state.lock();
             state.stats.queries += 1;
+            if reused {
+                state.stats.index_reuses += 1;
+            }
             if cached_count.is_some() {
                 state.stats.estimate_hits += 1;
             }
@@ -494,13 +499,11 @@ impl SelfJoinSession {
     fn resident_for(&self, epsilon: f64) -> Result<(Arc<Resident>, bool, Duration), SelfJoinError> {
         check_epsilon(epsilon)?;
         {
-            let mut state = self.state.lock();
-            let reusable = state.resident.as_ref().is_some_and(|resident| {
+            let state = self.state.lock();
+            let reusable = state.resident.as_ref().filter(|resident| {
                 in_band(resident.grid.epsilon(), epsilon, self.config.reuse_floor)
             });
-            if reusable {
-                state.stats.index_reuses += 1;
-                let resident = state.resident.as_ref().expect("checked above");
+            if let Some(resident) = reusable {
                 return Ok((Arc::clone(resident), true, Duration::ZERO));
             }
         }
@@ -1190,5 +1193,22 @@ mod tests {
             .collect();
         assert_eq!(devices, vec![0, 0, 1]);
         assert!(pool.is_healthy(1));
+        // One reuse per served query, not per attempt: query 2's faulted
+        // attempt on device 1 counts as a retry only.
+        let stats = session.stats();
+        assert_eq!(
+            (
+                stats.queries,
+                stats.index_builds,
+                stats.index_reuses,
+                stats.fault_retries
+            ),
+            (3, 1, 2, 1)
+        );
+        let faults = pool.fault_counts();
+        assert_eq!(
+            (faults.crashes, faults.downed, faults.reinstated),
+            (1, 1, 1)
+        );
     }
 }

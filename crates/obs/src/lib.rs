@@ -13,24 +13,24 @@
 //!   disabled path is a single relaxed [`std::sync::atomic::AtomicBool`]
 //!   load per call site (the `kernel_hotpath` bench asserts ≤ 2%
 //!   overhead on the join hot path).
-//! * [`metrics`] — a sharded registry of counters, gauges, and
-//!   fixed-bucket histograms with JSON and Prometheus-text exposition.
-//!   Streaming replacements for sort-the-sample statistics; snapshots
-//!   merge associatively. The registry is process-wide, so it holds only
-//!   counts no scoped report owns: the cost audit, injected faults,
-//!   devices downed and reinstated, fault retries, worker panics and the
-//!   shard stream balance. A count some struct already reports
-//!   (`ServiceMetrics`, `SessionStats`, `ShardedReport`, `MemoryLedger`,
-//!   `DevicePool::health_snapshot`) is read there and not copied here.
-//! * [`audit`] — cost-model calibration audits: every projected cost
-//!   (admission's `projected_cost`, the shard chooser's
-//!   `modeled_makespan`) paired with its measured outcome and exported
-//!   as a calibration-error histogram, so count-prediction error is
-//!   visible instead of silent.
+//! * [`metrics`] — named counters in one process-wide registry. A count
+//!   some struct owns is read there and not copied here: serve traffic
+//!   from `ServiceMetrics`, snapshot churn and fault retries from
+//!   `SessionStats`, re-executions and device streams from
+//!   `ShardedReport`, resident bytes and evictions from `MemoryLedger`,
+//!   and faults fired, devices downed and reinstated from
+//!   `DevicePool::fault_counts`. What the registry holds are the
+//!   service's fault retries and worker panics.
+//! * [`audit`] — cost-model calibration audits: a fold over the
+//!   (projected, measured) pairs that outputs carry — admission's
+//!   projected cost next to the query's modeled time, the shard
+//!   chooser's projected stream and partition build next to the run's —
+//!   so count-prediction error is visible instead of silent.
 //!
-//! [`json`] is the shared JSON writer/parser underneath both exporters —
-//! and underneath `sj_serve`'s metrics snapshot and `sj_bench`'s result
-//! tables, which previously each hand-rolled their own.
+//! [`json`] is the shared JSON writer/parser underneath the trace
+//! exporter — and underneath `sj_serve`'s metrics snapshot and
+//! `sj_bench`'s result tables, which previously each hand-rolled their
+//! own.
 
 pub mod audit;
 pub mod json;
@@ -38,10 +38,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use json::Json;
-pub use metrics::{
-    exponential_buckets, registry, rel_error_buckets, Counter, Gauge, Histogram, HistogramSnapshot,
-    MetricSnapshot, MetricValue, Registry,
-};
+pub use metrics::{registry, Counter, Registry};
 pub use trace::{
     chrome_trace, drain, flame_summary, set_enabled, set_modeled_cursor, validate, LabelValue,
     Span, SpanGuard, SpanRecord, TraceStats,

@@ -1,86 +1,11 @@
-//! Property tests for the observability primitives: histogram merge
-//! associativity, bucket-boundary correctness, and span-tree
+//! Property tests for the observability primitives: span-tree
 //! well-formedness under arbitrary nesting.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sj_obs::metrics::{exponential_buckets, HistogramSnapshot, Registry};
 use sj_obs::trace::{self, Span};
 
-/// Reference bucketing: index of the first bound ≥ v (bounds inclusive),
-/// overflow bucket past the end.
-fn reference_bucket(bounds: &[f64], v: f64) -> usize {
-    bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len())
-}
-
-fn observe_all(bounds: &[f64], values: &[f64]) -> HistogramSnapshot {
-    let r = Registry::new();
-    let h = r.histogram("h", &[], bounds);
-    for &v in values {
-        h.observe(v);
-    }
-    h.snapshot()
-}
-
 proptest! {
-    #[test]
-    fn histogram_buckets_match_reference(values in vec(0.0f64..20.0, 0..200)) {
-        let bounds = exponential_buckets(0.01, 2.0, 12); // 0.01 .. ~20.5
-        let snap = observe_all(&bounds, &values);
-        let mut expect = vec![0u64; bounds.len() + 1];
-        for &v in &values {
-            expect[reference_bucket(&bounds, v)] += 1;
-        }
-        prop_assert_eq!(&snap.counts, &expect);
-        prop_assert_eq!(snap.count, values.len() as u64);
-        let total: u64 = snap.counts.iter().sum();
-        prop_assert_eq!(total, snap.count, "every observation lands in exactly one bucket");
-        let sum: f64 = values.iter().sum();
-        prop_assert!((snap.sum - sum).abs() <= 1e-9 * (1.0 + sum.abs()));
-    }
-
-    #[test]
-    fn histogram_merge_is_associative_and_commutative(
-        a in vec(0.0f64..10.0, 0..100),
-        b in vec(0.0f64..10.0, 0..100),
-        c in vec(0.0f64..10.0, 0..100),
-    ) {
-        let bounds = exponential_buckets(0.05, 1.7, 10);
-        let (ha, hb, hc) = (
-            observe_all(&bounds, &a),
-            observe_all(&bounds, &b),
-            observe_all(&bounds, &c),
-        );
-        let left = ha.merge(&hb).merge(&hc);
-        let right = ha.merge(&hb.merge(&hc));
-        prop_assert_eq!(&left.counts, &right.counts);
-        prop_assert_eq!(left.count, right.count);
-        prop_assert!((left.sum - right.sum).abs() <= 1e-9 * (1.0 + left.sum.abs()));
-        let ab = ha.merge(&hb);
-        let ba = hb.merge(&ha);
-        prop_assert_eq!(&ab.counts, &ba.counts);
-        // The merged histogram equals observing the concatenated stream.
-        let mut all = a.clone();
-        all.extend_from_slice(&b);
-        all.extend_from_slice(&c);
-        prop_assert_eq!(&left.counts, &observe_all(&bounds, &all).counts);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone_and_bounded(
-        values in vec(0.0f64..50.0, 1..150),
-    ) {
-        let bounds = exponential_buckets(0.01, 2.0, 14);
-        let snap = observe_all(&bounds, &values);
-        let mut prev = 0.0f64;
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
-            let v = snap.quantile(q);
-            prop_assert!(v >= prev - 1e-12, "quantiles must be monotone");
-            prop_assert!(v <= *bounds.last().unwrap() + 1e-12);
-            prev = v;
-        }
-    }
-
     #[test]
     fn span_trees_stay_well_formed(ops in vec(0u8..3, 1..120)) {
         // Serialize: tracing state is process-global.

@@ -33,8 +33,11 @@
 //! horizons advancing as workers complete jobs. [`ServiceMetrics`] is the
 //! one report of a service's traffic: per-tenant QPS, admit/delay/reject
 //! and failure counts, latency percentiles and snapshot churn, as JSON.
-//! The process-wide `sj_obs` registry holds only the fault-retry and
-//! worker-panic counters, which have no scoped home.
+//! Each [`ServeOutput`] carries admission's projection next to its
+//! measured modeled time, so a caller audits admission by folding the
+//! outputs it holds (`sj_obs::audit::AuditReport::of`). The process-wide
+//! `sj_obs` registry holds only the fault-retry and worker-panic
+//! counters, which have no scoped home.
 
 pub mod admission;
 pub mod metrics;

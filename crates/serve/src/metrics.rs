@@ -137,6 +137,11 @@ impl TenantCounters {
         }
     }
 
+    /// Adds `other`'s counts and latency sample to this one. The two
+    /// samples may keep observations at different rates, so the finer one
+    /// is thinned to the coarser rate first: each kept latency then stands
+    /// for the same number of completions, and the merged percentiles
+    /// stay estimates of the merged population.
     pub fn merge(&mut self, other: &TenantCounters) {
         self.submitted += other.submitted;
         self.admitted += other.admitted;
@@ -144,7 +149,17 @@ impl TenantCounters {
         self.rejected += other.rejected;
         self.completed += other.completed;
         self.failed += other.failed;
-        self.latencies.extend_from_slice(&other.latencies);
+        let level = self.thinning.max(other.thinning);
+        let step = |thinning: u32| 1usize << (level - thinning).min(63);
+        let theirs = other.latencies.iter().step_by(step(other.thinning));
+        self.latencies = self
+            .latencies
+            .iter()
+            .step_by(step(self.thinning))
+            .chain(theirs)
+            .copied()
+            .collect();
+        self.thinning = level;
         self.first_arrival = match (self.first_arrival, other.first_arrival) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -339,6 +354,32 @@ mod tests {
         let span = total as f64;
         assert!((stats.p50 / span - 0.5).abs() < 0.05, "p50 {}", stats.p50);
         assert!((stats.p99 / span - 0.99).abs() < 0.05, "p99 {}", stats.p99);
+    }
+
+    #[test]
+    fn merged_latencies_weigh_tenants_by_their_completions() {
+        // One tenant past the sample cap keeps one latency in 2^k; the
+        // other keeps all of them. The aggregate must not let the small
+        // tenant's full-rate sample outweigh its share of completions.
+        let mut busy = TenantCounters::default();
+        for _ in 0..200_000 {
+            busy.record_latency(1.0);
+        }
+        let mut light = TenantCounters::default();
+        for _ in 0..1_000 {
+            light.record_latency(2.0);
+        }
+        let mut total = TenantCounters::default();
+        total.merge(&busy);
+        total.merge(&light);
+        let stats = total.snapshot("_total").latency;
+        // The population: 200k at 1 s and 1k at 2 s, so the 2 s tail is
+        // 0.5% of it — p99 is 1 s and the mean 1.005 s.
+        assert_eq!(stats.p99, 1.0);
+        assert!(
+            (stats.mean - 202_000.0 / 201_000.0).abs() < 1e-3,
+            "{stats:?}"
+        );
     }
 
     #[test]

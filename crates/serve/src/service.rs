@@ -142,6 +142,11 @@ pub struct ServeOutput {
     pub reused_index: bool,
     /// Whether admission flagged it delayed (projected past the SLO).
     pub delayed: bool,
+    /// Admission's projected modeled response time
+    /// ([`grid_join::ProjectedCost::modeled`]), which placement reserved
+    /// on the device; the cost audit pairs it with the report's
+    /// `modeled_total`.
+    pub projected: Duration,
     /// Timing/shape report of the underlying join.
     pub report: JoinReport,
 }
@@ -795,11 +800,6 @@ fn run_job(inner: &Arc<Inner>, mut job: Job) {
             }
         }
 
-        // Pair admission's projection with the measured modeled cost so
-        // count-prediction error shows up in the cost audit.
-        if result.is_ok() {
-            sj_obs::audit::record("admission", job.projected, actual);
-        }
         finish_job(inner, &job, result.map_err(ServeError::Join));
         guard.disarm();
         return;
@@ -848,6 +848,7 @@ fn finish_job(
         device: job.device,
         reused_index: out.reused_index,
         delayed: job.delayed,
+        projected: Duration::from_secs_f64(job.projected),
         report: out.report,
     });
     fulfill(&job.ticket, outcome);
@@ -877,6 +878,7 @@ mod tests {
     fn submit_executes_and_matches_fresh_join() {
         let (service, id) = quick_service(2);
         let data = service.session(id).unwrap().data().clone();
+        let cold = service.session(id).unwrap().projected_cost(2.0).unwrap();
         let out = service
             .submit(QueryRequest::new("alice", id, 2.0))
             .unwrap()
@@ -887,6 +889,8 @@ mod tests {
             .unwrap();
         assert_eq!(out.table, fresh.table);
         assert!(out.latency >= out.queue_wait);
+        // The output carries the projection admission placed it by.
+        assert_eq!(out.projected, cold.modeled);
         let m = service.metrics();
         assert_eq!(m.total.submitted, 1);
         assert_eq!(m.total.completed, 1);

@@ -48,11 +48,15 @@
 //! *used* when the ghost-plus-build tax is worth it. An explicit
 //! [`ShardedConfig::num_shards`] bypasses the chooser.
 //!
-//! Every run records its (projected, measured) stream-makespan pair with
-//! the cost-model audit. Both sides are priced by the same functions from
-//! counts — predicted for the projection, counted for the run — so the
-//! audited error is count-prediction error (the projection also leaves
-//! out the fixed per-transfer PCIe latency).
+//! Every report carries the chooser's projections next to what the run
+//! measured: [`ShardedReport::projected_stream`] next to
+//! [`ShardedReport::measured_stream`], and
+//! [`ShardedReport::projected_partition`] next to the chosen partition's
+//! build. A caller audits them by folding the reports it holds
+//! (`sj_obs::audit::AuditReport::of`). Both sides are priced by the same
+//! functions from counts — predicted for the projection, counted for the
+//! run — so the audited error is count-prediction error (the projection
+//! also leaves out the fixed per-transfer PCIe latency).
 //!
 //! ## Ownership fusion
 //!
@@ -110,9 +114,8 @@ use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Chooser verdict: the winning shard count, its projected partition
-/// build cost (for the `shard_partition` audit), the modeled time of the
-/// pricing loop itself, and the full `(candidate, modeled response)`
-/// table for the report.
+/// build cost, the modeled time of the pricing loop itself, and the full
+/// `(candidate, modeled response)` table for the report.
 type ChosenShards = (usize, Duration, Duration, Vec<(usize, Duration)>);
 
 /// Upper bound on re-execution rounds after device faults: each round
@@ -253,6 +256,11 @@ pub struct ShardedReport {
     /// bytes: the sample pass, its cut tree and the chunked materialize
     /// passes, one lane per device (see `sj_shard::partition`).
     pub partition_time: Duration,
+    /// The chooser's projected build of the partition it chose: its cut
+    /// tree and materialize passes, the part of [`Self::partition_time`]
+    /// after [`Self::sample_time`]. `None` when
+    /// [`ShardedConfig::num_shards`] bypassed the chooser.
+    pub projected_partition: Option<Duration>,
     /// Modeled end-to-end prelude ahead of the device streams: sample
     /// pass + (calibration overlapped with the cut builds) + chooser +
     /// materialize. This is what `modeled_total` charges before the
@@ -262,11 +270,10 @@ pub struct ShardedReport {
     /// executed partition (what the cost-model audit compares against
     /// [`Self::measured_stream`]).
     pub projected_stream: Duration,
-    /// The executed run's busiest device stream: the largest
-    /// [`crate::schedule::stream_end`] over the shards each device ran,
-    /// priced from their counted bytes — the outcome the audit compares
-    /// the projection with.
-    pub measured_stream: Duration,
+    /// Each device's modeled stream end, in device order: the
+    /// [`crate::schedule::stream_end`] over the shards it ran
+    /// (re-executions included), priced from their counted bytes.
+    pub streams: Vec<Duration>,
     /// Wall time of the per-shard host index builds (summed across
     /// device tasks; they overlap in wall time). The modeled streams
     /// charge each build its streamed bytes instead
@@ -302,6 +309,12 @@ pub struct ShardedReport {
 }
 
 impl ShardedReport {
+    /// The executed run's busiest device stream, the largest of
+    /// [`Self::streams`]: the outcome [`Self::projected_stream`] projects.
+    pub fn measured_stream(&self) -> Duration {
+        self.streams.iter().copied().max().unwrap_or(Duration::ZERO)
+    }
+
     /// Ghost points as a fraction of owned points.
     pub fn ghost_fraction(&self) -> f64 {
         let owned: usize = self.shards.iter().map(|s| s.owned).sum();
@@ -399,8 +412,8 @@ impl ShardedSelfJoin {
     /// materialize passes, and the calibration) — and returns the
     /// modeled-response argmin (exact ties break toward fewer shards via
     /// [`argmin_shard_count`]), the winner's projected partition build
-    /// cost (for the `shard_partition` audit), the loop's own modeled
-    /// time and the full candidate table for the report.
+    /// cost, the loop's own modeled time and the full candidate table for
+    /// the report.
     fn choose_shard_count(
         &self,
         model: &CostModel,
@@ -523,15 +536,6 @@ impl ShardedSelfJoin {
         // pass only once.
         part.build_time += sample_time + chosen_tree.build_time;
         let part = part;
-        if self.config.num_shards.is_none() {
-            // Closed loop on the partition-cost model: the chooser's
-            // projected build cost vs what building the winner took.
-            sj_obs::audit::record(
-                "shard_partition",
-                projected_build.as_secs_f64(),
-                (chosen_tree.build_time + materialize_time).as_secs_f64(),
-            );
-        }
         let prelude_time = sample_time + overlap_time + choose_time + materialize_time;
         let costs = project_partition(&model, &part, spec, &self.config.join);
 
@@ -541,8 +545,7 @@ impl ShardedSelfJoin {
             lpt_schedule(&costs.iter().map(ShardCost::cost).collect::<Vec<_>>(), ndev)
         };
         // The schedule's own makespan projection over the *actual*
-        // partition — paired with the measured stream makespan below for
-        // the cost-model audit.
+        // partition, reported next to the measured streams.
         let projected_makespan = {
             let stages: Vec<(Duration, Duration)> =
                 costs.iter().map(|c| (c.grid_time, c.device_time)).collect();
@@ -761,28 +764,6 @@ impl ShardedSelfJoin {
             shards.push(run.report);
         }
         shards.sort_unstable_by_key(|r| r.shard);
-
-        // Cost-model audit: the scheduler's projected makespan vs the
-        // measured busiest-stream makespan of the run it scheduled.
-        sj_obs::audit::record(
-            "shard_chooser",
-            projected_makespan.as_secs_f64(),
-            stream_makespan.as_secs_f64(),
-        );
-        // Balance gauge: busiest stream over mean busy stream (1.0 =
-        // perfectly balanced).
-        let busy: Vec<f64> = streams
-            .iter()
-            .map(|s| s.as_secs_f64())
-            .filter(|&s| s > 0.0)
-            .collect();
-        if !busy.is_empty() {
-            let mean = busy.iter().sum::<f64>() / busy.len() as f64;
-            let max = busy.iter().cloned().fold(0.0, f64::max);
-            sj_obs::registry()
-                .gauge("sj_shard_stream_balance", &[])
-                .set(if mean > 0.0 { max / mean } else { 1.0 });
-        }
         span.label("shards", shards.len());
         span.set_modeled(modeled_start, modeled_total.as_secs_f64());
         Ok(ShardedOutput {
@@ -799,9 +780,10 @@ impl ShardedSelfJoin {
                 cut_time,
                 choose_time,
                 partition_time: part.build_time,
+                projected_partition: self.config.num_shards.is_none().then_some(projected_build),
                 prelude_time,
                 projected_stream: projected_makespan,
-                measured_stream: stream_makespan,
+                streams,
                 index_build_time,
                 execute_time,
                 merge_time,
@@ -1021,13 +1003,13 @@ mod tests {
     #[test]
     fn chooser_projection_converges_within_band() {
         // The audit acceptance bar: the projected stream makespan lies
-        // within ±50% of the measured one (the audit's histogram used to
-        // sit at its +800% clamp). Both sides are priced from counts, so
-        // one run is the whole story.
+        // within ±50% of the measured one (the audit used to sit at its
+        // +800% clamp). Both sides are priced from counts, so one run is
+        // the whole story.
         let data = uniform(2, 6000, 45);
         let out = ShardedSelfJoin::titan_x(4).run(&data, 2.0).unwrap();
         let p = out.report.projected_stream.as_secs_f64();
-        let m = out.report.measured_stream.as_secs_f64();
+        let m = out.report.measured_stream().as_secs_f64();
         assert!(m > 0.0 && p > 0.0);
         let err = (p - m) / m;
         assert!(err.abs() <= 0.5, "relative error {err:+.2} outside ±50%");
@@ -1057,7 +1039,10 @@ mod tests {
                 (host, s.modeled - host)
             })
             .collect();
-        assert_eq!(r.measured_stream, modeled_makespan(&assignment, &stages));
+        assert_eq!(r.measured_stream(), modeled_makespan(&assignment, &stages));
+        assert_eq!(r.streams.len(), 4);
+        // An explicit shard count bypasses the chooser: no projection.
+        assert_eq!(r.projected_partition, None);
     }
 
     #[test]
@@ -1077,10 +1062,11 @@ mod tests {
             r.prelude_time,
             serial_sum
         );
-        assert_eq!(r.modeled_total, r.prelude_time + r.measured_stream);
+        assert_eq!(r.modeled_total, r.prelude_time + r.measured_stream());
         // The partition's own build (sample + chosen cuts + materialize)
         // includes the sample pass.
         assert!(r.partition_time >= r.sample_time);
+        assert!(r.projected_partition.is_some_and(|p| p > Duration::ZERO));
         // Per-shard phase breakdown is populated on real shards.
         for s in &r.shards {
             assert!(s.modeled_upload > Duration::ZERO, "shard {}", s.shard);

@@ -31,14 +31,16 @@
 //! [`DevicePool::health_mask`](crate::DevicePool::health_mask) read probes
 //! it once, and after the event's `heal_after_probes` failed probes the
 //! next probe reinstates it (modeling a device reset or reattach
-//! completing).
+//! completing). The same ledger counts the faults fired and the devices
+//! downed and reinstated ([`FaultCounts`], read with
+//! [`DevicePool::fault_counts`](crate::DevicePool::fault_counts)): the
+//! counts belong to the pool and drop with it.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The device-side operation classes the injector can fail.
@@ -318,6 +320,25 @@ enum HealthState {
     Down { failed_probes: u32, heal_after: u32 },
 }
 
+/// Faults fired on one pool and the health transitions they caused,
+/// counted since the pool was built and read with
+/// [`DevicePool::fault_counts`](crate::DevicePool::fault_counts). Clones
+/// of a pool share one set of counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FaultCounts {
+    /// Crash events fired.
+    pub crashes: u64,
+    /// Transient failures fired.
+    pub transients: u64,
+    /// Straggler windows opened.
+    pub stragglers: u64,
+    /// Devices moved into probation (a crash on a device already down
+    /// moves nothing).
+    pub downed: u64,
+    /// Devices reinstated by a health probe.
+    pub reinstated: u64,
+}
+
 /// Per-device health shared by every clone of a pool.
 ///
 /// State machine per device:
@@ -337,27 +358,7 @@ enum HealthState {
 #[derive(Debug)]
 pub(crate) struct HealthLedger {
     states: Mutex<Vec<HealthState>>,
-    /// Fault and reinstatement counters; which devices are down now is
-    /// read from [`crate::DevicePool::health_snapshot`].
-    stats: HealthStats,
-}
-
-#[derive(Debug)]
-struct HealthStats {
-    downed: sj_obs::Counter,
-    reinstated: sj_obs::Counter,
-}
-
-impl HealthStats {
-    fn register() -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let pool = NEXT.fetch_add(1, Ordering::Relaxed).to_string();
-        let reg = sj_obs::registry();
-        Self {
-            downed: reg.counter("sj_pool_devices_downed_total", &[("pool", &pool)]),
-            reinstated: reg.counter("sj_pool_devices_reinstated_total", &[("pool", &pool)]),
-        }
-    }
+    counts: Mutex<FaultCounts>,
 }
 
 impl HealthLedger {
@@ -365,8 +366,13 @@ impl HealthLedger {
     pub(crate) fn new(devices: usize) -> Self {
         Self {
             states: Mutex::new(vec![HealthState::Healthy; devices]),
-            stats: HealthStats::register(),
+            counts: Mutex::new(FaultCounts::default()),
         }
+    }
+
+    /// The pool's fault counts so far.
+    pub(crate) fn counts(&self) -> FaultCounts {
+        *self.counts.lock()
     }
 
     /// Whether device `i` is currently serving (not in probation).
@@ -400,7 +406,7 @@ impl HealthLedger {
             failed_probes: 0,
             heal_after: heal_after_probes,
         };
-        self.stats.downed.inc();
+        self.counts.lock().downed += 1;
     }
 
     /// Probes every downed device once, then returns the healthy flag per
@@ -426,7 +432,7 @@ impl HealthLedger {
             }
         }
         if reinstated > 0 {
-            self.stats.reinstated.add(reinstated);
+            self.counts.lock().reinstated += reinstated;
         }
         states
             .iter()
@@ -461,7 +467,6 @@ impl fmt::Debug for DeviceFaultState {
 pub(crate) struct FaultInjector {
     state: Mutex<Vec<DeviceFaultState>>,
     health: Arc<HealthLedger>,
-    injected: [sj_obs::Counter; 3],
 }
 
 impl FaultInjector {
@@ -484,15 +489,9 @@ impl FaultInjector {
             );
             state[ev.device].pending.push_back((ev.after_ops, ev.kind));
         }
-        let reg = sj_obs::registry();
         Arc::new(Self {
             state: Mutex::new(state),
             health,
-            injected: [
-                reg.counter("sj_fault_injected_total", &[("kind", "crash")]),
-                reg.counter("sj_fault_injected_total", &[("kind", "transient")]),
-                reg.counter("sj_fault_injected_total", &[("kind", "straggler")]),
-            ],
         })
     }
 
@@ -514,17 +513,17 @@ impl FaultInjector {
             s.pending.pop_front();
             match kind {
                 FaultKind::Crash { heal_after_probes } => {
-                    self.injected[0].inc();
                     drop(state);
+                    self.health.counts.lock().crashes += 1;
                     self.health.mark_down(device, heal_after_probes);
                     return Err(DeviceFault::Crashed { device });
                 }
                 FaultKind::Transient => {
-                    self.injected[1].inc();
+                    self.health.counts.lock().transients += 1;
                     return Err(DeviceFault::Transient { device, op });
                 }
                 FaultKind::Straggler { factor, ops: span } => {
-                    self.injected[2].inc();
+                    self.health.counts.lock().stragglers += 1;
                     s.slow_factor = factor.max(1.0);
                     s.slow_until = ops + span;
                 }

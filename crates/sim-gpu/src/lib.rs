@@ -27,8 +27,8 @@
 //!   crashes, transient upload/launch failures and straggler slowdowns
 //!   ([`fault`]), with a per-device health ledger (probation, and one
 //!   reinstatement probe per health read) the pool consults when it picks
-//!   a device — the adversarial substrate the layers above prove their
-//!   failover against.
+//!   a device, and which counts the pool's own faults — the adversarial
+//!   substrate the layers above prove their failover against.
 //!
 //! Kernels run in two modes sharing one code path: a **fast mode** (a
 //! per-block counter of traced bytes) used for timing figures, and a
@@ -62,7 +62,7 @@ pub use append::{AppendBuffer, Reservation};
 pub use cache::{CacheConfig, CacheSim, CacheStats};
 pub use device::{host_core_time, Device, DeviceSpec, HOST_CORE_BYTES_PER_SEC};
 pub use fault::{
-    DeviceFault, DeviceHealth, FaultEvent, FaultKind, FaultOp, FaultPlan, StormConfig,
+    DeviceFault, DeviceHealth, FaultCounts, FaultEvent, FaultKind, FaultOp, FaultPlan, StormConfig,
 };
 pub use kernel::{launch, launch_profiled, Kernel, LaunchConfig, LaunchStats, ThreadCtx, Tracer};
 pub use memory::{DeviceBuffer, Evictor, LedgerEntry, MemoryLedger, MemoryPool, OutOfMemory};

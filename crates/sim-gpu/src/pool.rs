@@ -11,7 +11,7 @@
 //! (`sj_shard::schedule::stream_end`), not from the tallies.
 
 use crate::device::{Device, DeviceSpec};
-use crate::fault::{DeviceHealth, FaultInjector, FaultPlan, HealthLedger};
+use crate::fault::{DeviceHealth, FaultCounts, FaultInjector, FaultPlan, HealthLedger};
 use crate::memory::MemoryLedger;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -35,7 +35,8 @@ pub struct DevicePool {
     /// [`MemoryLedger`]); sessions register their device snapshots here
     /// and a configured budget drives LRU eviction.
     memory_ledger: MemoryLedger,
-    /// Per-device health (probation state machine), shared across clones.
+    /// Per-device health (probation state machine) and fault counts,
+    /// shared across clones.
     health: Arc<HealthLedger>,
 }
 
@@ -97,6 +98,13 @@ impl DevicePool {
     /// Public health snapshot per device.
     pub fn health_snapshot(&self) -> Vec<DeviceHealth> {
         self.health.snapshot()
+    }
+
+    /// Faults fired on this pool and the devices they downed and that
+    /// probes reinstated, since the pool was built. Every clone reads the
+    /// same counts.
+    pub fn fault_counts(&self) -> FaultCounts {
+        self.health.counts()
     }
 
     /// Picks a device for a caller that does not pin one: the first
@@ -267,6 +275,53 @@ mod tests {
             assert_eq!(pool.health_mask(), vec![true, true], "k={k}");
             assert!(pool.is_healthy(1));
         }
+    }
+
+    #[test]
+    fn fault_counts_belong_to_their_pool() {
+        let pool = DevicePool::homogeneous(DeviceSpec::small_test_device(), 2);
+        pool.inject_faults(&FaultPlan::new(vec![
+            FaultEvent {
+                device: 0,
+                after_ops: 1,
+                kind: FaultKind::Transient,
+            },
+            FaultEvent {
+                device: 0,
+                after_ops: 2,
+                kind: FaultKind::Straggler {
+                    factor: 2.0,
+                    ops: 1,
+                },
+            },
+            FaultEvent {
+                device: 1,
+                after_ops: 1,
+                kind: FaultKind::Crash {
+                    heal_after_probes: 0,
+                },
+            },
+        ]));
+        let other = DevicePool::homogeneous(DeviceSpec::small_test_device(), 2);
+        let launches: Vec<bool> = (0..3)
+            .map(|_| pool.device(0).fault_check(FaultOp::Launch).is_ok())
+            .collect();
+        assert_eq!(launches, vec![false, true, true]);
+        // The crash downs device 1; the second upload fails on the downed
+        // device without firing anything.
+        assert!(pool.device(1).fault_check(FaultOp::Upload).is_err());
+        assert!(pool.device(1).fault_check(FaultOp::Upload).is_err());
+        assert_eq!(pool.health_mask(), vec![true, true]);
+        let expected = FaultCounts {
+            crashes: 1,
+            transients: 1,
+            stragglers: 1,
+            downed: 1,
+            reinstated: 1,
+        };
+        assert_eq!(pool.fault_counts(), expected);
+        assert_eq!(pool.clone().fault_counts(), expected);
+        assert_eq!(other.fault_counts(), FaultCounts::default());
     }
 
     #[test]
