@@ -453,6 +453,20 @@ impl CellMajorPlan {
         self.cell_of_slot.size_bytes() + self.nbr_offsets.size_bytes() + self.nbr_cells.size_bytes()
     }
 
+    /// Copies the plan into `device`'s memory, running no kernel. A plan
+    /// is a function of its grid and UNICOMP setting alone, so the copy
+    /// serves a snapshot of the same grid on `device` exactly as a plan
+    /// built there would. The copy is not priced here: a resident session
+    /// charges it the modeled cost of the build it stands for.
+    pub fn copy_to(&self, device: &Device) -> Result<Self, OutOfMemory> {
+        Ok(Self {
+            unicomp: self.unicomp,
+            cell_of_slot: device.alloc_from_host(self.cell_of_slot.as_slice())?,
+            nbr_offsets: device.alloc_from_host(self.nbr_offsets.as_slice())?,
+            nbr_cells: device.alloc_from_host(self.nbr_cells.as_slice())?,
+        })
+    }
+
     /// Builds the plan on the device: two one-thread-per-cell kernel
     /// passes (count, then fill) clip the adjacent ranges and walk `B`
     /// once per pass. The host prefix-sums the counts into CSR offsets and

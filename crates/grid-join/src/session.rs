@@ -14,6 +14,15 @@
 //!    per-cell neighbor CSR is ε′-independent, so one hoist serves every
 //!    in-band query).
 //!
+//! A plan depends only on the grid, so the hoisting kernels run once per
+//! generation: each further snapshot of it gets a copy of a live sibling's
+//! plan ([`CellMajorPlan::copy_to`]), and the kernels run again only when
+//! no live snapshot holds one. A copy is charged the modeled cost of the
+//! build it stands for, so a snapshot's modeled charge and its ledger
+//! bytes do not depend on which device built the plan.
+//! [`SelfJoinSession::warm`] establishes all of it before serving: the
+//! index, every device's snapshot and each ε's exact count.
+//!
 //! ## The validity band
 //!
 //! A grid built at ε_built serves any query radius ε′ ≤ ε_built exactly:
@@ -47,7 +56,7 @@ use crate::device_grid::DeviceGrid;
 use crate::error::{GridBuildError, SelfJoinError};
 use crate::grid::GridIndex;
 use crate::knn::{gpu_knn_on, KnnHit};
-use crate::plan::{execute, IndexStage, JoinPlan, JoinReport};
+use crate::plan::{execute, IndexStage, JoinPlan, JoinReport, PlanOutput};
 use crate::result::NeighborTable;
 use crate::selfjoin::SelfJoinConfig;
 use parking_lot::Mutex;
@@ -92,7 +101,8 @@ impl Default for SessionConfig {
 /// Cumulative counters of one session (all queries since creation).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Self-join queries served.
+    /// Self-join queries served, [`SelfJoinSession::warm`]'s one join per
+    /// ε included (it builds no table, but pays and counts like a query).
     pub queries: u64,
     /// kNN queries served.
     pub knn_queries: u64,
@@ -126,11 +136,16 @@ pub struct SessionStats {
 /// One device's resident copy of the current index generation.
 struct DeviceSnapshot {
     dg: DeviceGrid,
-    /// Hoisted cell-major plan (when the session runs that hot path).
+    /// Hoisted cell-major plan (when the session runs that hot path):
+    /// built on the generation's first snapshot, copied to the others.
     hoist: Option<CellMajorPlan>,
+    /// Modeled cost of the hoist `hoist` stands for: the hoisting kernels
+    /// plus their transfers, whether the plan was built here or copied
+    /// from a sibling (zero on the per-thread path).
+    hoist_modeled: Duration,
     /// Modeled one-time cost of establishing this residency: snapshot
-    /// upload + hoisting kernels + CSR transfer. Charged to the first
-    /// query that touches the device, then amortized away.
+    /// upload + [`Self::hoist_modeled`]. Charged to the first query that
+    /// touches the device, then amortized away.
     upload_modeled: Duration,
     /// Registration in the pool's snapshot ledger; unregisters (exactly
     /// once) when the snapshot drops, whether by eviction, generation
@@ -327,6 +342,47 @@ impl SelfJoinSession {
         self.on_healthy_device(|device_index| self.query_on(epsilon, device_index))
     }
 
+    /// Prepares the session to serve `epsilons`, in any order, with none
+    /// of the one-time costs a query would otherwise pay: the index build,
+    /// the sampling estimate and each device's first-touch upload.
+    ///
+    /// Each distinct ε runs one join, largest first so that ε sharing a
+    /// validity band share one index generation, on the pool's next
+    /// healthy device with [`Self::query`]'s fault retries. The join
+    /// caches ε's exact pair count, which later queries at ε use as their
+    /// estimate and [`Self::projected_cost`] prices them by; it builds no
+    /// table, but counts in [`SessionStats::queries`]. Then every pool
+    /// device without a snapshot of the resident generation uploads one,
+    /// copying the generation's hoisted plan instead of hoisting again.
+    ///
+    /// # Errors
+    ///
+    /// [`SelfJoinError::Grid`] when any ε is not finite and positive
+    /// (before any work runs), and the first device error that the
+    /// retries could not absorb.
+    pub fn warm(&self, epsilons: &[f64]) -> Result<(), SelfJoinError> {
+        for &epsilon in epsilons {
+            check_epsilon(epsilon)?;
+        }
+        let mut distinct = epsilons.to_vec();
+        distinct.sort_by(|a, b| b.total_cmp(a));
+        distinct.dedup();
+        for &epsilon in &distinct {
+            self.on_healthy_device(|device_index| self.join_on(epsilon, device_index))?;
+        }
+        // The guard must drop before `snapshot_on` re-locks.
+        let resident = self.state.lock().resident.clone();
+        if let Some(resident) = resident {
+            // In device order, so the ledger's LRU order is what a query
+            // on each device would leave.
+            for device_index in 0..self.pool.len() {
+                let (snap, _first_touch) = self.snapshot_on(&resident, device_index)?;
+                snap.ledger_entry.touch();
+            }
+        }
+        Ok(())
+    }
+
     /// Runs `attempt` on the pool's next healthy device, and again on the
     /// next one after each device fault, up to one attempt past the pool
     /// size. Returns the first outcome that is not a fault, or the last
@@ -356,18 +412,37 @@ impl SelfJoinSession {
         epsilon: f64,
         device_index: usize,
     ) -> Result<SessionQueryOutput, SelfJoinError> {
-        let device = self.pool.device(device_index);
         let mut span = sj_obs::Span::enter("session.query");
         span.label("session", self.id);
         span.label("epsilon", epsilon);
         span.label("device", device_index);
+        let (out, reused_index) = self.join_on(epsilon, device_index)?;
+        span.label("decision", if reused_index { "reuse" } else { "rebuild" });
+        Ok(SessionQueryOutput {
+            table: NeighborTable::from_pairs(self.data.len(), &out.pairs),
+            report: out.report,
+            reused_index,
+            device: device_index,
+        })
+    }
+
+    /// The join behind [`Self::query_on`] and [`Self::warm`], short of the
+    /// table: runs ε on `device_index` against the generation serving it,
+    /// folds in whatever build and first-touch upload the run paid, caches
+    /// ε's exact count and counts the query. Returns the raw output and
+    /// whether the resident index served it.
+    fn join_on(
+        &self,
+        epsilon: f64,
+        device_index: usize,
+    ) -> Result<(PlanOutput, bool), SelfJoinError> {
+        let device = self.pool.device(device_index);
         let (resident, reused, build_wall) = self.resident_for(epsilon)?;
         let build_modeled = if reused {
             Duration::ZERO
         } else {
             host_core_time(GridIndex::build_bytes(self.data.len(), self.data.dim()))
         };
-        span.label("decision", if reused { "reuse" } else { "rebuild" });
         let t_touch = Instant::now();
         let (snap, first_touch) = self.snapshot_on(&resident, device_index)?;
         let touch_wall = t_touch.elapsed();
@@ -443,12 +518,7 @@ impl SelfJoinSession {
                 state.stats.estimate_hits += 1;
             }
         }
-        Ok(SessionQueryOutput {
-            table: NeighborTable::from_pairs(self.data.len(), &out.pairs),
-            report: out.report,
-            reused_index: reused,
-            device: device_index,
-        })
+        Ok((out, reused))
     }
 
     /// Serves one kNN query (`k` nearest neighbours of every point)
@@ -530,8 +600,9 @@ impl SelfJoinSession {
     }
 
     /// Returns pool device `device_index`'s snapshot of this generation,
-    /// uploading (and hoisting, on the cell-major path) on first touch,
-    /// then registering the bytes it allocated with the pool's snapshot
+    /// uploading on first touch (on the cell-major path also copying a
+    /// live sibling's hoisted plan, or hoisting when none holds one), then
+    /// registering the bytes it allocated with the pool's snapshot
     /// ledger — which makes room under its budget first, and can evict the
     /// snapshot later. Returns `(snapshot, first_touch)`.
     fn snapshot_on(
@@ -555,22 +626,37 @@ impl SelfJoinSession {
         device.fault_check(sim_gpu::FaultOp::Upload)?;
         let dg = DeviceGrid::upload(device, &self.data, &resident.grid)?;
         let tm = device.spec().transfer_model();
-        let mut upload_modeled = tm.time(dg.h2d_bytes());
-        let mut resident_bytes = dg.h2d_bytes();
-        let hoist = match self.config.join.hot_path {
+        let (hoist, hoist_modeled) = match self.config.join.hot_path {
             HotPath::CellMajor => {
-                let (plan, stats) = CellMajorPlan::build(
-                    device,
-                    &dg,
-                    self.config.join.unicomp,
-                    self.config.join.launch,
-                )?;
-                upload_modeled += stats.modeled + tm.time(stats.h2d_bytes + stats.d2h_bytes);
-                resident_bytes += plan.resident_bytes();
-                Some(plan)
+                // The sibling `Arc` drops with this block, before the
+                // ledger registration below may need to evict it.
+                let sibling = resident
+                    .snapshots
+                    .lock()
+                    .values()
+                    .find(|snap| snap.hoist.is_some())
+                    .map(Arc::clone);
+                let (plan, modeled) = match sibling.as_deref() {
+                    Some(DeviceSnapshot {
+                        hoist: Some(plan),
+                        hoist_modeled,
+                        ..
+                    }) => (plan.copy_to(device)?, *hoist_modeled),
+                    _ => {
+                        let join = &self.config.join;
+                        let (plan, stats) =
+                            CellMajorPlan::build(device, &dg, join.unicomp, join.launch)?;
+                        let modeled = stats.modeled + tm.time(stats.h2d_bytes + stats.d2h_bytes);
+                        (plan, modeled)
+                    }
+                };
+                (Some(plan), modeled)
             }
-            HotPath::PerThread => None,
+            HotPath::PerThread => (None, Duration::ZERO),
         };
+        let upload_modeled = tm.time(dg.h2d_bytes()) + hoist_modeled;
+        let resident_bytes =
+            dg.h2d_bytes() + hoist.as_ref().map_or(0, CellMajorPlan::resident_bytes);
         // The evictor the ledger will call under memory pressure (shares
         // the idle-check-then-remove rule with `evict_snapshot`).
         let weak = Arc::downgrade(resident);
@@ -585,6 +671,7 @@ impl SelfJoinSession {
         let snap = Arc::new(DeviceSnapshot {
             dg,
             hoist,
+            hoist_modeled,
             upload_modeled,
             ledger_entry,
         });
@@ -923,7 +1010,51 @@ mod tests {
                 session.projected_cost(eps).is_err_and(invalid),
                 "projection at {eps}"
             );
+            assert!(
+                session.warm(&[2.0, eps]).is_err_and(invalid),
+                "warm-up at {eps}"
+            );
         }
+        assert_eq!(session.stats().queries, 0, "refused before any join ran");
+    }
+
+    #[test]
+    fn a_copied_plan_equals_a_built_one() {
+        let data = uniform(2, 1000, 96);
+        let pool = DevicePool::titan_x(3);
+        let session = SelfJoinSession::new(data, pool.clone());
+        let eps = 2.0;
+        // Checks device `d`'s resident plan against one the kernels build
+        // there, and returns the snapshot's modeled charge.
+        let plan_matches_a_build = |d: usize| {
+            let resident = session.state.lock().resident.clone().unwrap();
+            let snap = Arc::clone(&resident.snapshots.lock()[&d]);
+            let plan = snap
+                .hoist
+                .as_ref()
+                .expect("cell-major snapshots hold a plan");
+            let join = session.config().join;
+            let (built, _) =
+                CellMajorPlan::build(pool.device(d), &snap.dg, join.unicomp, join.launch).unwrap();
+            assert_eq!(plan.unicomp, built.unicomp);
+            assert_eq!(plan.cell_of_slot.as_slice(), built.cell_of_slot.as_slice());
+            assert_eq!(plan.nbr_offsets.as_slice(), built.nbr_offsets.as_slice());
+            assert_eq!(plan.nbr_cells.as_slice(), built.nbr_cells.as_slice());
+            snap.upload_modeled
+        };
+        session.query_on(eps, 0).unwrap();
+        let one_snapshot = pool.memory_ledger().total();
+        // Device 1's first touch copies device 0's plan.
+        session.query_on(eps, 1).unwrap();
+        let built = plan_matches_a_build(0);
+        assert_eq!(plan_matches_a_build(1), built, "a copy costs the build");
+        assert_eq!(pool.memory_ledger().total(), 2 * one_snapshot);
+        // With no live sibling holding a plan, device 2's first touch
+        // runs the hoisting kernels.
+        assert!(session.evict_snapshot(0) && session.evict_snapshot(1));
+        session.query_on(eps, 2).unwrap();
+        assert_eq!(plan_matches_a_build(2), built);
+        assert_eq!(pool.memory_ledger().total(), one_snapshot);
     }
 
     #[test]

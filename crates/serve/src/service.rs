@@ -318,22 +318,15 @@ impl SelfJoinService {
             .map(|(_, s)| Arc::clone(s))
     }
 
-    /// Warms a dataset's session: serves each ε once (seeding the exact
-    /// result-size cache that both the estimate stage and the cost
-    /// projection read), then touches every pool device so serving traffic
-    /// never pays a first-touch upload. Pass the *largest* ε first so the
-    /// remaining ones reuse its index generation.
+    /// Warms a dataset's session ([`SelfJoinSession::warm`]) so serving
+    /// traffic at `epsilons`, in any order, pays no index build, estimate
+    /// or first-touch upload. It costs one join per distinct ε, which
+    /// seeds the exact result-size cache that both the estimate stage and
+    /// the cost projection read and builds no table, plus one upload per
+    /// pool device that holds no snapshot yet.
     pub fn warm(&self, dataset: DatasetId, epsilons: &[f64]) -> Result<(), ServeError> {
         let session = self.session(dataset).ok_or(ServeError::UnknownDataset)?;
-        for &eps in epsilons {
-            session.query(eps).map_err(ServeError::Join)?;
-        }
-        if let Some(&eps) = epsilons.last() {
-            for device in 0..self.inner.pool.len() {
-                session.query_on(eps, device).map_err(ServeError::Join)?;
-            }
-        }
-        Ok(())
+        session.warm(epsilons).map_err(ServeError::Join)
     }
 
     /// Submits one query. Returns a ticket to wait on, or the admission
@@ -1081,6 +1074,51 @@ mod tests {
             for ticket in outcomes.into_iter().flatten() {
                 ticket.wait().unwrap();
             }
+        }
+    }
+
+    #[test]
+    fn warm_primes_its_epsilons_largest_first() {
+        // Ascending input: priming 1.5 first would build a generation that
+        // 2.0 falls outside, and 1.5's cached count would go with it.
+        let (service, _) = quick_service(1);
+        let id = service.register_dataset("d", uniform(2, 1500, 125));
+        service.warm(id, &[1.5, 2.0]).unwrap();
+        let session = service.session(id).unwrap();
+        let warmed = session.stats();
+        assert!(session.query(1.5).unwrap().reused_index);
+        let stats = session.stats();
+        assert_eq!(stats.estimate_hits, warmed.estimate_hits + 1);
+        assert_eq!(stats.index_builds, 1);
+    }
+
+    #[test]
+    fn warm_leaves_every_device_serving_each_epsilon_from_cache() {
+        let (service, id) = quick_service(2);
+        service.warm(id, &[2.0, 1.5]).unwrap();
+        let session = service.session(id).unwrap();
+        let join = grid_join::GpuSelfJoin::default_device();
+        for eps in [2.0, 1.5] {
+            let fresh = join.run(session.data(), eps).unwrap();
+            for device in 0..2 {
+                let before = session.stats();
+                let out = session.query_on(eps, device).unwrap();
+                assert!(out.reused_index, "ε {eps} on device {device}");
+                assert_eq!(out.table, fresh.table, "ε {eps} on device {device}");
+                let after = session.stats();
+                assert_eq!(after.estimate_hits, before.estimate_hits + 1);
+                assert_eq!((after.index_builds, after.snapshot_uploads), (1, 2));
+            }
+        }
+
+        // One ε joins on one device; the other becomes resident by upload
+        // alone.
+        let (service, id) = quick_service(2);
+        service.warm(id, &[2.0]).unwrap();
+        let stats = service.session(id).unwrap().stats();
+        assert_eq!((stats.queries, stats.snapshot_uploads), (1, 2));
+        for device in 0..2 {
+            assert!(service.pool().device(device).used_bytes() > 0);
         }
     }
 
