@@ -237,41 +237,6 @@ fn main() {
                 "syn-6D hoist costs {ratio:.3}x the join kernels' modeled time (bar: {HOIST_BAR})"
             );
         }
-
-        // Tracing-overhead bar: with tracing disabled every sj_obs call
-        // site is one relaxed atomic load and an inert guard. Measure
-        // that per-call cost directly, count the call sites one traced
-        // run of the same join actually hits, and bound their product
-        // against the join's wall time.
-        if *name == "syn-2M" {
-            sj_obs::set_enabled(false);
-            let iters = 2_000_000u64;
-            let t0 = std::time::Instant::now();
-            for _ in 0..iters {
-                let span = sj_obs::Span::enter("bench.probe");
-                std::hint::black_box(span.id());
-            }
-            let per_call = t0.elapsed().as_secs_f64() / iters as f64;
-
-            sj_obs::trace::clear();
-            sj_obs::set_enabled(true);
-            let _ = run_path(data, &grid, HotPath::CellMajor, 1);
-            sj_obs::set_enabled(false);
-            let spans = sj_obs::drain().len();
-
-            let overhead = per_call * spans as f64;
-            let pct = 100.0 * overhead / cell_major.total_wall().as_secs_f64().max(1e-12);
-            println!(
-                "\ntracing disabled-path overhead: {spans} call sites x {:.1}ns \
-                 = {:.2}us ({pct:.3}% of the cell-major join wall; bar <= 2%)",
-                per_call * 1e9,
-                overhead * 1e6
-            );
-            assert!(
-                pct <= 2.0,
-                "disabled tracing costs {pct:.2}% of the join hot path (bar: 2%)"
-            );
-        }
     }
 
     println!(

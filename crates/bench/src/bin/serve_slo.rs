@@ -30,6 +30,7 @@ use sj_bench::eps_for_realized;
 use sj_bench::table::{emit_table, fmt_speedup};
 use sj_datasets::{sdss, synthetic, Dataset};
 use sj_obs::audit::AuditReport;
+use sj_obs::Stage;
 use sj_serve::{AdmissionConfig, QueryRequest, SelfJoinService, ServeError, ServiceConfig};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -116,8 +117,8 @@ fn main() {
     // Admission's (projected, measured) pair of every completed query,
     // audited after the sweep.
     let mut audit_pairs = Vec::new();
-    // The first traced run's spans, exported after the sweep.
-    let mut trace_records: Option<Vec<sj_obs::SpanRecord>> = None;
+    // The first traced run's stage trees, exported after the sweep.
+    let mut traced: Option<Vec<Stage>> = None;
     for devices in [1usize, 2, 4] {
         let queries = (80 * devices).max(160);
         let offered_qps = OVERLOAD * devices as f64 / mean_cost;
@@ -132,14 +133,9 @@ fn main() {
         let mut measured: Vec<(bool, f64, f64, u64)> = Vec::new(); // (admission, p99, rejected_frac, delayed)
         for admission_on in [false, true] {
             // Trace only the admission-controlled stream: that is the
-            // serving path the span taxonomy documents, and keeping the
-            // baseline untraced keeps the ring buffers comfortably
-            // within one run's spans.
+            // serving path the stage table documents.
             let tracing = args.trace && admission_on;
-            if tracing {
-                sj_obs::trace::clear();
-                sj_obs::set_enabled(true);
-            }
+            let mut forest = Vec::new();
             let service = SelfJoinService::new(
                 DevicePool::titan_x(devices),
                 ServiceConfig {
@@ -181,12 +177,14 @@ fn main() {
                     "served answer diverged from a fresh join (eps {eps:.4})"
                 );
                 audit_pairs.push((out.projected, out.report.modeled_total));
+                if tracing {
+                    forest.push(out.stages());
+                }
             }
             let m = service.metrics();
             assert_eq!(m.total.failed, 0);
             if tracing {
-                sj_obs::set_enabled(false);
-                let records = sj_obs::drain();
+                let records = sj_obs::render(&forest);
                 let stats = sj_obs::validate(&records).expect("trace must be well-formed");
                 let roots = records.iter().filter(|r| r.name == "serve.query").count() as u64;
                 assert_eq!(
@@ -194,11 +192,11 @@ fn main() {
                     "one serve.query root per admitted query"
                 );
                 println!(
-                    "  trace[{devices} dev]: {} spans, {} roots, depth {}, {} threads",
+                    "  trace[{devices} dev]: {} spans, {} roots, depth {}, {} lanes",
                     stats.spans, stats.roots, stats.max_depth, stats.threads
                 );
-                if trace_records.is_none() {
-                    trace_records = Some(records);
+                if traced.is_none() {
+                    traced = Some(forest);
                 }
             }
             let rejected_frac = m.total.rejected as f64 / m.total.submitted.max(1) as f64;
@@ -266,10 +264,20 @@ fn main() {
         &rows,
     );
 
-    if let Some(records) = trace_records {
+    if let Some(forest) = traced {
         let dir = sj_bench::output_dir();
+        let records = sj_obs::render(&forest);
         let full = sj_obs::chrome_trace(&records);
-        sj_obs::json::parse(&full).expect("chrome trace must be valid JSON");
+        let doc = sj_obs::json::parse(&full).expect("chrome trace must be valid JSON");
+        let events = doc.get("traceEvents").expect("traceEvents array").items();
+        for pid in [0.0, 1.0] {
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.get("pid").and_then(sj_obs::Json::as_f64) == Some(pid)),
+                "chrome trace has no events on pid {pid}"
+            );
+        }
         let full_path = dir.join("serve_slo_trace.json");
         std::fs::write(&full_path, &full).expect("write trace");
         println!(
@@ -277,11 +285,11 @@ fn main() {
             full_path.display(),
             records.len()
         );
-        // A small committed sample: the complete span trees of the first
-        // few admitted queries, so the repo carries a loadable example
+        // A small committed sample: the stage trees of the first three
+        // admitted queries, so the repo carries a loadable example
         // without megabytes of trace. A `--quick` smoke run validates it
         // but leaves the committed file alone.
-        let sample = sample_trees(&records, 3);
+        let sample = sj_obs::render(&forest[..forest.len().min(3)]);
         sj_obs::validate(&sample).expect("sample trees stay connected");
         let sample_json = sj_obs::chrome_trace(&sample);
         sj_obs::json::parse(&sample_json).expect("trace sample must be valid JSON");
@@ -308,33 +316,4 @@ fn main() {
         "\nacceptance bar: admission p99 <= SLO while baseline p99 >= 3x SLO, \
          all completed answers exact, admission audit geo-mean within ±5% — passed"
     );
-}
-
-/// The complete span trees of the first `k` `serve.query` roots (in
-/// record order): each record whose ancestor chain reaches one of them.
-fn sample_trees(records: &[sj_obs::SpanRecord], k: usize) -> Vec<sj_obs::SpanRecord> {
-    use std::collections::{HashMap, HashSet};
-    let parent: HashMap<u64, u64> = records.iter().map(|r| (r.id, r.parent)).collect();
-    let roots: HashSet<u64> = records
-        .iter()
-        .filter(|r| r.name == "serve.query")
-        .take(k)
-        .map(|r| r.id)
-        .collect();
-    records
-        .iter()
-        .filter(|r| {
-            let mut cur = r.id;
-            loop {
-                if roots.contains(&cur) {
-                    return true;
-                }
-                match parent.get(&cur) {
-                    Some(&p) if p != 0 => cur = p,
-                    _ => return false,
-                }
-            }
-        })
-        .cloned()
-        .collect()
 }

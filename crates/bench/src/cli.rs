@@ -15,8 +15,9 @@ pub struct Args {
     /// Also write every printed table as JSON under `bench_results/`
     /// (see [`crate::table::emit_table`]).
     pub json: bool,
-    /// Enable span tracing (`sj_obs`) and export a Chrome trace of the
-    /// measured run under `bench_results/` (binaries that support it).
+    /// Render the measured run's outputs as stage trees (`sj_obs::Stage`)
+    /// and export them as a Chrome trace under `bench_results/`
+    /// (binaries that support it).
     pub trace: bool,
 }
 
@@ -90,7 +91,7 @@ fn usage(msg: &str) -> ! {
          --trials N   best-of trials per wall-clock measurement (default 1; paper used 3)\n\
          --quick      smoke mode: caps scale at 0.0005\n\
          --json       also write printed tables to bench_results/<figure>.json\n\
-         --trace      record sj_obs spans and export a Chrome trace to bench_results/"
+         --trace      export the run's stage trees as a Chrome trace to bench_results/"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

@@ -172,7 +172,6 @@ pub fn estimate_result_size(
     if n == 0 {
         return Ok((0, 0, Duration::ZERO, Duration::ZERO));
     }
-    let mut span = sj_obs::Span::enter("gpu.estimate");
     let eps = query_epsilon.unwrap_or(grid.epsilon);
     // Deterministic stratified sample: every stride-th point. A is grouped
     // by cell, but ids are assigned in input order, so striding ids
@@ -194,8 +193,6 @@ pub fn estimate_result_size(
     let total: u64 = counts.drain_to_host().iter().map(|&c| c as u64).sum();
     let avg = total as f64 / ids.len() as f64;
     let estimate = (avg * n as f64 * cfg.safety_factor).ceil() as u64;
-    span.label("sample", ids.len());
-    span.label("estimate", estimate);
     Ok((estimate, ids.len(), stats.wall, stats.modeled_wall))
 }
 
@@ -248,10 +245,7 @@ pub fn run_batched_on(
             (None, PlanBuildStats::default())
         }
         (HotPath::CellMajor, None) => {
-            let mut hspan = sj_obs::Span::enter("gpu.hoist");
             let (plan, stats) = CellMajorPlan::build(device, grid, opts.unicomp, launch_cfg)?;
-            hspan.label("h2d_bytes", stats.h2d_bytes);
-            hspan.label("d2h_bytes", stats.d2h_bytes);
             (Some(plan), stats)
         }
         (HotPath::PerThread, _) => (None, Default::default()),
@@ -298,12 +292,8 @@ pub fn run_batched_on(
 
     let per_batch_queries = n.div_ceil(batches.max(1)).max(1);
     let mut offset = 0usize;
-    let mut batch_idx = 0usize;
     while offset < n {
         let count = per_batch_queries.min(n - offset);
-        let mut bspan = sj_obs::Span::enter("gpu.batch");
-        bspan.label("batch", batch_idx);
-        bspan.label("queries", count);
         loop {
             let stats = match plan {
                 Some(plan) => {
@@ -345,15 +335,8 @@ pub fn run_batched_on(
             kernel_time += stats.wall;
             modeled_kernel_time += stats.modeled_wall;
             let produced = results.len();
-            let mut dspan = sj_obs::Span::enter("gpu.download");
-            if dspan.id() != 0 {
-                let bytes = produced * pair_size;
-                dspan.label("bytes", bytes);
-                dspan.set_modeled_dur(device.spec().transfer_model().time(bytes).as_secs_f64());
-            }
             all_pairs.extend_from_slice(results.as_slice());
             results.clear();
-            drop(dspan);
             // The overlap timeline schedules *device* work, so it is fed
             // modeled kernel durations.
             costs.push(BatchCost {
@@ -363,12 +346,7 @@ pub fn run_batched_on(
             });
             break;
         }
-        if overflow_retries > 0 {
-            bspan.label("retries_so_far", overflow_retries);
-        }
-        drop(bspan);
         offset += count;
-        batch_idx += 1;
     }
 
     let timeline =

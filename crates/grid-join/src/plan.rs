@@ -51,6 +51,7 @@ use crate::result::{Ownership, Pair};
 use sim_gpu::occupancy::KernelResources;
 use sim_gpu::{host_core_time, occupancy, Device, LaunchConfig, OccupancyResult};
 use sj_datasets::Dataset;
+use sj_obs::Stage;
 use std::time::{Duration, Instant};
 
 /// How a plan obtains its ε-grid index.
@@ -155,10 +156,27 @@ impl<'a> JoinPlan<'a> {
 pub struct JoinReport {
     /// Host-side grid construction time (zero for prebuilt/resident).
     pub grid_build: Duration,
+    /// Modeled cost of the build [`Self::grid_build`] timed: the bytes it
+    /// streams ([`GridIndex::build_bytes`]) at the host-core rate; zero
+    /// when no index was built for this join.
+    pub modeled_grid_build: Duration,
     /// Wall time of the device pipeline: estimate + kernels + drains.
     pub device_pipeline: Duration,
+    /// Wall time of the first-touch upload (and hoist) a session query
+    /// paid for its device snapshot; zero when the snapshot was resident.
+    /// A plan that uploads its own snapshot does so inside the pipeline's
+    /// timeline instead.
+    pub upload: Duration,
+    /// Modeled cost of [`Self::upload`]: the snapshot's transfer plus its
+    /// hoist.
+    pub modeled_upload: Duration,
     /// End-to-end wall time of the plan (index + execution).
     pub total: Duration,
+    /// Wall time of building the neighbour table from the pairs, which
+    /// [`Self::total`] excludes. Set by the callers that build one
+    /// ([`crate::GpuSelfJoin::run`], [`crate::GpuSelfJoin::run_on_grid`],
+    /// [`crate::SelfJoinSession::query_on`]); zero otherwise.
+    pub table_build: Duration,
     /// Modeled response time on the simulated device: the host grid
     /// build priced from the bytes it streams
     /// ([`GridIndex::build_bytes`] at the host-core rate, zero for
@@ -176,6 +194,80 @@ pub struct JoinReport {
     pub occupancy: OccupancyResult,
     /// Batching execution details.
     pub batching: BatchReport,
+}
+
+impl JoinReport {
+    /// The join's stage tree, built from this report's fields:
+    ///
+    /// ```text
+    /// join                  modeled_total; wall total + table_build
+    /// ├─ index.build        when an index was built for this join
+    /// ├─ session.upload     a session query's first-touch upload
+    /// ├─ plan.execute       the rest of the modeled and wall totals
+    /// │  ├─ gpu.estimate    when the estimate was not cached
+    /// │  └─ gpu.pipeline    the rest; its engines side by side:
+    /// │     └─ gpu.upload, gpu.hoist (when it ran), gpu.kernels, gpu.download
+    /// └─ table              wall only, when the caller built one
+    /// ```
+    ///
+    /// On the modeled clock the children of `join` and `plan.execute` sum
+    /// to their parent. The engines' busy times overlap, so they only
+    /// bound `gpu.pipeline` from below and sum to the timeline's
+    /// `serial_total`; a straggler's stretch is the pipeline's self time.
+    pub fn stages(&self) -> Stage {
+        let b = &self.batching;
+        let tl = &b.timeline;
+        let ran = |wall: Duration, modeled: Duration| !(wall.is_zero() && modeled.is_zero());
+        let plan_modeled = self
+            .modeled_total
+            .saturating_sub(self.modeled_grid_build + self.modeled_upload);
+        let pipeline = Stage::new(
+            "gpu.pipeline",
+            self.device_pipeline.saturating_sub(b.estimate_time),
+            plan_modeled.saturating_sub(b.modeled_estimate_time),
+        )
+        .side_by_side()
+        .child(Stage::new("gpu.upload", Duration::ZERO, tl.h2d_busy))
+        .child(
+            ran(b.hoist_time, b.modeled_hoist_time)
+                .then(|| Stage::new("gpu.hoist", b.hoist_time, b.modeled_hoist_time)),
+        )
+        .child(Stage::new(
+            "gpu.kernels",
+            b.kernel_time,
+            tl.serial_total
+                .saturating_sub(tl.h2d_busy + tl.d2h_busy + b.modeled_hoist_time),
+        ))
+        .child(
+            Stage::new("gpu.download", Duration::ZERO, tl.d2h_busy)
+                .label("bytes", b.actual_pairs * size_of::<Pair>() as u64),
+        );
+        let plan = Stage::new(
+            "plan.execute",
+            self.total.saturating_sub(self.grid_build + self.upload),
+            plan_modeled,
+        )
+        .label("batches", b.batches)
+        .label("pairs", b.actual_pairs)
+        .child(
+            ran(b.estimate_time, b.modeled_estimate_time)
+                .then(|| Stage::new("gpu.estimate", b.estimate_time, b.modeled_estimate_time)),
+        )
+        .child(pipeline);
+        Stage::new("join", self.total + self.table_build, self.modeled_total)
+            .child(
+                ran(self.grid_build, self.modeled_grid_build)
+                    .then(|| Stage::new("index.build", self.grid_build, self.modeled_grid_build)),
+            )
+            .child(
+                ran(self.upload, self.modeled_upload)
+                    .then(|| Stage::new("session.upload", self.upload, self.modeled_upload)),
+            )
+            .child(plan)
+            .child(
+                (!self.table_build.is_zero()).then(|| Stage::new("table", self.table_build, None)),
+            )
+    }
 }
 
 /// Output of one executed plan: the raw pair stream plus the report.
@@ -201,22 +293,6 @@ pub struct PlanOutput {
 /// shard contract passes an owned *prefix*).
 pub fn execute(plan: &JoinPlan<'_>, device: &Device) -> Result<PlanOutput, SelfJoinError> {
     let t0 = Instant::now();
-    let mut span = sj_obs::Span::enter("plan.execute");
-    // Where this plan starts on the modeled clock (the worker seeded the
-    // thread's cursor); the span is finalized with the *pipelined*
-    // modeled total, snapping the cursor back from the serialized layout
-    // the child device stages produce.
-    let modeled_start = if span.id() != 0 {
-        let c = sj_obs::trace::modeled_cursor();
-        if c.is_nan() {
-            0.0
-        } else {
-            c
-        }
-    } else {
-        0.0
-    };
-    span.label("n", plan.data.len());
 
     // Index stage: the build's wall time for the report, its streamed
     // bytes for the modeled clock.
@@ -224,12 +300,8 @@ pub fn execute(plan: &JoinPlan<'_>, device: &Device) -> Result<PlanOutput, SelfJ
     let (grid, grid_build, grid_modeled): (&GridIndex, Duration, Duration) = match &plan.index {
         IndexStage::Build { epsilon } => {
             let tb = Instant::now();
-            let mut ispan = sj_obs::Span::enter("plan.index");
             built = GridIndex::build(plan.data, *epsilon)?;
-            ispan.label("cells", built.non_empty_cells());
             let modeled = host_core_time(GridIndex::build_bytes(plan.data.len(), plan.data.dim()));
-            ispan.set_modeled_dur(modeled.as_secs_f64());
-            drop(ispan);
             (&built, tb.elapsed(), modeled)
         }
         IndexStage::Prebuilt(grid) => (*grid, Duration::ZERO, Duration::ZERO),
@@ -269,14 +341,8 @@ pub fn execute(plan: &JoinPlan<'_>, device: &Device) -> Result<PlanOutput, SelfJ
             snapshot, hoist, ..
         } => (*snapshot, *hoist, true),
         _ => {
-            let mut uspan = sj_obs::Span::enter("gpu.upload");
             device.fault_check(sim_gpu::FaultOp::Upload)?;
             uploaded = DeviceGrid::upload(device, plan.data, grid)?;
-            if uspan.id() != 0 {
-                let bytes = uploaded.h2d_bytes();
-                uspan.label("bytes", bytes);
-                uspan.set_modeled_dur(device.spec().transfer_model().time(bytes).as_secs_f64());
-            }
             (&uploaded, None, false)
         }
     };
@@ -303,12 +369,14 @@ pub fn execute(plan: &JoinPlan<'_>, device: &Device) -> Result<PlanOutput, SelfJ
     // unaffected.
     let device_modeled = batching.modeled_estimate_time + batching.timeline.total;
     let modeled_total = grid_modeled + device_modeled.mul_f64(device.slowdown());
-    span.label("pairs", pairs.len());
-    span.set_modeled(modeled_start, modeled_total.as_secs_f64());
     let report = JoinReport {
         grid_build,
+        modeled_grid_build: grid_modeled,
         device_pipeline,
+        upload: Duration::ZERO,
+        modeled_upload: Duration::ZERO,
         total: t0.elapsed(),
+        table_build: Duration::ZERO,
         modeled_total,
         non_empty_cells: grid.non_empty_cells(),
         index_bytes: grid.size_bytes(),

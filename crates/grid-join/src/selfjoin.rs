@@ -26,10 +26,11 @@ use crate::batching::{BatchingConfig, ExecOptions};
 use crate::cell_major::HotPath;
 use crate::error::SelfJoinError;
 use crate::grid::GridIndex;
-use crate::plan::{execute, IndexStage, JoinPlan};
+use crate::plan::{execute, IndexStage, JoinPlan, PlanOutput};
 use crate::result::NeighborTable;
 use sim_gpu::{Device, DeviceSpec, LaunchConfig};
 use sj_datasets::Dataset;
+use std::time::Instant;
 
 pub use crate::plan::JoinReport;
 
@@ -89,6 +90,18 @@ pub struct SelfJoinOutput {
     pub table: NeighborTable,
     /// Timings and counters.
     pub report: JoinReport,
+}
+
+impl SelfJoinOutput {
+    /// Builds the table from an executed plan's pairs, timing the build
+    /// into [`JoinReport::table_build`].
+    fn of(data: &Dataset, out: PlanOutput) -> Self {
+        let t = Instant::now();
+        let table = NeighborTable::from_pairs(data.len(), &out.pairs);
+        let mut report = out.report;
+        report.table_build = t.elapsed();
+        Self { table, report }
+    }
 }
 
 /// The GPU self-join operator (paper: GPU-SJ).
@@ -158,11 +171,7 @@ impl GpuSelfJoin {
     /// `dist(p, q) ≤ epsilon`.
     pub fn run(&self, data: &Dataset, epsilon: f64) -> Result<SelfJoinOutput, SelfJoinError> {
         let plan = self.plan(data, IndexStage::Build { epsilon });
-        let out = execute(&plan, &self.device)?;
-        Ok(SelfJoinOutput {
-            table: NeighborTable::from_pairs(data.len(), &out.pairs),
-            report: out.report,
-        })
+        Ok(SelfJoinOutput::of(data, execute(&plan, &self.device)?))
     }
 
     /// Runs the self-join against a prebuilt index (ε comes from the grid).
@@ -176,11 +185,7 @@ impl GpuSelfJoin {
         grid: &GridIndex,
     ) -> Result<SelfJoinOutput, SelfJoinError> {
         let plan = self.plan(data, IndexStage::Prebuilt(grid));
-        let out = execute(&plan, &self.device)?;
-        Ok(SelfJoinOutput {
-            table: NeighborTable::from_pairs(data.len(), &out.pairs),
-            report: out.report,
-        })
+        Ok(SelfJoinOutput::of(data, execute(&plan, &self.device)?))
     }
 }
 

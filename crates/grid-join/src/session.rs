@@ -196,10 +196,12 @@ pub struct ProjectedCost {
 pub struct SessionQueryOutput {
     /// Directed, self-excluded neighbour lists at the queried ε′.
     pub table: NeighborTable,
-    /// Timings and counters. `grid_build` and `modeled_total` include the
-    /// session-level index build / first-touch upload when this query
-    /// paid them; on reuse both shrink to the pure query cost — the
-    /// amortization the `query_throughput` bench measures.
+    /// Timings and counters. `grid_build` / `modeled_grid_build` and
+    /// `upload` / `modeled_upload` hold the session-level index build and
+    /// first-touch upload when this query paid them, and `total` /
+    /// `modeled_total` include them; on reuse they are zero and the totals
+    /// shrink to the pure query cost — the amortization the
+    /// `query_throughput` bench measures.
     pub report: JoinReport,
     /// Whether the resident index served this query (false = rebuilt).
     pub reused_index: bool,
@@ -224,7 +226,7 @@ pub struct SessionKnnOutput {
 /// semantics. Dropping the session releases every resident snapshot
 /// (device memory returns to the pool).
 pub struct SelfJoinSession {
-    /// Ledger owner tag (see [`Self::id`]).
+    /// Process-unique id (see [`Self::id`]).
     id: u64,
     data: Dataset,
     pool: DevicePool,
@@ -293,8 +295,7 @@ impl SelfJoinSession {
         &self.config
     }
 
-    /// Process-unique session id — the `session` label of this session's
-    /// `session.query` and `session.upload` trace spans.
+    /// Process-unique session id.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -412,15 +413,14 @@ impl SelfJoinSession {
         epsilon: f64,
         device_index: usize,
     ) -> Result<SessionQueryOutput, SelfJoinError> {
-        let mut span = sj_obs::Span::enter("session.query");
-        span.label("session", self.id);
-        span.label("epsilon", epsilon);
-        span.label("device", device_index);
         let (out, reused_index) = self.join_on(epsilon, device_index)?;
-        span.label("decision", if reused_index { "reuse" } else { "rebuild" });
+        let t = Instant::now();
+        let table = NeighborTable::from_pairs(self.data.len(), &out.pairs);
+        let mut report = out.report;
+        report.table_build = t.elapsed();
         Ok(SessionQueryOutput {
-            table: NeighborTable::from_pairs(self.data.len(), &out.pairs),
-            report: out.report,
+            table,
+            report,
             reused_index,
             device: device_index,
         })
@@ -494,12 +494,13 @@ impl SelfJoinSession {
         // build nor the upload — whichever of those this query actually
         // triggered belongs to it.
         out.report.grid_build = build_wall;
-        out.report.total += build_wall;
-        out.report.modeled_total += build_modeled;
+        out.report.modeled_grid_build = build_modeled;
         if first_touch {
-            out.report.total += touch_wall;
-            out.report.modeled_total += snap.upload_modeled;
+            out.report.upload = touch_wall;
+            out.report.modeled_upload = snap.upload_modeled;
         }
+        out.report.total += build_wall + out.report.upload;
+        out.report.modeled_total += build_modeled + out.report.modeled_upload;
         resident.estimates.lock().insert(
             epsilon.to_bits(),
             (
@@ -582,10 +583,7 @@ impl SelfJoinSession {
         // correct (each query uses the generation it built; last install
         // wins) — just wasted work in a pathological interleaving.
         let t0 = Instant::now();
-        let mut bspan = sj_obs::Span::enter("session.build");
-        bspan.label("epsilon_built", epsilon * self.config.build_headroom);
         let grid = GridIndex::build(&self.data, epsilon * self.config.build_headroom)?;
-        drop(bspan);
         let build_wall = t0.elapsed();
         let resident = Arc::new(Resident {
             grid: Arc::new(grid),
@@ -614,9 +612,6 @@ impl SelfJoinSession {
         if let Some(snap) = resident.snapshots.lock().get(&device_index) {
             return Ok((Arc::clone(snap), false));
         }
-        let mut uspan = sj_obs::Span::enter("session.upload");
-        uspan.label("session", self.id);
-        uspan.label("device", device_index);
         // Upload and hoist OUTSIDE the map lock: a first touch on one
         // device must not stall concurrent queries on devices whose
         // snapshot is already cached (or is being built in parallel). Two
@@ -684,9 +679,6 @@ impl SelfJoinSession {
             snapshots.insert(device_index, Arc::clone(&snap));
         }
         let reupload = !resident.uploaded_devices.lock().insert(device_index);
-        uspan.label("bytes", snap.dg.h2d_bytes());
-        uspan.label("reupload", u64::from(reupload));
-        uspan.set_modeled_dur(snap.upload_modeled.as_secs_f64());
         {
             let mut state = self.state.lock();
             state.stats.snapshot_uploads += 1;

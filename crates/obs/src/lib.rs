@@ -5,14 +5,13 @@
 //! crate is the one place all of those layers report to, so a single
 //! artifact can show where a query's time went. Three pieces:
 //!
-//! * [`trace`] — span tracing on **both clocks** (host wall time and the
-//!   simulator's modeled/virtual time), recorded into per-thread ring
-//!   buffers, exported as Chrome trace-event JSON
-//!   ([`trace::chrome_trace`], loadable in `chrome://tracing`) or a text
-//!   flame summary ([`trace::flame_summary`]). Off by default; the
-//!   disabled path is a single relaxed [`std::sync::atomic::AtomicBool`]
-//!   load per call site (the `kernel_hotpath` bench asserts ≤ 2%
-//!   overhead on the join hot path).
+//! * [`trace`] — stage trees on **both clocks** (host wall time and the
+//!   simulator's modeled/virtual time). A query's output builds its own
+//!   [`Stage`] tree from the figures it holds (`JoinReport::stages`,
+//!   `ShardedReport::stages`, `ServeOutput::stages`); [`render`] lays a
+//!   forest of them out as spans, exported as Chrome trace-event JSON
+//!   ([`trace::chrome_trace`], loadable in `chrome://tracing`). No code
+//!   path records anything, so there is nothing to switch on or off.
 //! * [`metrics`] — named counters in one process-wide registry. A count
 //!   some struct owns is read there and not copied here: serve traffic
 //!   from `ServiceMetrics`, snapshot churn and fault retries from
@@ -39,7 +38,4 @@ pub mod trace;
 
 pub use json::Json;
 pub use metrics::{registry, Counter, Registry};
-pub use trace::{
-    chrome_trace, drain, flame_summary, set_enabled, set_modeled_cursor, validate, LabelValue,
-    Span, SpanGuard, SpanRecord, TraceStats,
-};
+pub use trace::{chrome_trace, render, validate, LabelValue, SpanRecord, Stage, TraceStats};

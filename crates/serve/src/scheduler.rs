@@ -26,6 +26,7 @@
 
 use crate::service::TicketShared;
 use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// One admitted query, placed on the virtual timeline and awaiting
 /// execution.
@@ -56,13 +57,10 @@ pub(crate) struct Job {
     pub delayed: bool,
     /// Completion slot the submitter waits on.
     pub ticket: TicketShared,
-    /// Root `serve.query` span id for this query's trace tree, 0 when
-    /// tracing was disabled at admission. Workers parent their queue/run
-    /// spans under it so the tree stays connected across threads.
-    pub span: u64,
-    /// Wall-clock admission timestamp (trace-epoch ns) for backdating
-    /// the queue-wait span; 0 when tracing was disabled.
-    pub admit_ns: u64,
+    /// Wall time admission spent on the job before queueing it.
+    pub admission: Duration,
+    /// When the job was queued (wall clock).
+    pub queued: Instant,
 }
 
 /// Mutable scheduler state, all under one lock.
@@ -275,8 +273,8 @@ mod tests {
             attempts: 0,
             delayed: false,
             ticket: new_ticket(),
-            span: 0,
-            admit_ns: 0,
+            admission: Duration::ZERO,
+            queued: Instant::now(),
         }
     }
 

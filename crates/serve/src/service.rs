@@ -25,6 +25,7 @@ use crate::scheduler::{wfq_order, FairItem, Job, Scheduler};
 use grid_join::{JoinReport, NeighborTable, SelfJoinError, SelfJoinSession, SessionConfig};
 use sim_gpu::DevicePool;
 use sj_datasets::Dataset;
+use sj_obs::Stage;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -147,8 +148,62 @@ pub struct ServeOutput {
     /// on the device; the cost audit pairs it with the report's
     /// `modeled_total`.
     pub projected: Duration,
+    /// Times the query was re-placed after a device fault; 0 when none.
+    pub attempts: u32,
+    /// Wall time admission spent on the query: from the `submit` call
+    /// until it was placed in the queue.
+    pub admission_wall: Duration,
+    /// Wall time the query waited in the queue, from its placement until
+    /// a worker took it.
+    pub queue_wall: Duration,
     /// Timing/shape report of the underlying join.
     pub report: JoinReport,
+}
+
+impl ServeOutput {
+    /// The served query's stage tree, built from this output's fields and
+    /// its report's ([`JoinReport::stages`], renamed `session.query`):
+    ///
+    /// ```text
+    /// serve.query          latency, from the arrival; on the device's lane
+    /// ├─ serve.admission   instant on the virtual clock
+    /// ├─ serve.queue       queue_wait
+    /// └─ serve.run         the rest of latency: the modeled run
+    ///    └─ session.query  the report's modeled_total
+    /// ```
+    ///
+    /// A fault retry's failed attempts leave only their count
+    /// ([`Self::attempts`]); the run is the attempt that answered.
+    pub fn stages(&self) -> Stage {
+        let session = Stage {
+            name: "session.query",
+            ..self.report.stages()
+        }
+        .label("reused", u64::from(self.reused_index));
+        let run = Stage::new(
+            "serve.run",
+            session.wall,
+            self.latency.saturating_sub(self.queue_wait),
+        )
+        .label("attempts", self.attempts)
+        .child(session);
+        Stage {
+            start: self.completion.saturating_sub(self.latency),
+            ..Stage::new(
+                "serve.query",
+                self.admission_wall + self.queue_wall + run.wall,
+                self.latency,
+            )
+            .label("device", self.device)
+            .child(Stage::new(
+                "serve.admission",
+                self.admission_wall,
+                Duration::ZERO,
+            ))
+            .child(Stage::new("serve.queue", self.queue_wall, self.queue_wait))
+            .child(run)
+        }
+    }
 }
 
 /// Completion slot a worker fills and a submitter waits on.
@@ -346,6 +401,7 @@ impl SelfJoinService {
     /// it arrives). Outcomes are returned in request order; each request
     /// sees the horizons its tag-predecessors created.
     pub fn submit_batch(&self, reqs: Vec<QueryRequest>) -> Vec<Result<QueryTicket, ServeError>> {
+        let submitted = Instant::now();
         // Phase 1 — per-request prep without scheduler locks: session
         // lookup, cost projection (which refuses an invalid ε here, before
         // anything is placed or counted), tenant interning.
@@ -437,33 +493,7 @@ impl SelfJoinService {
                         let seq = st.next_seq;
                         st.next_seq += 1;
                         let (device, start) = st.place(item.arrival, item.projected, &healthy);
-                        // Root of the query's trace tree. Its wall
-                        // interval is admission processing; its modeled
-                        // interval is the placement *reservation*
-                        // (arrival → projected completion) — workers
-                        // later record the measured queue/run spans as
-                        // children.
-                        let mut qspan = sj_obs::Span::enter("serve.query");
-                        let (span_id, admit_ns) = if qspan.id() != 0 {
-                            qspan.label("tenant", prep.req.tenant.clone());
-                            qspan.label("epsilon", prep.req.epsilon);
-                            qspan.label("dataset", prep.req.dataset.0);
-                            qspan.label("seq", seq);
-                            let mut aspan = sj_obs::Span::child_of(qspan.id(), "serve.admission");
-                            aspan
-                                .label("decision", if delayed { "admit_delayed" } else { "admit" });
-                            aspan.label("device", device);
-                            aspan.label("projected_us", item.projected * 1e6);
-                            aspan.label("wait_us", wait.as_secs_f64() * 1e6);
-                            aspan.set_modeled(item.arrival, 0.0);
-                            drop(aspan);
-                            qspan
-                                .set_modeled(item.arrival, (start + item.projected) - item.arrival);
-                            (qspan.id(), sj_obs::trace::now_ns())
-                        } else {
-                            (0, 0)
-                        };
-                        drop(qspan);
+                        let queued = Instant::now();
                         let ticket = new_ticket();
                         st.queue.push(Job {
                             seq,
@@ -478,20 +508,14 @@ impl SelfJoinService {
                             attempts: 0,
                             delayed,
                             ticket: Arc::clone(&ticket),
-                            span: span_id,
-                            admit_ns,
+                            admission: queued - submitted,
+                            queued,
                         });
                         st.tenant_inflight[prep.tenant] += 1;
                         admits.push((prep.tenant, item.arrival, delayed));
                         Ok(QueryTicket { inner: ticket })
                     }
                     Decision::Reject { retry_after } => {
-                        let mut aspan = sj_obs::Span::enter("serve.admission");
-                        if aspan.id() != 0 {
-                            aspan.label("tenant", prep.req.tenant.clone());
-                            aspan.label("decision", "reject");
-                            aspan.set_modeled(item.arrival, 0.0);
-                        }
                         rejects.push(prep.tenant);
                         Err(ServeError::Overloaded { retry_after })
                     }
@@ -682,37 +706,14 @@ fn worker_loop(inner: Arc<Inner>, _worker: usize) {
 /// Executes one popped job to resolution: success, terminal error, or a
 /// bounded sequence of fault retries on healthy devices.
 fn run_job(inner: &Arc<Inner>, mut job: Job) {
+    let queue_wall = job.queued.elapsed();
     loop {
         let mut guard = OutcomeGuard::arm(Arc::clone(&job.ticket));
         let session = {
             let sessions = lock_clean(&inner.sessions);
             Arc::clone(&sessions[job.dataset].1)
         };
-        let (device, start) = (job.device, job.start);
-        // Trace the dispatch: a backdated queue-wait span (admission →
-        // pop on the wall clock, arrival → virtual start on the modeled
-        // clock) and a run span the whole session/plan/kernel subtree
-        // nests under. `set_modeled` on the queue span leaves the
-        // thread's modeled cursor at `job.start`, exactly where the run
-        // subtree's device stages should begin.
-        if job.span != 0 {
-            let mut wspan = sj_obs::Span::child_of(job.span, "serve.queue");
-            wspan.label("device", device);
-            if job.admit_ns != 0 {
-                wspan.set_wall_start_ns(job.admit_ns);
-            }
-            wspan.set_modeled(job.arrival, (start - job.arrival).max(0.0));
-        }
-        let mut rspan = if job.span != 0 {
-            let mut s = sj_obs::Span::child_of(job.span, "serve.run");
-            s.label("device", device);
-            s.label("seq", job.seq);
-            s.label("attempt", job.attempts);
-            sj_obs::set_modeled_cursor(start);
-            Some(s)
-        } else {
-            None
-        };
+        let device = job.device;
         // The join itself is the only stage that executes foreign-ish
         // code (kernels, allocators); everything after it is our own
         // bookkeeping. A panic here must cost one query, not the worker
@@ -728,13 +729,13 @@ fn run_job(inner: &Arc<Inner>, mut job: Job) {
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "opaque panic payload".into());
-                drop(rspan);
                 sj_obs::registry()
                     .counter("sj_serve_worker_panics_total", &[])
                     .inc();
                 finish_job(
                     inner,
                     &job,
+                    queue_wall,
                     Err(ServeError::Internal(format!(
                         "executor panicked during query: {msg}"
                     ))),
@@ -743,15 +744,6 @@ fn run_job(inner: &Arc<Inner>, mut job: Job) {
                 return;
             }
         };
-        let actual = match &result {
-            Ok(out) => out.report.modeled_total.as_secs_f64(),
-            Err(_) => 0.0,
-        };
-        if let Some(s) = rspan.as_mut() {
-            s.set_modeled(start, actual);
-        }
-        drop(rspan);
-
         // Degraded-mode retry: a device fault is retryable by
         // construction (re-running the query on a healthy device yields
         // the exact same table), so re-place the job instead of failing
@@ -774,12 +766,6 @@ fn run_job(inner: &Arc<Inner>, mut job: Job) {
                     job.start = nstart;
                     job.attempts += 1;
                     drop(st);
-                    let mut span = sj_obs::Span::enter("fault.retry");
-                    span.label("seq", job.seq);
-                    span.label("from", device);
-                    span.label("to", nd);
-                    span.label("attempt", job.attempts);
-                    drop(span);
                     sj_obs::registry()
                         .counter("sj_serve_retries_total", &[])
                         .inc();
@@ -793,7 +779,7 @@ fn run_job(inner: &Arc<Inner>, mut job: Job) {
             }
         }
 
-        finish_job(inner, &job, result.map_err(ServeError::Join));
+        finish_job(inner, &job, queue_wall, result.map_err(ServeError::Join));
         guard.disarm();
         return;
     }
@@ -804,6 +790,7 @@ fn run_job(inner: &Arc<Inner>, mut job: Job) {
 fn finish_job(
     inner: &Arc<Inner>,
     job: &Job,
+    queue_wall: Duration,
     result: Result<grid_join::SessionQueryOutput, ServeError>,
 ) {
     let actual = match &result {
@@ -842,6 +829,9 @@ fn finish_job(
         reused_index: out.reused_index,
         delayed: job.delayed,
         projected: Duration::from_secs_f64(job.projected),
+        attempts: job.attempts,
+        admission_wall: job.admission,
+        queue_wall,
         report: out.report,
     });
     fulfill(&job.ticket, outcome);
@@ -1153,9 +1143,7 @@ mod tests {
                 after_ops: 1,
                 kind: FaultKind::Transient,
             }]));
-        let before = sj_obs::registry()
-            .counter("sj_serve_retries_total", &[])
-            .get();
+        let mut attempts = 0;
         for _ in 0..3 {
             let out = service
                 .submit(QueryRequest::new("alice", id, 2.0))
@@ -1163,11 +1151,11 @@ mod tests {
                 .wait()
                 .unwrap();
             assert_eq!(out.table, fresh.table);
+            attempts += out.attempts;
         }
-        let after = sj_obs::registry()
-            .counter("sj_serve_retries_total", &[])
-            .get();
-        assert!(after > before, "the transient fault must surface a retry");
+        // The one armed transient fires on the first serving op, and the
+        // query it hit says so itself.
+        assert_eq!(attempts, 1, "the transient fault must surface one retry");
         let m = service.metrics();
         assert_eq!(m.total.completed, 3);
         assert_eq!(m.total.failed, 0);
@@ -1200,9 +1188,16 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        let mut retried = 0;
         for t in tickets {
-            assert_eq!(t.wait().unwrap().table, fresh.table);
+            let out = t.wait().unwrap();
+            assert_eq!(out.table, fresh.table);
+            if out.attempts >= 1 {
+                retried += 1;
+                assert_eq!(out.device, 0, "a retried query fails over to device 0");
+            }
         }
+        assert!(retried >= 1, "a query placed on the crashed device retries");
         let m = service.metrics();
         assert_eq!(m.total.completed, 6);
         assert_eq!(m.total.failed, 0);

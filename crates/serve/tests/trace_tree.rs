@@ -1,16 +1,22 @@
-//! Serve-level trace test: every admitted query's spans form one
-//! connected tree — admission → queue → run → session → plan → device
-//! stages — carrying both the wall clock and the modeled clock.
+//! Serve-level trace test: every answered query's output renders one
+//! stage tree — admission → queue → run → session → plan → device stages
+//! → table — on both the wall and the modeled clock.
 //!
-//! Lives in an integration test (own process) so the global trace
-//! buffers see only this test's spans.
+//! Two services run at once on two threads. Each renders only its own
+//! outputs, so neither takes a lock or sees the other's queries, and
+//! each query carries its own retry count.
 
-use sj_serve::{AdmissionConfig, DevicePool, QueryRequest, SelfJoinService, ServiceConfig};
+use sj_obs::{SpanRecord, Stage};
+use sj_serve::{
+    AdmissionConfig, DevicePool, QueryRequest, SelfJoinService, ServeOutput, ServiceConfig,
+};
 use std::collections::HashMap;
 use std::time::Duration;
 
-#[test]
-fn admitted_queries_form_connected_span_trees() {
+/// Serves `queries` queries on a warmed two-device service, with one
+/// transient fault armed on device 0 when `fault` is set.
+fn serve(seed: u64, queries: u64, fault: bool) -> Vec<ServeOutput> {
+    use sim_gpu::{FaultEvent, FaultKind, FaultPlan};
     let service = SelfJoinService::new(
         DevicePool::titan_x(2),
         ServiceConfig {
@@ -21,14 +27,17 @@ fn admitted_queries_form_connected_span_trees() {
             ..ServiceConfig::default()
         },
     );
-    let id = service.register_dataset("demo", sj_datasets::synthetic::uniform(2, 900, 7));
-    // Calibrate and seed snapshots before tracing so the trace holds
-    // exactly the serving-path spans.
+    let id = service.register_dataset("demo", sj_datasets::synthetic::uniform(2, 900, seed));
     service.warm(id, &[2.0]).unwrap();
-
-    sj_obs::set_enabled(true);
-    let _ = sj_obs::drain();
-    let queries = 6u64;
+    if fault {
+        service
+            .pool()
+            .inject_faults(&FaultPlan::new(vec![FaultEvent {
+                device: 0,
+                after_ops: 1,
+                kind: FaultKind::Transient,
+            }]));
+    }
     let tickets: Vec<_> = (0..queries)
         .map(|i| {
             let tenant = if i % 2 == 0 { "alice" } else { "bob" };
@@ -37,35 +46,29 @@ fn admitted_queries_form_connected_span_trees() {
                 .unwrap()
         })
         .collect();
-    for t in tickets {
-        t.wait().unwrap();
-    }
-    sj_obs::set_enabled(false);
-    let records = sj_obs::drain();
+    tickets.into_iter().map(|t| t.wait().unwrap()).collect()
+}
 
-    // Well-formed forest: unique ids, no dangling parents, no cycles.
+/// Renders one service's outputs and checks the forest.
+fn check_forest(outputs: &[ServeOutput]) {
+    let forest: Vec<Stage> = outputs.iter().map(ServeOutput::stages).collect();
+    let records = sj_obs::render(&forest);
     let stats = sj_obs::validate(&records).expect("well-formed trace");
-    assert!(stats.spans > 0);
-    assert!(
-        stats.threads >= 2,
-        "admission and worker threads both trace"
-    );
+    assert_eq!(stats.roots, outputs.len(), "one root per answered query");
 
-    let mut children: HashMap<u64, Vec<&sj_obs::SpanRecord>> = HashMap::new();
+    let mut children: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
     for r in &records {
         children.entry(r.parent).or_default().push(r);
     }
-    let roots: Vec<_> = records.iter().filter(|r| r.name == "serve.query").collect();
-    assert_eq!(
-        roots.len(),
-        queries as usize,
-        "one serve.query root per admitted query"
-    );
-    for root in roots {
-        assert_eq!(root.parent, 0, "serve.query is a trace root");
-        let (root_start, _) = root
-            .modeled_ns
-            .expect("root carries the modeled reservation");
+    let roots = &children[&0];
+    for (root, out) in roots.iter().zip(outputs) {
+        assert_eq!(root.name, "serve.query");
+        let (root_start, _) = root.modeled_ns.expect("root carries the modeled latency");
+        assert_eq!(
+            root_start,
+            (out.completion - out.latency).as_nanos() as u64,
+            "the root starts at the arrival"
+        );
 
         // Every stage of the pipeline appears somewhere under the root.
         let mut names = Vec::new();
@@ -82,7 +85,8 @@ fn admitted_queries_form_connected_span_trees() {
             "serve.run",
             "session.query",
             "plan.execute",
-            "gpu.launch",
+            "gpu.kernels",
+            "table",
         ] {
             assert!(
                 names.contains(&expected),
@@ -90,25 +94,23 @@ fn admitted_queries_form_connected_span_trees() {
             );
         }
 
-        // Queue and run are measured on both clocks and abut on the
-        // virtual timeline: the wait ends where execution starts.
+        // Queue and run abut on the virtual timeline: the wait ends where
+        // execution starts.
         let direct = &children[&root.id];
         let queue = direct.iter().find(|r| r.name == "serve.queue").unwrap();
         let run = direct.iter().find(|r| r.name == "serve.run").unwrap();
         let (queue_start, queue_dur) = queue.modeled_ns.expect("queue modeled interval");
         let (run_start, run_dur) = run.modeled_ns.expect("run modeled interval");
-        assert!(run_dur > 0, "run span measures the modeled join cost");
+        assert!(run_dur > 0, "the run measures the modeled join cost");
         assert!(queue_start >= root_start.saturating_sub(2));
         assert!(
             (queue_start + queue_dur).abs_diff(run_start) <= 2,
-            "queue wait must end at the virtual start ({} + {} vs {})",
-            queue_start,
-            queue_dur,
-            run_start
+            "queue wait must end at the virtual start ({queue_start} + {queue_dur} vs {run_start})"
         );
-        assert!(
-            queue.wall_start_ns <= run.wall_start_ns,
-            "queue span is backdated to admission on the wall clock"
+        assert!(queue.wall_start_ns <= run.wall_start_ns);
+        assert_eq!(
+            root.thread, out.device as u64,
+            "a query's lane is its device"
         );
     }
 
@@ -120,4 +122,20 @@ fn admitted_queries_form_connected_span_trees() {
         events.items().len() > records.len(),
         "wall + modeled events"
     );
+}
+
+#[test]
+fn admitted_queries_form_connected_span_trees() {
+    let faulty = std::thread::spawn(|| serve(7, 6, true));
+    let healthy = std::thread::spawn(|| serve(8, 4, false));
+    let faulty = faulty.join().unwrap();
+    let healthy = healthy.join().unwrap();
+    assert_eq!((faulty.len(), healthy.len()), (6, 4));
+    check_forest(&faulty);
+    check_forest(&healthy);
+    // Retry counts are the outputs' own: the armed transient shows up in
+    // the service it was armed on and nowhere else.
+    let attempts = |outs: &[ServeOutput]| outs.iter().map(|o| o.attempts).sum::<u32>();
+    assert_eq!(attempts(&faulty), 1);
+    assert_eq!(attempts(&healthy), 0);
 }

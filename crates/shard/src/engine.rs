@@ -110,6 +110,7 @@ use grid_join::{
 use rayon::prelude::*;
 use sim_gpu::{host_core_time, DeviceFault, DevicePool, DeviceTally};
 use sj_datasets::Dataset;
+use sj_obs::Stage;
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -129,9 +130,6 @@ fn max_reexec_rounds(ndev: usize) -> usize {
 /// One successful shard execution, as its device's drain returns it.
 struct ShardRun {
     report: ShardRunReport,
-    /// `(modeled grid build, modeled device pipeline)`: the shard's stage
-    /// pair on its device stream (see [`stream_end`]).
-    stage: (Duration, Duration),
     tally: DeviceTally,
     /// Host wall time of the shard's grid build.
     index_build: Duration,
@@ -152,7 +150,7 @@ struct Drained {
 
 /// Modeled end of the device stream that ran `runs`, in order.
 fn stream(runs: &[ShardRun]) -> Duration {
-    stream_end(runs.iter().map(|r| r.stage))
+    stream_end(runs.iter().map(|r| r.report.stage()))
 }
 
 /// Configuration of the sharded engine.
@@ -203,6 +201,14 @@ pub struct ShardRunReport {
     /// Modeled device time of the shard's pipeline (grid build + upload +
     /// kernels + drains, pipelined).
     pub modeled: Duration,
+    /// Modeled cost of the shard's host grid build, the part of
+    /// [`Self::modeled`] before its device stage.
+    pub modeled_grid_build: Duration,
+    /// Where the shard's device stage starts on its device's stream,
+    /// measured from the stream's start: after its grid build and the
+    /// device stages of the shards the stream ran before it (see
+    /// [`crate::schedule::stream_end`]).
+    pub stream_start: Duration,
     /// Modeled H2D engine busy time of the shard (the upload phase of
     /// the per-phase breakdown).
     pub modeled_upload: Duration,
@@ -211,6 +217,17 @@ pub struct ShardRunReport {
     pub modeled_kernel: Duration,
     /// Host wall time of the shard's pipeline.
     pub wall: Duration,
+}
+
+impl ShardRunReport {
+    /// `(modeled grid build, modeled device stage)`: the shard's stage
+    /// pair on its device stream (see [`stream_end`]).
+    fn stage(&self) -> (Duration, Duration) {
+        (
+            self.modeled_grid_build,
+            self.modeled - self.modeled_grid_build,
+        )
+    }
 }
 
 /// Execution report of a sharded join.
@@ -328,6 +345,92 @@ impl ShardedReport {
     /// Total H2D bytes spent uploading ghost points, across devices.
     pub fn ghost_h2d_bytes(&self) -> usize {
         self.devices.iter().map(|t| t.ghost_h2d_bytes).sum()
+    }
+
+    /// The sharded join's stage tree, built from this report's fields:
+    ///
+    /// ```text
+    /// shard.run                 modeled_total; wall total
+    /// ├─ shard.prelude          prelude_time
+    /// │  ├─ shard.sample_pass
+    /// │  ├─ shard.speculate     calibration beside the cut builds
+    /// │  │  ├─ shard.calibrate  (one after the other on one device)
+    /// │  │  └─ shard.cuts
+    /// │  ├─ shard.choose        when the chooser ran
+    /// │  └─ shard.partition     the rest of the prelude
+    /// ├─ shard.execute          the device streams side by side
+    /// │  └─ shard.device        the shards it ran, in stream order
+    /// │     └─ shard.shard      its share of the stream
+    /// │        ├─ shard.index   the part of its grid build the device
+    /// │        │                waited for
+    /// │        └─ plan.execute  its device stage
+    /// └─ shard.merge            wall only
+    /// ```
+    ///
+    /// On the modeled clock sequential children sum to their parent and
+    /// the busiest stream equals `shard.execute`. The report times the
+    /// prelude's wall only as a whole, so its stages carry none of their
+    /// own; a shard's wall is its plan's.
+    pub fn stages(&self) -> Stage {
+        let modeled = |name, t| Stage::new(name, Duration::ZERO, t);
+        let overlapped = self.devices.len() >= 2;
+        let speculate_time = if overlapped {
+            self.calibrate_time.max(self.cut_time)
+        } else {
+            self.calibrate_time + self.cut_time
+        };
+        let mut speculate = modeled("shard.speculate", speculate_time)
+            .child(modeled("shard.calibrate", self.calibrate_time))
+            .child(modeled("shard.cuts", self.cut_time));
+        speculate.side_by_side = overlapped;
+        let prelude = Stage::new(
+            "shard.prelude",
+            self.total
+                .saturating_sub(self.execute_time + self.merge_time),
+            self.prelude_time,
+        )
+        .child(modeled("shard.sample_pass", self.sample_time))
+        .child(speculate)
+        .child(
+            (!self.candidate_makespans.is_empty())
+                .then(|| modeled("shard.choose", self.choose_time)),
+        )
+        .child(modeled(
+            "shard.partition",
+            self.prelude_time
+                .saturating_sub(self.sample_time + speculate_time + self.choose_time),
+        ));
+        let mut execute =
+            Stage::new("shard.execute", self.execute_time, self.measured_stream()).side_by_side();
+        for (d, &stream) in self.streams.iter().enumerate() {
+            let mut runs: Vec<&ShardRunReport> =
+                self.shards.iter().filter(|s| s.device == d).collect();
+            runs.sort_by_key(|s| s.stream_start);
+            let wall = runs.iter().map(|s| s.wall).sum();
+            let mut device = Stage::new("shard.device", wall, stream).label("device", d);
+            let mut end = Duration::ZERO;
+            for s in runs {
+                let (_, work) = s.stage();
+                let wait = s.stream_start.saturating_sub(end);
+                let next = s.stream_start + work;
+                device = device.child(
+                    Stage::new("shard.shard", s.wall, next - end)
+                        .label("shard", s.shard)
+                        .child((!wait.is_zero()).then(|| modeled("shard.index", wait)))
+                        .child(
+                            Stage::new("plan.execute", s.wall, work)
+                                .label("batches", s.batches)
+                                .label("pairs", s.actual_pairs),
+                        ),
+                );
+                end = next;
+            }
+            execute = execute.child(device);
+        }
+        Stage::new("shard.run", self.total, self.modeled_total)
+            .child(prelude)
+            .child(execute)
+            .child(Stage::new("shard.merge", self.merge_time, None))
     }
 }
 
@@ -453,22 +556,7 @@ impl ShardedSelfJoin {
     /// with `dist(p, q) ≤ epsilon`, merged across all devices.
     pub fn run(&self, data: &Dataset, epsilon: f64) -> Result<ShardedOutput, SelfJoinError> {
         let t0 = Instant::now();
-        let mut span = sj_obs::Span::enter("shard.run");
-        span.label("n", data.len());
-        span.label("epsilon", epsilon);
-        let root_id = span.id();
-        let modeled_start = if root_id != 0 {
-            let c = sj_obs::trace::modeled_cursor();
-            if c.is_nan() {
-                0.0
-            } else {
-                c
-            }
-        } else {
-            0.0
-        };
         let ndev = self.pool.len();
-        span.label("devices", ndev);
         let spec = self.pool.device(0).spec();
 
         // Fused prelude, stage 1: one chunked streaming read of the
@@ -483,10 +571,7 @@ impl ShardedSelfJoin {
         // executed (simulated lanes, like every host-parallel pass
         // here); with ≥ 2 devices the prelude charges the slower of the
         // two sides instead of their sum.
-        let model = {
-            let _cspan = sj_obs::Span::enter("shard.calibrate");
-            calibrate_from_sample(&sp, epsilon)?
-        };
+        let model = calibrate_from_sample(&sp, epsilon)?;
         let calibrate_time = model.build_time;
 
         let candidate_counts: Vec<usize> = match self.config.num_shards {
@@ -494,14 +579,10 @@ impl ShardedSelfJoin {
             None => self.shard_candidates(ndev).into_iter().collect(),
         };
         let cut_lanes = ndev.saturating_sub(1).max(1);
-        let trees: Vec<(usize, CutTree)> = {
-            let mut tspan = sj_obs::Span::enter("shard.cuts");
-            tspan.label("candidates", candidate_counts.len());
-            candidate_counts
-                .iter()
-                .map(|&k| Ok((k, build_cuts(&sp, epsilon, k, cut_lanes)?)))
-                .collect::<Result<_, SelfJoinError>>()?
-        };
+        let trees: Vec<(usize, CutTree)> = candidate_counts
+            .iter()
+            .map(|&k| Ok((k, build_cuts(&sp, epsilon, k, cut_lanes)?)))
+            .collect::<Result<_, SelfJoinError>>()?;
         let cut_time: Duration = trees.iter().map(|(_, t)| t.build_time).sum();
         let overlap_time = if ndev >= 2 {
             calibrate_time.max(cut_time)
@@ -509,15 +590,11 @@ impl ShardedSelfJoin {
             calibrate_time + cut_time
         };
 
-        let mut chspan = sj_obs::Span::enter("shard.choose");
         let (num_shards, projected_build, choose_time, candidate_makespans) =
             match self.config.num_shards {
                 Some(k) => (k.max(1), Duration::ZERO, Duration::ZERO, Vec::new()),
                 None => self.choose_shard_count(&model, &sp, &trees, ndev)?,
             };
-        chspan.label("chosen", num_shards);
-        chspan.label("candidates", candidate_makespans.len());
-        drop(chspan);
 
         // Stage 3: materialize only the winning tree against the full
         // dataset — the chunked passes are charged at their per-lane
@@ -539,11 +616,8 @@ impl ShardedSelfJoin {
         let prelude_time = sample_time + overlap_time + choose_time + materialize_time;
         let costs = project_partition(&model, &part, spec, &self.config.join);
 
-        let assignment: Assignment = {
-            let mut sspan = sj_obs::Span::enter("shard.schedule");
-            sspan.label("shards", costs.len());
-            lpt_schedule(&costs.iter().map(ShardCost::cost).collect::<Vec<_>>(), ndev)
-        };
+        let assignment: Assignment =
+            lpt_schedule(&costs.iter().map(ShardCost::cost).collect::<Vec<_>>(), ndev);
         // The schedule's own makespan projection over the *actual*
         // partition, reported next to the measured streams.
         let projected_makespan = {
@@ -557,7 +631,6 @@ impl ShardedSelfJoin {
         // between the tasks. Devices run concurrently (see module docs),
         // and their streams start on the modeled clock after the prelude.
         let t2 = Instant::now();
-        let prelude_secs = modeled_start + prelude_time.as_secs_f64();
 
         // One shard's full pipeline on device `d`: grid build, subplan
         // rewrite, batched execution, accounting. Returns the run and its
@@ -565,15 +638,6 @@ impl ShardedSelfJoin {
         // nothing and a re-run can never duplicate.
         let run_shard = |d: usize, s: usize| -> Result<(ShardRun, Vec<Pair>), SelfJoinError> {
             let shard = &part.shards[s];
-            let mut shspan = sj_obs::Span::enter("shard.shard");
-            shspan.label("shard", s);
-            shspan.label("owned", shard.owned);
-            shspan.label("ghosts", shard.ghosts());
-            let shard_cursor = if shspan.id() != 0 {
-                sj_obs::trace::modeled_cursor()
-            } else {
-                f64::NAN
-            };
             // The partition is the source of truth for the halo
             // geometry; index at its ε.
             let tg = Instant::now();
@@ -581,11 +645,6 @@ impl ShardedSelfJoin {
             let index_build = tg.elapsed();
             let grid_build =
                 host_core_time(GridIndex::build_bytes(shard.data.len(), shard.data.dim()));
-            // The shard's host grid build occupies the stream
-            // before the device pipeline starts.
-            if !shard_cursor.is_nan() {
-                sj_obs::trace::set_modeled_cursor(shard_cursor + grid_build.as_secs_f64());
-            }
 
             // The shard's subplan: the rewrite of the logical
             // join restricted to this shard. Owned points are the
@@ -607,9 +666,6 @@ impl ShardedSelfJoin {
             // consumes it, matching the single-device modeled_total
             // convention.
             let modeled = grid_build + out.report.modeled_total;
-            if !shard_cursor.is_nan() {
-                shspan.set_modeled(shard_cursor, modeled.as_secs_f64());
-            }
             let run = ShardRun {
                 report: ShardRunReport {
                     shard: s,
@@ -621,13 +677,14 @@ impl ShardedSelfJoin {
                     batches: out.report.batching.batches,
                     ghost_h2d_bytes: ghost_h2d,
                     modeled,
+                    modeled_grid_build: grid_build,
+                    stream_start: Duration::ZERO,
                     modeled_upload: out.report.batching.timeline.h2d_busy,
                     modeled_kernel: out.report.batching.modeled_estimate_time
                         + out.report.batching.modeled_hoist_time
                         + out.report.batching.modeled_kernel_time,
                     wall: out.report.total,
                 },
-                stage: (grid_build, out.report.modeled_total),
                 tally: DeviceTally {
                     items: 1,
                     launches: out.report.batching.batches,
@@ -670,17 +727,7 @@ impl ShardedSelfJoin {
 
         let primary: Vec<Result<Drained, SelfJoinError>> = (0..ndev)
             .into_par_iter()
-            .map(|d| {
-                let mut dspan = sj_obs::Span::child_of(root_id, "shard.device");
-                dspan.label("device", d);
-                dspan.label("queue", assignment.queues[d].len());
-                if dspan.id() != 0 {
-                    sj_obs::trace::set_modeled_cursor(prelude_secs);
-                }
-                let out = drain(d, &assignment.queues[d])?;
-                dspan.set_modeled(prelude_secs, stream(&out.runs).as_secs_f64());
-                Ok(out)
-            })
+            .map(|d| drain(d, &assignment.queues[d]))
             .collect();
         // Per device: the shards it ran, in execution order, and their
         // pairs — one segment of the merged table.
@@ -716,9 +763,6 @@ impl ShardedSelfJoin {
                 let fault = faults.last().expect("a shard only fails via a fault");
                 return Err(SelfJoinError::Fault(*fault));
             }
-            let mut rspan = sj_obs::Span::enter("fault.reexec");
-            rspan.label("round", round);
-            rspan.label("shards", failed.len());
             for s in std::mem::take(&mut failed) {
                 let d = survivors
                     .iter()
@@ -758,14 +802,21 @@ impl ShardedSelfJoin {
         let mut devices = vec![DeviceTally::default(); ndev];
         let mut index_build_time = Duration::ZERO;
         let mut shards: Vec<ShardRunReport> = Vec::with_capacity(part.shards.len());
-        for run in runs.into_iter().flatten() {
-            devices[run.report.device].merge(&run.tally);
-            index_build_time += run.index_build;
-            shards.push(run.report);
+        for device_runs in runs {
+            let mut stages = Vec::with_capacity(device_runs.len());
+            for mut run in device_runs {
+                // A shard's device stage starts where its stream would end
+                // if that stage took no time.
+                let (host, device) = run.report.stage();
+                let host_only = (host, Duration::ZERO);
+                run.report.stream_start = stream_end(stages.iter().copied().chain([host_only]));
+                stages.push((host, device));
+                devices[run.report.device].merge(&run.tally);
+                index_build_time += run.index_build;
+                shards.push(run.report);
+            }
         }
         shards.sort_unstable_by_key(|r| r.shard);
-        span.label("shards", shards.len());
-        span.set_modeled(modeled_start, modeled_total.as_secs_f64());
         Ok(ShardedOutput {
             table,
             report: ShardedReport {

@@ -217,9 +217,7 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
             modeled: Duration::ZERO,
         });
     }
-    let mut span = sj_obs::Span::enter("shard.sample_pass");
     let lanes = lanes.clamp(1, n);
-    span.label("lanes", lanes);
     let flat = data.coords();
     let sstride = n.div_ceil(SPLIT_SAMPLE_CAP);
     let mut dmin = vec![f64::INFINITY; dim];
@@ -233,9 +231,6 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
     for lane in 0..lanes {
         let Range { start, end } = lane_range(n, lanes, lane);
         let sampled_before = ids.len();
-        let mut lspan = sj_obs::Span::enter("shard.partition.lane");
-        lspan.label("pass", "sample");
-        lspan.label("lane", lane);
         let mut next_sample = start.next_multiple_of(sstride);
         for (i, row) in flat[start * dim..end * dim].chunks_exact(dim).enumerate() {
             for j in 0..dim {
@@ -255,7 +250,6 @@ pub fn sample_pass(data: &Dataset, lanes: usize) -> Result<SamplePass, GridBuild
                 + (ids.len() - sampled_before) as u64 * (row_bytes + 4),
         );
     }
-    span.label("sample", ids.len());
     Ok(SamplePass {
         len: n,
         dim,
@@ -548,13 +542,10 @@ pub fn materialize(
             build_time: host_core_time(copy_bytes(data.len() as u64, 8 * data.dim() as u64)),
         });
     }
-    let mut span = sj_obs::Span::enter("shard.partition");
-    span.label("shards", cuts.num_leaves());
     let dim = data.dim();
     let flat = data.coords();
     let n = data.len();
     let lanes = lanes.clamp(1, n);
-    span.label("lanes", lanes);
     let leaves = &cuts.leaves;
     let nshards = leaves.len();
 
@@ -687,11 +678,6 @@ pub fn materialize(
         })
         .collect();
 
-    span.label("shards_out", shards.len());
-    span.label(
-        "ghost_points",
-        shards.iter().map(|s| s.data.len() - s.owned).sum::<usize>(),
-    );
     Ok(Partition {
         cut_dims: cuts.cut_dims.clone(),
         epsilon,

@@ -40,18 +40,26 @@ proptest! {
         });
         let engine = ShardedSelfJoin::titan_x(ndev).with_shards(shards);
         engine.pool().inject_faults(&plan);
+        let case = format!("(ndev, shards, storm_seed) = ({ndev}, {shards}, {storm_seed})");
         match engine.run(&data, eps) {
             Ok(out) => {
-                prop_assert_eq!(&out.table, &reference.table);
-                prop_assert_eq!(out.report.duplicates_merged, 0);
+                prop_assert!(
+                    out.table == reference.table,
+                    "{case}: table of {} pairs differs from the fault-free join's {}",
+                    out.table.total_pairs(),
+                    reference.table.total_pairs()
+                );
+                prop_assert_eq!(out.report.duplicates_merged, 0, "{}", case);
                 prop_assert_eq!(
                     out.report.shards.iter().map(|s| s.owned).sum::<usize>(),
-                    data.len()
+                    data.len(),
+                    "{}",
+                    case
                 );
             }
             // Acceptable degraded outcome: a clean fault error once the
             // bounded retry budget is spent — never a wrong table.
-            Err(e) => prop_assert!(e.is_fault(), "non-fault error under storm: {}", e),
+            Err(e) => prop_assert!(e.is_fault(), "{case}: non-fault error under storm: {e}"),
         }
     }
 }

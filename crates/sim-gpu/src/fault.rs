@@ -422,7 +422,6 @@ impl HealthLedger {
                 heal_after,
             } = state
             {
-                let _span = sj_obs::Span::enter("fault.probe");
                 if *failed_probes >= *heal_after {
                     *state = HealthState::Healthy;
                     reinstated += 1;

@@ -197,7 +197,6 @@ pub fn launch<K: Kernel>(
 ) -> LaunchStats {
     let occ = occupancy(device.spec(), kernel.resources(), cfg.block_threads);
     let blocks = total_threads.div_ceil(cfg.block_threads.max(1));
-    let mut span = sj_obs::Span::enter("gpu.launch");
     let start = Instant::now();
     let bytes = AtomicU64::new(0);
     (0..blocks).into_par_iter().for_each(|block_id| {
@@ -206,18 +205,14 @@ pub fn launch<K: Kernel>(
         bytes.fetch_add(counter.bytes, Ordering::Relaxed);
     });
     let bytes = bytes.into_inner();
-    let stats = LaunchStats {
+    LaunchStats {
         wall: start.elapsed(),
         bytes,
         modeled_wall: device.spec().kernel_time(bytes),
         blocks,
         threads: total_threads,
         occupancy: occ,
-    };
-    span.label("blocks", blocks);
-    span.label("threads", total_threads);
-    span.set_modeled_dur(stats.modeled_wall.as_secs_f64());
-    stats
+    }
 }
 
 /// Executes `kernel` in profiled mode: blocks are assigned round-robin to
@@ -239,8 +234,6 @@ pub fn launch_profiled<K: Kernel>(
         line_bytes: spec.l1_line_bytes,
         associativity: spec.l1_associativity,
     };
-    let mut span = sj_obs::Span::enter("gpu.launch");
-    span.label("profiled", 1u64);
     let start = Instant::now();
     let per_sm: Vec<CacheStats> = (0..sm_count)
         .into_par_iter()
@@ -268,9 +261,6 @@ pub fn launch_profiled<K: Kernel>(
         threads: total_threads,
         occupancy: occ,
     };
-    span.label("blocks", blocks);
-    span.label("threads", total_threads);
-    span.set_modeled_dur(stats.modeled_wall.as_secs_f64());
     (stats, merged)
 }
 

@@ -94,3 +94,38 @@ fn modeled_clock_ignores_concurrent_host_load() {
         assert_eq!(single, single_alone, "single-device/session run {run}");
     }
 }
+
+/// One rendered record's id, parent, name, lane and modeled interval.
+type Placed = (u64, u64, &'static str, u64, Option<(u64, u64)>);
+
+/// The render-order ids, lanes and modeled intervals of a forest.
+fn layout(forest: &[sj_obs::Stage]) -> Vec<Placed> {
+    sj_obs::render(forest)
+        .into_iter()
+        .map(|r| (r.id, r.parent, r.name, r.thread, r.modeled_ns))
+        .collect()
+}
+
+#[test]
+fn rendering_outputs_twice_gives_identical_ids_and_modeled_intervals() {
+    let (data, eps) = workload();
+    let forest = |data: &Dataset| {
+        vec![
+            GpuSelfJoin::default_device()
+                .run(data, eps)
+                .unwrap()
+                .report
+                .stages(),
+            ShardedSelfJoin::titan_x(4)
+                .run(data, eps)
+                .unwrap()
+                .report
+                .stages(),
+        ]
+    };
+    let first = forest(&data);
+    assert_eq!(layout(&first), layout(&first));
+    // The modeled clock is deterministic, so a second run of the same
+    // joins lays out the same modeled timeline.
+    assert_eq!(layout(&forest(&data)), layout(&first));
+}
